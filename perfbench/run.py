@@ -15,15 +15,23 @@ the next. Only the bytecode cache is warmed, by one untimed probe per
 workload before measuring.
 
 --trace 0 runs rounds until the next one would end after S seconds. A round
-holds one timed invocation and SETUP_PROBES set-up probes per workload and
-one calibration loop, in an order drawn from the seed, so that host drift
-spreads over all of them. It reports per workload the medians of
-  wall_s       seconds per invocation, from process start to reaping it
-  cpu_s        the child's user + system seconds
+holds one timed invocation and SETUP_PROBES set-up probes per workload, in
+an order drawn from the seed, each one between two runs of a fixed Fraction
+calibration loop. It reports per workload the medians of
+  wall_ref_s   seconds per invocation, from process start to reaping it
+  cpu_ref_s    the child's user + system seconds
   peak_rss_mb  the child's maximum resident set, from wait4
   setup_s      seconds for a probe that starts the interpreter, imports
                hopfspecies.cli, parses the arguments and builds the monoid,
                morphism or species, without computing.
+The times are at the reference host speed: each is multiplied by
+REF_CALIBRATION_S over the mean of the calibration times around it. On a
+shared host whose speed changes by up to half for minutes at a time, moving
+the calibration loop and the program alike, raw medians of runs minutes
+apart disagree by more than any useful bound; these disagree far less. The
+calibration loop depends on nothing in hopfspecies, so a change to the
+program moves these times as much as the raw ones. The raw times are
+printed too, as wall_s, cpu_s and setup_wall_s.
 --trace 1 runs every workload once traced, so that every per-layer metric
 is measured in every traced run, and the run's own workload once untraced,
 in seed order. It reports the per-layer metrics of each workload and the
@@ -35,9 +43,7 @@ reference recorded from the unchanged program, and pass an oracle that does
 not depend on that reference; a probe must exit 0 and print nothing. A
 miss counts as failed, and failed / attempted is the fail ratio. The last
 line of stdout is one JSON object with `correct`, `attempted`, `failed` and
-`metrics`. Host facts and the time of a fixed Fraction loop per round are
-printed above it; the calibration is a record of host drift only and
-scales nothing.
+`metrics`. Host facts and every calibration time are printed above it.
 """
 
 from __future__ import annotations
@@ -61,8 +67,11 @@ from workloads import (WORKLOADS, layer_unit, layer_values, load_reference,
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_PROBES = 3
+SETUP_PROBES = 1
 CALIBRATION_TERMS = 8000
+# calibration seconds that define the reference host speed; about what the
+# loop takes on an idle 2-vCPU Xeon host with Python 3.11
+REF_CALIBRATION_S = 0.05
 CHILD_TIMEOUT_S = 120
 
 
@@ -114,6 +123,13 @@ def calibrate() -> float:
     return time.perf_counter() - t0
 
 
+def at_ref(seconds: float, calibration: float) -> float:
+    """`seconds` measured between calibration loops that took
+    `calibration` seconds on average, as seconds at the reference host
+    speed."""
+    return seconds * REF_CALIBRATION_S / calibration
+
+
 class Checker:
     """Counts invocations and the ones whose exit code or output is wrong."""
 
@@ -159,27 +175,26 @@ def setup_args(w) -> list:
 def measure(workloads: list, rng: random.Random, seconds: float,
             checker: Checker) -> tuple:
     """Timed rounds until the next one, taking as long as the mean round so
-    far, would end after `seconds`."""
+    far, would end after `seconds`. Runs and probes are lists of
+    (invocation, mean of the calibration times just before and after it)."""
     runs = {w.name: [] for w in workloads}
     probes = {w.name: [] for w in workloads}
-    calibration = []
+    calibration = [calibrate()]
     steps = ([("run", w) for w in workloads]
-             + [("setup", w) for w in workloads for _ in range(SETUP_PROBES)]
-             + [("calibrate", None)])
+             + [("setup", w) for w in workloads for _ in range(SETUP_PROBES)])
     start = time.perf_counter()
     rounds = 0
     while True:
         for kind, w in rng.sample(steps, len(steps)):
-            if kind == "calibrate":
-                calibration.append(calibrate())
-            elif kind == "run":
+            if kind == "run":
                 inv = invoke(["run"] + w.argv)
                 checker.run(w, inv)
-                runs[w.name].append(inv)
             else:
                 inv = invoke(setup_args(w))
                 checker.probe(w, inv)
-                probes[w.name].append(inv.wall)
+            calibration.append(calibrate())
+            (runs if kind == "run" else probes)[w.name].append(
+                (inv, (calibration[-2] + calibration[-1]) / 2))
         rounds += 1
         elapsed = time.perf_counter() - start
         if elapsed + elapsed / rounds > seconds:
@@ -300,18 +315,24 @@ def main(argv=None) -> int:
     else:
         runs, probes, calibration = measure(own, rng, args.seconds, checker)
         for w in own:
-            walls = [inv.wall for inv in runs[w.name]]
-            cpus = [inv.cpu for inv in runs[w.name]]
-            rss = [inv.rss_mb for inv in runs[w.name]]
             print("%s: %s" % (w.name, " ".join(w.argv)))
-            print(describe("wall_s", "s", walls))
-            print(describe("cpu_s", "s", cpus))
-            print(describe("peak_rss_mb", "MB", rss))
-            print(describe("setup_s", "s", probes[w.name]))
-            put(w.name, "wall_s", statistics.median(walls), "s")
-            put(w.name, "cpu_s", statistics.median(cpus), "s")
-            put(w.name, "peak_rss_mb", statistics.median(rss), "MB")
-            put(w.name, "setup_s", statistics.median(probes[w.name]), "s")
+            series = {
+                "wall_s": [inv.wall for inv, _ in runs[w.name]],
+                "cpu_s": [inv.cpu for inv, _ in runs[w.name]],
+                "setup_wall_s": [inv.wall for inv, _ in probes[w.name]],
+                "wall_ref_s": [at_ref(inv.wall, cal)
+                               for inv, cal in runs[w.name]],
+                "cpu_ref_s": [at_ref(inv.cpu, cal)
+                              for inv, cal in runs[w.name]],
+                "setup_s": [at_ref(inv.wall, cal)
+                            for inv, cal in probes[w.name]],
+                "peak_rss_mb": [inv.rss_mb for inv, _ in runs[w.name]]}
+            for name, values in series.items():
+                unit = "MB" if name == "peak_rss_mb" else "s"
+                print(describe(name, unit, values))
+                if name in ("wall_ref_s", "cpu_ref_s", "setup_s",
+                            "peak_rss_mb"):
+                    put(w.name, name, statistics.median(values), unit)
 
     print("fail_ratio %.4f (%d failed of %d invocations)" % (
         checker.failed / checker.attempted, checker.failed, checker.attempted))

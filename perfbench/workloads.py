@@ -23,14 +23,13 @@ layer has a workload that exercises it and one that bypasses it.
 The sequence gates and series arithmetic are deliberately absent: each gate
 finishes in milliseconds at the order cap, so there is nothing to tune.
 
-BENCHMARK.json gates prim_basis, axioms_pal and dims_pal end to end, not
-hker_dims. On a shared host whose speed drifts by a quarter within minutes,
-a run's median needs as many samples as the time budget allows: three
-workloads leave time for 40-second runs where four allow 30. axioms_pal is
-the only measure of the axioms layer and dims_pal the only enumeration-bound
-one, while prim_basis exercises the echelon, kernels and coproduct layers
-that hker_dims does. hker_dims stays runnable (by name or `all`) and is
-traced in every traced run.
+BENCHMARK.json gates prim_basis and dims_pal end to end. On a shared host
+whose speed drifts within minutes, a run's median is only as steady as the
+run is long, and two workloads leave time for the longest runs. These
+two stress opposite layers: echelon, kernels and coproduct against
+enumeration and orbit counting. axioms_pal and hker_dims stay runnable (by
+name or `all`), and every traced run traces all four workloads, so the
+axioms, product and QVector/QTensor layers keep their per-layer metrics.
 """
 
 from __future__ import annotations
