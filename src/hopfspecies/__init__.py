@@ -1,10 +1,9 @@
 """Exact computation with connected Hopf monoids in set species."""
 
-from .exactalg import (BadConstantTerm, CycleIndexPoly, DimensionMismatch,
-                       QMatrix, TruncatedSeries, ZeroConstantTerm,
-                       binomial_transform, egf_from_counts,
+from .exactalg import (BadConstantTerm, CycleIndexPoly, TruncatedSeries,
+                       ZeroConstantTerm, binomial_transform, egf_from_counts,
                        inverse_binomial_transform, nonneg_prefix,
-                       ogf_from_counts, span_contains)
+                       ogf_from_counts)
 from .reports import TestReport
 from .species import (EMPTY, Element, FiniteSet, FunctionToK, LinearOrder,
                       NotLinearized, PairStructure, PalComposition, QTensor,

@@ -101,19 +101,6 @@ def check_monoid(h: HopfMonoid, nmax: int) -> AxiomReport:
     return rep
 
 
-def _triple_delta(h, first_split, second_split_left, v):
-    """(Delta x id) Delta or (id x Delta) Delta as a dict on structure triples."""
-    out = {}
-    for s, c in v.terms.items():
-        for (u, w), c1 in h.coproduct(*first_split, s).terms.items():
-            if second_split_left:
-                inner = h.coproduct(*second_split_left, u)
-                for (u1, u2), c2 in inner.terms.items():
-                    key = (u1, u2, w)
-                    out[key] = out.get(key, 0) + c * c1 * c2
-    return out
-
-
 def check_comonoid(h: HopfMonoid, nmax: int) -> AxiomReport:
     """Coassociativity over all triple decompositions, and the counit laws."""
     rep = AxiomReport(h.name, list(range(nmax + 1)))
@@ -336,22 +323,11 @@ def check_morphism(f: HopfMorphism, nmax: int) -> AxiomReport:
     return rep
 
 
-def check_all(h: HopfMonoid, nmax: int, jobs: int = 1) -> AxiomReport:
+def check_all(h: HopfMonoid, nmax: int) -> AxiomReport:
     """The full battery: monoid, comonoid, compatibility, naturality,
-    connectedness and linearization.
-
-    Checks are independent, so with jobs > 1 they run on a thread pool;
-    reports merge in a fixed order either way.
-    """
-    battery = [check_monoid, check_comonoid, check_compat, check_naturality,
-               is_linearized]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda chk: chk(h, nmax), battery))
-    else:
-        parts = [chk(h, nmax) for chk in battery]
+    connectedness and linearization, merged in a fixed order."""
     rep = check_connected(h)
-    for part in parts:
-        rep = rep.merged(part)
+    for chk in (check_monoid, check_comonoid, check_compat, check_naturality,
+                is_linearized):
+        rep = rep.merged(chk(h, nmax))
     return rep

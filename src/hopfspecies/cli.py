@@ -115,12 +115,7 @@ def cmd_seq_tests(args) -> int:
             return seq_mod.growth_test(seq, int(name[7:]))
         raise UsageError("unknown test name: %r" % name)
 
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run_one, wanted))
-    else:
-        reports = [run_one(name) for name in wanted]
+    reports = [run_one(name) for name in wanted]
     ok = all(r.verdict != "fail" for r in reports)
     payload = {"tool": "seq-tests", "input": seq.to_json(),
                "verdict": "pass" if ok else "fail",
@@ -170,7 +165,7 @@ def cmd_species_dims(args) -> int:
 def cmd_axioms(args) -> int:
     nmax = _cap_n(args.max_n)
     h = get_hopf(args.species)
-    rep = axioms_mod.check_all(h, nmax, jobs=args.jobs)
+    rep = axioms_mod.check_all(h, nmax)
     payload = {"tool": "axioms", "verdict": "pass" if rep.ok else "fail",
                "details": [rep.to_json()]}
     _emit(payload, args.format, [rep.summary()])
@@ -195,11 +190,10 @@ def cmd_primitives(args) -> int:
     details = [{"species": h.name, "primitive_dims": dims}]
     if args.show_basis:
         for n in range(1, nmax + 1):
-            space = kernels_mod.primitive_space(h, labelset(n))
-            vecs = [v.to_json() for v in space.vectors()]
-            details.append({"n": n, "basis": vecs})
+            vecs = kernels_mod.primitive_space(h, labelset(n)).vectors()
+            details.append({"n": n, "basis": [v.to_json() for v in vecs]})
             lines.append("n = %d:" % n)
-            lines.extend("  %r" % v for v in space.vectors())
+            lines.extend("  %r" % v for v in vecs)
     payload = {"tool": "primitives", "verdict": "pass", "details": details}
     _emit(payload, args.format, lines)
     return 0
@@ -295,9 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hopfspecies",
         description="Exact computations with connected Hopf monoids in species")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for independent checks; output "
-                             "order is canonical either way")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("seq-tests", help="run dimension-sequence tests")
@@ -379,7 +370,8 @@ def run(argv=None) -> int:
     except kernels_mod.LagrangeFactorizationError as exc:
         print("FAIL: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError,
+            json.JSONDecodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -5,9 +5,8 @@ in this package. A TruncatedSeries stores coefficients 0..N for a fixed
 truncation order N and binary operations truncate to the smaller order,
 which is the usual semantics for formal power series prefixes.
 
-The linear algebra lives in two layers: a sparse fraction-free echelon
-engine (`Echelon`) used by the kernel computations elsewhere, and the small
-dense `QMatrix` wrapper with rank/kernel/span queries.
+The linear algebra is one sparse fraction-free echelon engine (`Echelon`),
+used by the kernel computations elsewhere.
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ class ZeroConstantTerm(ArithmeticError):
 
 class BadConstantTerm(ArithmeticError):
     """exp/log or cycle-index division got the wrong constant term."""
-
-
-class DimensionMismatch(ValueError):
-    """Inconsistent matrix or vector dimensions."""
 
 
 def _q(x) -> Fraction:
@@ -408,6 +403,16 @@ class Echelon:
     def __init__(self):
         self.pivots: dict = {}
 
+    @classmethod
+    def from_echelon_form(cls, rows) -> "Echelon":
+        """Hold rows that already have pairwise distinct leading columns,
+        as they are: nothing is eliminated, each row is only rescaled."""
+        ech = cls()
+        for row in rows:
+            row = _row_gcd_normalize(row)
+            ech.pivots[min(row)] = row
+        return ech
+
     def reduce(self, row: dict) -> dict:
         """Forward-reduce a copy of `row` against the stored pivot rows."""
         row = {c: v for c, v in row.items() if v}
@@ -484,66 +489,3 @@ class Echelon:
                     vec[c] = -v
             basis.append(tuple(vec))
         return basis
-
-
-# ---------------------------------------------------------------------------
-# Dense rational matrices
-# ---------------------------------------------------------------------------
-
-class QMatrix:
-    """Dense exact-rational matrix used for rank/kernel/span queries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        entries = [tuple(_q(x) for x in row) for row in entries]
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
-        if any(len(r) != self.cols for r in entries):
-            raise DimensionMismatch("ragged rows")
-        self.entries = tuple(entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls([[0] * cols for _ in range(rows)]) if rows else cls([])
-
-    def _echelon(self) -> Echelon:
-        ech = Echelon()
-        for r in self.entries:
-            ech.add({j: v for j, v in enumerate(r) if v})
-        return ech
-
-    def rank(self) -> int:
-        return self._echelon().rank
-
-    def kernel(self) -> list:
-        """Basis of {v : M v = 0} as tuples of Fractions, in the canonical
-        reduced form (one vector per free column, left-to-right)."""
-        if self.cols == 0:
-            return []
-        return self._echelon().kernel(self.cols)
-
-    def apply(self, vec) -> tuple:
-        vec = [_q(x) for x in vec]
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length %d != cols %d" % (len(vec), self.cols))
-        return tuple(sum(r[j] * vec[j] for j in range(self.cols)) for r in self.entries)
-
-    def __repr__(self):
-        return "QMatrix(%d x %d)" % (self.rows, self.cols)
-
-
-def span_contains(basis, vec) -> bool:
-    """Is `vec` in the span of the given vectors (all same length)?"""
-    basis = [list(b) for b in basis]
-    vec = list(vec)
-    if any(len(b) != len(vec) for b in basis):
-        raise DimensionMismatch("span vectors of unequal length")
-    ech = Echelon()
-    for b in basis:
-        ech.add({j: v for j, v in enumerate(b) if v})
-    return ech.contains({j: _q(v) for j, v in enumerate(vec) if v})

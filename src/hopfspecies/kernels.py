@@ -14,6 +14,7 @@ those brackets along the cycle decomposition of a derangement.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
@@ -52,13 +53,12 @@ class LagrangeFactorizationError(AssertionError):
 class SubspaceBasis:
     """A subspace of the span of `coords`, held in echelon form."""
 
-    def __init__(self, ambient: FiniteSet, coords: tuple, vectors=()):
+    def __init__(self, ambient: FiniteSet, coords: tuple,
+                 echelon: Echelon | None = None):
         self.ambient = ambient
         self.coords = tuple(coords)
         self.index = {s: i for i, s in enumerate(self.coords)}
-        self._ech = Echelon()
-        for v in vectors:
-            self.add(v)
+        self._ech = Echelon() if echelon is None else echelon
 
     def add(self, v: QVector) -> bool:
         return self._ech.add(v.coordinates(self.index))
@@ -90,8 +90,16 @@ class SubspaceBasis:
         return "SubspaceBasis(dim=%d of %d)" % (self.dim, len(self.coords))
 
 
-def _kernel_space(h_basis, ambient, rows) -> SubspaceBasis:
-    """Solve the stacked sparse system and return its kernel subspace."""
+def _kernel_space(basis, ambient, rows) -> SubspaceBasis:
+    """Eliminate the stacked sparse rows once and read off their kernel.
+
+    The rows go in with columns reversed (j -> n-1-j). Each vector that
+    Echelon.kernel then returns is 1 at its own free column, zero at every
+    other free column, and supported on later columns of the original order:
+    read back to front, they are already the unique reduced echelon basis of
+    the kernel, so they are stored without another elimination.
+    """
+    n = len(basis)
     ech = Echelon()
     seen = set()
     for row in rows:
@@ -99,43 +107,56 @@ def _kernel_space(h_basis, ambient, rows) -> SubspaceBasis:
         if frozen in seen:
             continue
         seen.add(frozen)
-        ech.add(row)
-    out = SubspaceBasis(ambient, h_basis)
-    for vec in ech.kernel(len(h_basis)):
-        out.add(QVector(ambient, {h_basis[j]: c for j, c in enumerate(vec) if c}))
-    return out
+        ech.add({n - 1 - j: c for j, c in row.items()})
+    kernel = [{n - 1 - j: c for j, c in enumerate(vec) if c}
+              for vec in reversed(ech.kernel(n))]
+    return SubspaceBasis(ambient, basis, Echelon.from_echelon_form(kernel))
 
 
 # ---------------------------------------------------------------------------
 # Primitive spaces and kernels of morphisms
 # ---------------------------------------------------------------------------
 
-_prim_cache: dict = {}
-_hker_cache: dict = {}
+def _cached(space_fn):
+    """Memoize space_fn(owner, I) in `owner.space_cache`, so each entry lives
+    exactly as long as the monoid or morphism it was computed for."""
+
+    @functools.wraps(space_fn)
+    def cached(owner, I: FiniteSet) -> SubspaceBasis:
+        key = (space_fn.__name__, I.labels)
+        got = owner.space_cache.get(key)
+        if got is None:
+            got = owner.space_cache[key] = space_fn(owner, I)
+        return got
+    return cached
 
 
+def coproduct_rows(h: HopfMonoid, I: FiniteSet,
+                   f: HopfMorphism | None = None) -> list:
+    """Sparse rows of the stacked maps Delta_{S,T} over S, T nonempty, or of
+    (f x id) o Delta_{S,T} when a morphism f out of h is given; columns
+    index the sorted basis of h[I]."""
+    basis = h.species.structures(I)
+    rows: dict = {}
+    for S, T in I.decompositions():
+        if not len(S) or not len(T):
+            continue
+        for j, s in enumerate(basis):
+            for (u, w), c in h.coproduct(S, T, s).terms.items():
+                for t, d in (f.on_basis(u).terms.items() if f else ((u, 1),)):
+                    row = rows.setdefault((S.labels, t, w), {})
+                    row[j] = row.get(j, 0) + c * d
+    return list(rows.values())
+
+
+@_cached
 def primitive_space(h: HopfMonoid, I: FiniteSet) -> SubspaceBasis:
     """Joint kernel of all Delta_{S,T} with S, T nonempty; zero at the empty
     set, everything at singletons."""
-    key = (id(h), I.labels)
-    got = _prim_cache.get(key)
-    if got is not None:
-        return got
     basis = h.species.structures(I)
     if len(I) == 0:
-        out = SubspaceBasis(I, basis)
-    else:
-        index = {s: j for j, s in enumerate(basis)}
-        rows: dict = {}
-        for S, T in I.decompositions():
-            if not len(S) or not len(T):
-                continue
-            for j, s in enumerate(basis):
-                for (u, w), c in h.coproduct(S, T, s).terms.items():
-                    rows.setdefault((S.labels, u, w), {})[j] = c
-        out = _kernel_space(basis, I, rows.values())
-    _prim_cache[key] = out
-    return out
+        return SubspaceBasis(I, basis)
+    return _kernel_space(basis, I, coproduct_rows(h, I))
 
 
 def morphism_rows(f: HopfMorphism, I: FiniteSet) -> dict:
@@ -165,51 +186,29 @@ def is_surjective_at(f: HopfMorphism, n: int) -> bool:
     return morphism_rank(f, I) == f.target.species.dimension(I)
 
 
+@_cached
 def hker_space(f: HopfMorphism, I: FiniteSet) -> SubspaceBasis:
     """Kernel of the stacked maps (pi x id) o Delta_{S,T} over all S != empty.
 
     The empty-S components never constrain (the positive part of the target
-    kills them), so they are omitted; T = empty contributes the condition
-    pi(x) = 0 itself.
+    kills them), so they are omitted; for nonempty I, T = empty contributes
+    the condition pi(x) = 0 itself, which is the rows of f.
     """
-    key = (id(f), I.labels)
-    got = _hker_cache.get(key)
-    if got is not None:
-        return got
-    h = f.source
-    basis = h.species.structures(I)
-    rows: dict = {}
-    for S, T in I.decompositions():
-        if not len(S):
-            continue
-        for j, s in enumerate(basis):
-            for (u, w), c in h.coproduct(S, T, s).terms.items():
-                for t, d in f.on_basis(u).terms.items():
-                    key2 = (S.labels, t, w)
-                    row = rows.setdefault(key2, {})
-                    row[j] = row.get(j, 0) + c * d
-    out = _kernel_space(basis, I, rows.values())
-    _hker_cache[key] = out
-    return out
+    rows = coproduct_rows(f.source, I, f)
+    if len(I):
+        rows += morphism_rows(f, I).values()
+    return _kernel_space(f.source.species.structures(I), I, rows)
 
 
+@_cached
 def lker_space(f: HopfMorphism, I: FiniteSet) -> SubspaceBasis:
     """Primitives of the source killed by f: intersect the primitive
     constraints with the rows of f."""
-    h = f.source
-    basis = h.species.structures(I)
+    basis = f.source.species.structures(I)
     if len(I) == 0:
         return SubspaceBasis(I, basis)
-    index = {s: j for j, s in enumerate(basis)}
-    rows: dict = {}
-    for S, T in I.decompositions():
-        if not len(S) or not len(T):
-            continue
-        for j, s in enumerate(basis):
-            for (u, w), c in h.coproduct(S, T, s).terms.items():
-                rows.setdefault((S.labels, u, w), {})[j] = c
-    all_rows = list(rows.values()) + list(morphism_rows(f, I).values())
-    return _kernel_space(basis, I, all_rows)
+    rows = coproduct_rows(f.source, I) + list(morphism_rows(f, I).values())
+    return _kernel_space(basis, I, rows)
 
 
 def hker_dims(f: HopfMorphism, nmax: int) -> list:
@@ -527,27 +526,19 @@ def hker_generated_check(f: HopfMorphism, nmax: int) -> TestReport:
     for n in range(nmax + 1):
         if not is_surjective_at(f, n):
             raise NotSurjective("%s is not surjective at size %d" % (f.name, n))
-    lker_cache: dict = {}
-
-    def lker_at(S: FiniteSet):
-        got = lker_cache.get(S.labels)
-        if got is None:
-            got = lker_space(f, S)
-            lker_cache[S.labels] = got
-        return got
-
     dims_checked = []
     for n in range(nmax + 1):
         I = labelset(n)
         hk = hker_space(f, I)
-        sizes = [s for s in range(1, n + 1) if lker_at(labelset(s)).dim > 0]
+        sizes = [s for s in range(1, n + 1)
+                 if lker_space(f, labelset(s)).dim > 0]
         gen = SubspaceBasis(I, f.source.species.structures(I))
         if n == 0:
             gen.add(QVector.basis(f.source.one()))
         for comp in _all_compositions_with_sizes(I, sizes):
             if not comp:
                 continue
-            choices = [lker_at(S).vectors() for S in comp]
+            choices = [lker_space(f, S).vectors() for S in comp]
             for pick in itertools.product(*choices):
                 gen.add(iterated_product(f.source, comp, pick))
         if not gen.same_span(hk):

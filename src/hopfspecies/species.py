@@ -113,10 +113,6 @@ def labelset(n: int) -> FiniteSet:
     return FiniteSet(ALPHABET[:n])
 
 
-def identity_map(I: FiniteSet) -> dict:
-    return {t: t for t in I}
-
-
 def compose_maps(sigma: dict, tau: dict) -> dict:
     """The bijection sigma o tau (apply tau first)."""
     return {t: sigma[v] for t, v in tau.items()}
@@ -444,9 +440,6 @@ class SpeciesSpec:
 
     def dims(self, nmax: int) -> list:
         return [self.dimension(n) for n in range(nmax + 1)]
-
-    def relabel(self, mapping: dict, s: Structure) -> Structure:
-        return s.relabel(mapping)
 
     def __repr__(self):
         return "SpeciesSpec(%s)" % self.name

@@ -36,6 +36,7 @@ class HopfMonoid:
         self._delta = delta  # (S, T, s) -> QTensor on (S, T); S, T nonempty
         self._mu_cache: dict = {}
         self._delta_cache: dict = {}
+        self.space_cache: dict = {}  # kernels' subspaces, by (kind, labels)
 
     def one(self) -> Structure:
         structs = self.species.structures(EMPTY)
@@ -81,13 +82,6 @@ def product_vectors(h: HopfMonoid, S, T, xv: QVector, yv: QVector) -> QVector:
     return out
 
 
-def product_tensor(h: HopfMonoid, t: QTensor) -> QVector:
-    out = QVector.zero(t.left.union(t.right))
-    for (x, y), c in t.terms.items():
-        out = out + h.product(t.left, t.right, x, y).scale(c)
-    return out
-
-
 def coproduct_vector(h: HopfMonoid, S, T, v: QVector) -> QTensor:
     """Delta_{S,T} extended linearly to vectors."""
     out = QTensor.zero(S, T)
@@ -116,6 +110,7 @@ class HopfMorphism:
         self.source = source
         self.target = target
         self._on_basis = on_basis
+        self.space_cache: dict = {}  # kernels' subspaces, by (kind, labels)
 
     def on_basis(self, s: Structure) -> QVector:
         return self._on_basis(s)
@@ -280,20 +275,17 @@ def make_Pi_even(max_size: int = 9) -> HopfMonoid:
 # Set compositions and palindromic set compositions
 # ---------------------------------------------------------------------------
 
-def set_compositions(I: FiniteSet, cls=SetComposition):
+def set_compositions(I: FiniteSet):
     toks = tuple(I)
     if not toks:
-        yield cls(())
+        yield SetComposition(())
         return
     n = len(toks)
     for first_size in range(1, n + 1):
         for first in itertools.combinations(toks, first_size):
             rest = FiniteSet(t for t in toks if t not in first)
-            for tail in set_compositions(rest, SetComposition):
-                try:
-                    yield cls((first,) + tail.blocks)
-                except ValueError:
-                    continue
+            for tail in set_compositions(rest):
+                yield SetComposition((first,) + tail.blocks)
 
 
 def make_Sigma() -> HopfMonoid:
@@ -472,19 +464,28 @@ def morphism_Pi_to_PiS(allowed, Pi: HopfMonoid | None = None,
 # Identifier registry (CLI surface)
 # ---------------------------------------------------------------------------
 
+def _hadamard_factors(ident: str):
+    """The two factor identifiers of 'Hadamard(A,B)', split at the comma
+    outside any parentheses; None for any other identifier."""
+    if not (ident.startswith("Hadamard(") and ident.endswith(")")):
+        return None
+    inner = ident[len("Hadamard("):-1]
+    depth = 0
+    for i, ch in enumerate(inner):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            return inner[:i], inner[i + 1:]
+    raise ValueError("malformed Hadamard identifier: %r" % ident)
+
+
 def get_species(ident: str) -> SpeciesSpec:
     ident = ident.strip()
-    if ident.startswith("Hadamard(") and ident.endswith(")"):
-        inner = ident[len("Hadamard("):-1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return hadamard(get_species(inner[:i]), get_species(inner[i + 1:]))
-        raise ValueError("malformed Hadamard identifier: %r" % ident)
+    factors = _hadamard_factors(ident)
+    if factors:
+        return hadamard(*(get_species(part) for part in factors))
     if ident == "PiPrime":
         return make_PiPrime()
     if ident == "el":
@@ -494,17 +495,9 @@ def get_species(ident: str) -> SpeciesSpec:
 
 def get_hopf(ident: str) -> HopfMonoid:
     ident = ident.strip()
-    if ident.startswith("Hadamard(") and ident.endswith(")"):
-        inner = ident[len("Hadamard("):-1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return hadamard_hopf(get_hopf(inner[:i]), get_hopf(inner[i + 1:]))
-        raise ValueError("malformed Hadamard identifier: %r" % ident)
+    factors = _hadamard_factors(ident)
+    if factors:
+        return hadamard_hopf(*(get_hopf(part) for part in factors))
     if ident == "E":
         return make_E()
     if ident == "X":

@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,43 @@ from hopfspecies.structures import (HopfMonoid, hadamard_hopf, make_E, make_Ek,
 RUN_SLOW = bool(os.environ.get("HOPF_SLOW"))
 
 slow = pytest.mark.skipif(not RUN_SLOW, reason="set HOPF_SLOW=1 to run")
+
+
+def reference_rref(rows, ncols):
+    """Naive dense Gauss-Jordan elimination over Fraction, independent of
+    the sparse Echelon engine: the reduced row echelon form of `rows`
+    (sequences of length ncols) as tuples, and its pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return [tuple(row) for row in m[:len(pivots)]], pivots
+
+
+def reference_kernel(rows, ncols):
+    """Kernel basis read off reference_rref: one vector per free column in
+    ascending order, 1 there and 0 at every other free column."""
+    rref, pivots = reference_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, c in zip(rref, pivots):
+            vec[c] = -row[f]
+        basis.append(tuple(vec))
+    return basis
 
 
 def mutate_product(h, victim_xy, replacement, name="mutant"):

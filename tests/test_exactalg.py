@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_kernel, reference_rref
 from hopfspecies.exactalg import (BadConstantTerm, CycleIndexPoly, Echelon,
-                                  QMatrix, TruncatedSeries, ZeroConstantTerm,
+                                  TruncatedSeries, ZeroConstantTerm,
                                   binomial_transform, egf_from_counts,
                                   inverse_binomial_transform, nonneg_prefix,
-                                  ogf_from_counts, span_contains)
+                                  ogf_from_counts)
 
 BELL = [1, 1, 2, 5, 15, 52]
 PIPRIME = [1, 1, 1, 4, 5, 16]
@@ -208,41 +209,78 @@ class TestCycleIndexPoly:
         assert z.terms == {}
 
 
+def sparse(vec) -> dict:
+    return {j: v for j, v in enumerate(vec) if v}
+
+
+def echelon_of(rows) -> Echelon:
+    ech = Echelon()
+    ech.add_all(sparse(r) for r in rows)
+    return ech
+
+
+def apply(rows, vec) -> tuple:
+    return tuple(sum(Q(a) * b for a, b in zip(r, vec)) for r in rows)
+
+
+# a matrix with 1..6 columns and up to 6 rows of small rationals, plus one
+# more vector of the same length
+entries = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3)
+matrix_and_vector = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(entries, min_size=n, max_size=n), max_size=6),
+    st.lists(entries, min_size=n, max_size=n)))
+
+
 class TestQMatrix:
+    """Echelon on dense rational matrices given as row lists, checked
+    against the naive Gauss-Jordan reference in conftest."""
+
     def test_identity(self):
-        m = QMatrix.identity(3)
-        assert m.rank() == 3
-        assert m.kernel() == []
+        ech = echelon_of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert ech.rank == 3
+        assert ech.kernel(3) == []
 
     def test_zero(self):
-        m = QMatrix.zero(2, 5)
-        assert m.rank() == 0
-        assert len(m.kernel()) == 5
+        ech = echelon_of([[0] * 5, [0] * 5])
+        assert ech.rank == 0
+        assert ech.kernel(5) == reference_kernel([[0] * 5], 5)
+        assert len(ech.kernel(5)) == 5
 
     def test_kernel_vectors_annihilate(self):
-        m = QMatrix([[1, 2, 3, 1], [2, 4, 6, 2], [0, 1, 1, 0]])
-        ker = m.kernel()
-        assert len(ker) == 4 - m.rank()
+        rows = [[1, 2, 3, 1], [2, 4, 6, 2], [0, 1, 1, 0]]
+        ech = echelon_of(rows)
+        ker = ech.kernel(4)
+        assert len(ker) == 4 - ech.rank
         for v in ker:
-            assert m.apply(v) == (0,) * 3
+            assert apply(rows, v) == (0,) * 3
 
     def test_kernel_deterministic_reduced_form(self):
-        m = QMatrix([[1, 1, 0], [0, 0, 1]])
-        assert m.kernel() == [(Q(-1), Q(1), Q(0))]
+        assert echelon_of([[1, 1, 0], [0, 0, 1]]).kernel(3) == [(Q(-1), Q(1), Q(0))]
 
     def test_span_contains(self):
-        basis = [[1, 0, 1], [0, 1, 1]]
-        assert span_contains(basis, [2, 3, 5])
-        assert not span_contains(basis, [0, 0, 1])
+        ech = echelon_of([[1, 0, 1], [0, 1, 1]])
+        assert ech.contains(sparse([2, 3, 5]))
+        assert not ech.contains(sparse([0, 0, 1]))
 
-    @given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
-                    min_size=1, max_size=5))
-    @settings(max_examples=60, deadline=None)
-    def test_rank_nullity_property(self, rows):
-        m = QMatrix(rows)
-        assert m.rank() + len(m.kernel()) == m.cols
-        for v in m.kernel():
-            assert all(x == 0 for x in m.apply(v))
+    @given(matrix_and_vector)
+    @settings(max_examples=150, deadline=None)
+    def test_rank_nullity_property(self, case):
+        rows, vec = case
+        n = len(vec)
+        ech = echelon_of(rows)
+        rref, pivots = reference_rref(rows, n)
+        assert ech.rank == len(rref)
+        in_span = len(reference_rref(rows + [vec], n)[0]) == len(rref)
+        assert ech.contains(sparse(vec)) == in_span
+        assert all(ech.contains(sparse(r)) for r in rows)
+        ker = ech.kernel(n)
+        assert ech.rank + len(ker) == n
+        for v in ker:
+            assert all(x == 0 for x in apply(rows, v))
+        assert ker == reference_kernel(rows, n)
+        dense_rref = {c: tuple(row.get(j, 0) for j in range(n))
+                      for c, row in ech.rref().items()}
+        assert dense_rref == dict(zip(pivots, rref))
 
 
 class TestEchelon:
@@ -258,8 +296,13 @@ class TestEchelon:
         rows = [{0: 1, 1: 2, 2: 3}, {1: 1, 2: 1}]
         ech = Echelon()
         ech.add_all(rows)
-        dense = QMatrix([[1, 2, 3], [0, 1, 1]])
-        assert ech.kernel(3) == dense.kernel()
+        assert ech.kernel(3) == reference_kernel([[1, 2, 3], [0, 1, 1]], 3)
+
+    def test_from_echelon_form_keeps_rows(self):
+        ech = Echelon.from_echelon_form([{0: Q(1), 2: Q(-1, 2)}, {1: Q(2, 3)}])
+        assert ech.pivots == {0: {0: 2, 2: -1}, 1: {1: 1}}
+        assert ech.contains({0: 4, 1: 5, 2: -2})
+        assert not ech.contains({2: 1})
 
 
 class TestSerialization:

@@ -2,13 +2,15 @@ from fractions import Fraction as Q
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import slow
+from conftest import reference_kernel, reference_rref, slow
 from hopfspecies.exactalg import TruncatedSeries, egf_from_counts
 from hopfspecies.kernels import (CyclicOrder, NotADerangement,
                                  NotCocommutative,
                                  NotInjective, NotSurjective, SubspaceBasis,
-                                 bracket_expr, cyclic_orders,
+                                 _kernel_space, bracket_expr, cyclic_orders,
                                  derangement_permutation, derangements,
                                  dual_factorization_check,
                                  hker_basis_derangement, hker_dims,
@@ -20,7 +22,7 @@ from hopfspecies.kernels import (CyclicOrder, NotADerangement,
 from hopfspecies.species import (EMPTY, FiniteSet, LinearOrder, QVector,
                                  SetPartition, labelset)
 from hopfspecies.structures import (HopfMorphism, closed_sizes,
-                                    coproduct_vector,
+                                    coproduct_vector, make_E, make_L,
                                     morphism_E_to_Pi, morphism_L_to_E,
                                     morphism_L_to_Sigma, morphism_Pi_to_PiS,
                                     product_vectors)
@@ -84,8 +86,8 @@ class TestPrimitiveSpaces:
 class TestStackedMatrixOracle:
     def test_qmatrix_stack_of_coproducts_has_nullity_two(self, L):
         # the dense-matrix route to the same kernel: stack every coproduct
-        # component of the three-letter orders into one QMatrix
-        from hopfspecies.exactalg import QMatrix
+        # component of the three-letter orders into one rational matrix and
+        # solve it with the naive reference elimination
         I = labelset(3)
         basis = L.species.structures(I)
         rows = []
@@ -97,11 +99,51 @@ class TestStackedMatrixOracle:
                 for (u, w), c in L.coproduct(S, T, s).terms.items():
                     row_index.setdefault((u, w), [0] * len(basis))[j] = c
             rows.extend(row_index.values())
-        m = QMatrix(rows)
-        ker = m.kernel()
+        ker = reference_kernel(rows, len(basis))
         assert len(ker) == 2
-        assert m.rank() + 2 == len(basis)
-        assert primitive_space(L, I).dim == 2
+        assert len(reference_rref(rows, len(basis))[0]) + 2 == len(basis)
+        space = primitive_space(L, I)
+        assert space.dim == 2
+        assert ([tuple(v.terms.get(s, 0) for s in basis) for v in space.vectors()]
+                == reference_rref(ker, len(basis))[0])
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=6))))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_is_stored_in_reduced_echelon_form(self, case):
+        # _kernel_space stores the kernel vectors without reducing them; they
+        # must already be the reference RREF of the kernel
+        n, rows = case
+        space = _kernel_space(tuple(range(n)), EMPTY,
+                              [{j: v for j, v in enumerate(r) if v} for r in rows])
+        stored = [tuple(Q(row.get(j, 0), row[c]) for j in range(n))
+                  for c, row in sorted(space._ech.pivots.items())]
+        assert stored == reference_rref(reference_kernel(rows, n), n)[0]
+
+
+class TestSpaceCaches:
+    # CPython soon hands a freed object's id to a new one; a cache keyed by
+    # id() then answers for the dead object
+    ROUNDS = 40
+
+    def test_primitive_space_not_served_for_a_dead_monoid(self):
+        for _ in range(self.ROUNDS):
+            L = make_L()
+            assert primitive_dims(L, 3) == [0, 1, 1, 2]
+            del L
+            E = make_E()
+            assert primitive_dims(E, 3) == [0, 1, 0, 0]
+            del E
+
+    def test_hker_space_not_served_for_a_dead_morphism(self, L, E, Pi):
+        I = labelset(3)
+        for _ in range(self.ROUNDS):
+            f = morphism_L_to_E(L, E)
+            assert hker_space(f, I).dim == 2
+            del f
+            g = morphism_E_to_Pi(E, Pi)
+            assert hker_space(g, I).dim == 0
+            del g
 
 
 class TestLieBracket:

@@ -243,6 +243,8 @@ class TestRegistry:
         assert get_species("PiS:2").dims(4) == [1, 0, 1, 0, 4]
         assert get_species("Ek:3").dimension(2) == 9
         assert get_species("Hadamard(L,Pi)").dimension(3) == 30
+        nested = "Hadamard(L,Hadamard(Pi,E))"
+        assert get_hopf(nested).name == nested
         assert get_species("el").dims(3) == [0, 1, 2, 3]
 
     def test_morphism_identifiers(self):
@@ -254,6 +256,11 @@ class TestRegistry:
             get_species("Qsym")
         with pytest.raises(ValueError):
             get_morphism("Pal->L")
+        for ident in ("Hadamard(L)", "Hadamard((L,Pi))"):
+            with pytest.raises(ValueError, match="malformed Hadamard"):
+                get_species(ident)
+            with pytest.raises(ValueError, match="malformed Hadamard"):
+                get_hopf(ident)
 
     def test_x_not_connected(self, X):
         assert not check_connected(X).ok
