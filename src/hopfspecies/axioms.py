@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .species import EMPTY, FiniteSet, QTensor, QVector, bijections, labelset
+from .species import (EMPTY, FiniteSet, QTensor, QVector, bijections, labelset,
+                      tensor_text, terms_text)
 from .structures import (HopfMonoid, HopfMorphism, coproduct_vector,
                          product_vectors)
 
@@ -131,8 +132,8 @@ def check_comonoid(h: HopfMonoid, nmax: int) -> AxiomReport:
                 if lhs != rhs:
                     rep.record("coassociativity", n,
                                "R=%r S=%r T=%r s=%s" % (R, S, T, s.text()),
-                               sorted((tuple(x.text() for x in k), v) for k, v in lhs.items()),
-                               sorted((tuple(x.text() for x in k), v) for k, v in rhs.items()))
+                               terms_text(sorted(lhs.items()), tensor_text),
+                               terms_text(sorted(rhs.items()), tensor_text))
     return rep
 
 
@@ -159,15 +160,12 @@ def check_compat(h: HopfMonoid, nmax: int) -> AxiomReport:
                     for y in h.species.structures(B):
                         dy = h.coproduct(BS, BT, y)
                         lhs = coproduct_vector(h, S, T, h.product(A, B, x, y))
-                        rhs = QTensor.zero(S, T)
-                        for (x1, x2), c1 in dx.terms.items():
-                            for (y1, y2), c2 in dy.terms.items():
-                                left = h.product(AS, BS, x1, y1)
-                                right = h.product(AT, BT, x2, y2)
-                                for s1, d1 in left.terms.items():
-                                    for s2, d2 in right.terms.items():
-                                        rhs = rhs + QTensor.basis(s1, s2,
-                                                                  c1 * c2 * d1 * d2)
+                        rhs = QTensor(S, T, (
+                            ((s1, s2), c1 * c2 * d1 * d2)
+                            for (x1, x2), c1 in dx.terms.items()
+                            for (y1, y2), c2 in dy.terms.items()
+                            for s1, d1 in h.product(AS, BS, x1, y1).terms.items()
+                            for s2, d2 in h.product(AT, BT, x2, y2).terms.items()))
                         if lhs != rhs:
                             rep.record("exchange", n,
                                        "A=%r B=%r S=%r T=%r x=%s y=%s"
@@ -303,12 +301,11 @@ def check_morphism(f: HopfMorphism, nmax: int) -> AxiomReport:
                         rep.record("f-mu", n, "S=%r T=%r x=%s y=%s"
                                    % (S, T, x.text(), y.text()), lhs, rhs)
             for s in h.species.structures(I):
-                lhs = QTensor.zero(S, T)
-                for (u, w), c in h.coproduct(S, T, s).terms.items():
-                    fu, fw = f.on_basis(u), f.on_basis(w)
-                    for s1, c1 in fu.terms.items():
-                        for s2, c2 in fw.terms.items():
-                            lhs = lhs + QTensor.basis(s1, s2, c * c1 * c2)
+                lhs = QTensor(S, T, (
+                    ((s1, s2), c * c1 * c2)
+                    for (u, w), c in h.coproduct(S, T, s).terms.items()
+                    for s1, c1 in f.on_basis(u).terms.items()
+                    for s2, c2 in f.on_basis(w).terms.items()))
                 rhs = coproduct_vector(k, S, T, f.on_basis(s))
                 if lhs != rhs:
                     rep.record("f-delta", n, "S=%r T=%r s=%s" % (S, T, s.text()),

@@ -61,7 +61,10 @@ def _parse_ints(text: str) -> list:
 
 
 def _parse_labels(text: str) -> list:
-    return [tok for tok in text.split(",") if tok]
+    labels = [tok for tok in text.split(",") if tok]
+    if not labels:
+        raise UsageError("expected a comma-separated label list: %r" % text)
+    return labels
 
 
 def _emit(report: dict, fmt: str, lines) -> None:
@@ -126,11 +129,11 @@ def cmd_seq_tests(args) -> int:
 
 
 def cmd_series_div(args) -> int:
-    order = _cap_order(args.order) if args.order is not None else None
     numer = _parse_ints(args.numer)
     denom = _parse_ints(args.denom)
-    if order is None:
-        order = min(len(numer), len(denom)) - 1
+    order = seq_mod.series_window(
+        _cap_order(args.order) if args.order is not None else None,
+        len(numer), len(denom))
     build = egf_from_counts if args.kind == "egf" else ogf_from_counts
     quot = build(numer[: order + 1], order) / build(denom[: order + 1], order)
     rep = nonneg_prefix(quot)

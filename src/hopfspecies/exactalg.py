@@ -1,12 +1,14 @@
 """Exact rational series and linear algebra.
 
-Coefficients are fractions.Fraction everywhere; there is no floating point
-in this package. A TruncatedSeries stores coefficients 0..N for a fixed
-truncation order N and binary operations truncate to the smaller order,
-which is the usual semantics for formal power series prefixes.
+Coefficients are exact: int or fractions.Fraction, never floating point.
+Series coefficients are Fractions, since their arithmetic divides. A
+TruncatedSeries stores coefficients 0..N for a fixed truncation order N and
+binary operations truncate to the smaller order, which is the usual
+semantics for formal power series prefixes.
 
-The linear algebra is one sparse fraction-free echelon engine (`Echelon`),
-used by the kernel computations elsewhere.
+The linear algebra is one sparse echelon engine (`Echelon`), used by the
+kernel computations elsewhere. It eliminates integer rows by integer
+cross-multiplication; Fractions appear only when rref()/kernel() divide.
 """
 
 from __future__ import annotations
@@ -393,11 +395,12 @@ def _row_gcd_normalize(row: dict) -> dict:
 
 
 class Echelon:
-    """Incremental sparse row echelon over Q, fraction-free inside.
+    """Incremental sparse row echelon over Q.
 
-    Rows are dicts column -> value. Stored pivot rows are gcd-normalized
-    integer rows; membership and rank queries never need back-substitution,
-    which is deferred to rref()/kernel().
+    Rows are dicts column -> int or Fraction; integer rows are eliminated
+    fraction-free. Stored pivot rows are gcd-normalized integer rows;
+    membership and rank queries never need back-substitution, which is
+    deferred to rref()/kernel().
     """
 
     def __init__(self):

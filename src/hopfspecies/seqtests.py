@@ -31,24 +31,46 @@ class DimSequence:
     abar: tuple | None = None
 
     def __post_init__(self):
-        self.a = tuple(int(x) for x in self.a)
-        if any(x < 0 for x in self.a):
-            raise ValueError("dimension sequences are nonnegative")
+        self.a = _counts(self.a, "dimension")
         if self.abar is not None:
-            self.abar = tuple(int(x) for x in self.abar)
-            if any(x < 0 for x in self.abar):
-                raise ValueError("orbit sequences are nonnegative")
+            self.abar = _counts(self.abar, "orbit")
 
     @classmethod
-    def from_json(cls, data: dict) -> "DimSequence":
-        return cls(data.get("name", "sequence"), data["a"],
-                   tuple(data["abar"]) if data.get("abar") else None)
+    def from_json(cls, data) -> "DimSequence":
+        if not isinstance(data, dict):
+            raise ValueError("sequence file must hold a JSON object {name, a, abar?}")
+        return cls(data.get("name", "sequence"), data.get("a"), data.get("abar") or None)
 
     def to_json(self) -> dict:
         out = {"name": self.name, "a": list(self.a)}
         if self.abar is not None:
             out["abar"] = list(self.abar)
         return out
+
+
+def _counts(values, what: str) -> tuple:
+    """A count sequence as a tuple of nonnegative ints; anything else, such
+    as a missing list or a non-integral entry, is refused, never truncated."""
+    if not isinstance(values, (list, tuple)) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in values):
+        raise ValueError("%s sequence must be a list of integers: %r" % (what, values))
+    if any(x < 0 for x in values):
+        raise ValueError("%s sequences are nonnegative" % what)
+    return tuple(values)
+
+
+def series_window(order: int | None, *lengths: int) -> int:
+    """The truncation order for series built from sequences of these lengths:
+    their common prefix when `order` is None. An order past the shortest
+    sequence is refused rather than padded with zeros, since made-up zero
+    terms would certify a failure that the data does not show."""
+    have = min(lengths) - 1
+    if order is None:
+        return have
+    if order > have:
+        raise ValueError("order %d needs terms 0..%d, but only 0..%d are given"
+                         % (order, order, have))
+    return order
 
 
 def _series_of(seq: DimSequence, kind: str, order: int) -> TruncatedSeries:
@@ -78,11 +100,10 @@ def quotient_nonneg_test(numer: DimSequence, denom: DimSequence, kind: str,
     coefficient, `denom` cannot sit inside (or under) `numer` as a Hopf
     monoid.
     """
-    if order is None:
-        order = min(len(numer.a), len(denom.a)) - 1
-        if kind == "tgf":
-            order = min(order,
-                        len(numer.abar or ()) - 1, len(denom.abar or ()) - 1)
+    lengths = [len(numer.a), len(denom.a)]
+    if kind == "tgf":
+        lengths += [len(s.abar) for s in (numer, denom) if s.abar is not None]
+    order = series_window(order, *lengths)
     num = _series_of(numer, kind, order)
     den = _series_of(denom, kind, order)
     if den[0] == 0:
@@ -103,8 +124,7 @@ def ord_exp_test(seq: DimSequence, order: int | None = None) -> TestReport:
     a = seq.a
     if not a or a[0] != 1:
         raise PreconditionFailed("connectedness needs a_0 = 1")
-    if order is None:
-        order = len(a) - 1
+    order = series_window(order, len(a))
     quot = ogf_from_counts(a[: order + 1], order) / egf_from_counts(a[: order + 1], order)
     inequalities = []
     if len(a) >= 4:
@@ -130,8 +150,7 @@ def ord_type_test(seq: DimSequence, order: int | None = None) -> TestReport:
     is the discriminating part."""
     if seq.abar is None:
         raise PreconditionFailed("the ord/type test needs the orbit sequence")
-    if order is None:
-        order = min(len(seq.a), len(seq.abar)) - 1
+    order = series_window(order, len(seq.a), len(seq.abar))
     num = ogf_from_counts(seq.a[: order + 1], order)
     den = ogf_from_counts(seq.abar[: order + 1], order)
     if den[0] == 0:
@@ -205,8 +224,7 @@ def ek_test(seq: DimSequence, k: int, order: int | None = None) -> TestReport:
         raise PreconditionFailed("connectedness needs a_0 = 1")
     if k < 0:
         raise PreconditionFailed("k must be nonnegative")
-    if order is None:
-        order = len(a) - 1
+    order = series_window(order, len(a))
     num = egf_from_counts([(k + 1) ** n * a[n] for n in range(order + 1)], order)
     den = egf_from_counts([k ** n * a[n] for n in range(order + 1)], order)
     quot = num / den

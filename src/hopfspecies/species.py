@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
-from .exactalg import CycleIndexPoly, Q, TruncatedSeries, _q
+from .exactalg import CycleIndexPoly, Q, TruncatedSeries
 from .reports import qstr
 
 SEPARATOR_CHARS = set(".|,:;()[]{}<>=→ \t\r\n")
@@ -556,30 +556,42 @@ def hadamard(a: SpeciesSpec, b: SpeciesSpec) -> SpeciesSpec:
 # Vectors and tensors over a fixed label set
 # ---------------------------------------------------------------------------
 
-class QVector:
-    """A sparse exact-rational combination of structures on one label set."""
+def terms_text(items, key_text) -> str:
+    """Print sorted (key, coeff) pairs as a signed sum, '0' when empty."""
+    parts = []
+    for key, c in items:
+        parts.append(("- " if c < 0 else ("+ " if parts else ""))
+                     + ("" if abs(c) == 1 else qstr(abs(c)) + "*") + key_text(key))
+    return " ".join(parts) if parts else "0"
 
-    __slots__ = ("ambient", "terms")
 
-    def __init__(self, ambient: FiniteSet, terms: dict | None = None):
-        self.ambient = ambient
-        clean = {}
-        for s, c in (terms or {}).items():
-            c = _q(c)
-            if c == 0:
-                continue
-            if s._labels != ambient:
-                raise ValueError("structure %r not on ambient %r" % (s, ambient))
-            clean[s] = c
-        self.terms = clean
+def tensor_text(key) -> str:
+    """A tuple of structures printed as a tensor, 'a|b (x) c'."""
+    return " (x) ".join(x.text() for x in key)
 
-    @classmethod
-    def basis(cls, s: Structure, coeff=1) -> "QVector":
-        return cls(s.labels, {s: coeff})
 
-    @classmethod
-    def zero(cls, ambient: FiniteSet) -> "QVector":
-        return cls(ambient, {})
+class _Combination:
+    """A sparse exact combination: keys -> nonzero int or Fraction coefficients.
+
+    Coefficients are kept as given, so integer data stays integer; Fractions
+    appear only where a caller divides. `terms` may be a dict or an iterable
+    of (key, coeff) pairs with repeated keys, which are summed once here.
+    Subclasses fix the ambient (`_frame`), the key check and the key printer.
+    """
+
+    __slots__ = ("terms",)
+
+    def _collect(self, terms):
+        acc = {}
+        for key, c in (terms.items() if isinstance(terms, dict) else terms or ()):
+            if not isinstance(c, (int, Q)):
+                raise TypeError("exact coefficient expected, got %r" % (c,))
+            acc[key] = acc[key] + c if key in acc else c
+        self.terms = {key: c for key, c in acc.items() if c}
+        self._check_keys()
+
+    def _like(self, terms):
+        return type(self)(*self._frame(), terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -587,28 +599,55 @@ class QVector:
     def items(self):
         return sorted(self.terms.items())
 
-    def __add__(self, other: "QVector") -> "QVector":
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, Q(0)) + c
-        return QVector(self.ambient, out)
+    def __add__(self, other):
+        return self._like(itertools.chain(self.terms.items(), other.terms.items()))
 
-    def __sub__(self, other: "QVector") -> "QVector":
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, Q(0)) - c
-        return QVector(self.ambient, out)
+    def __sub__(self, other):
+        return self._like(itertools.chain(
+            self.terms.items(), ((k, -c) for k, c in other.terms.items())))
 
-    def scale(self, c) -> "QVector":
-        c = _q(c)
-        return QVector(self.ambient, {s: v * c for s, v in self.terms.items()})
+    def scale(self, c):
+        return self._like({k: v * c for k, v in self.terms.items()})
 
     def __eq__(self, other):
-        return (isinstance(other, QVector) and self.ambient == other.ambient
+        return (type(other) is type(self) and self._frame() == other._frame()
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.ambient, tuple(self.items())))
+        return hash(self._frame() + (tuple(self.items()),))
+
+    def __repr__(self):
+        return terms_text(self.items(), self._key_text)
+
+
+class QVector(_Combination):
+    """A sparse exact-rational combination of structures on one label set."""
+
+    __slots__ = ("ambient",)
+
+    def __init__(self, ambient: FiniteSet, terms=None):
+        self.ambient = ambient
+        self._collect(terms)
+
+    def _frame(self):
+        return (self.ambient,)
+
+    def _check_keys(self):
+        for s in self.terms:
+            if s._labels != self.ambient:
+                raise ValueError("structure %r not on ambient %r" % (s, self.ambient))
+
+    @staticmethod
+    def _key_text(s):
+        return s.text()
+
+    @classmethod
+    def basis(cls, s: Structure, coeff=1) -> "QVector":
+        return cls(s.labels, {s: coeff})
+
+    @classmethod
+    def zero(cls, ambient: FiniteSet) -> "QVector":
+        return cls(ambient)
 
     def relabel(self, mapping: dict) -> "QVector":
         new_ambient = FiniteSet(mapping[t] for t in self.ambient)
@@ -619,44 +658,32 @@ class QVector:
         """Sparse coordinate row {index: coeff} for a fixed basis ordering."""
         return {basis_index[s]: c for s, c in self.terms.items()}
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for s, c in self.items():
-            if c == 1:
-                parts.append(("+ " if parts else "") + s.text())
-            elif c == -1:
-                parts.append("- " + s.text())
-            else:
-                parts.append(("- " if c < 0 else ("+ " if parts else ""))
-                             + "%s*%s" % (qstr(abs(c)), s.text()))
-        return " ".join(parts)
-
     def to_json(self) -> dict:
         return {"ambient": list(self.ambient),
                 "terms": [{"structure": s.text(), "coeff": qstr(c)}
                           for s, c in self.items()]}
 
 
-class QTensor:
+class QTensor(_Combination):
     """A sparse combination of pairs (structure on S, structure on T)."""
 
-    __slots__ = ("left", "right", "terms")
+    __slots__ = ("left", "right")
 
-    def __init__(self, left: FiniteSet, right: FiniteSet, terms: dict | None = None):
+    def __init__(self, left: FiniteSet, right: FiniteSet, terms=None):
         self.left = left
         self.right = right
-        clean = {}
-        for (x, y), c in (terms or {}).items():
-            c = _q(c)
-            if c == 0:
-                continue
-            if x._labels != left or y._labels != right:
+        self._collect(terms)
+
+    def _frame(self):
+        return (self.left, self.right)
+
+    def _check_keys(self):
+        for x, y in self.terms:
+            if x._labels != self.left or y._labels != self.right:
                 raise ValueError("tensor term (%r, %r) off ambient (%r, %r)"
-                                 % (x, y, left, right))
-            clean[(x, y)] = c
-        self.terms = clean
+                                 % (x, y, self.left, self.right))
+
+    _key_text = staticmethod(tensor_text)
 
     @classmethod
     def basis(cls, x: Structure, y: Structure, coeff=1) -> "QTensor":
@@ -664,51 +691,8 @@ class QTensor:
 
     @classmethod
     def zero(cls, left: FiniteSet, right: FiniteSet) -> "QTensor":
-        return cls(left, right, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def __add__(self, other: "QTensor") -> "QTensor":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Q(0)) + c
-        return QTensor(self.left, self.right, out)
-
-    def __sub__(self, other: "QTensor") -> "QTensor":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Q(0)) - c
-        return QTensor(self.left, self.right, out)
-
-    def scale(self, c) -> "QTensor":
-        c = _q(c)
-        return QTensor(self.left, self.right,
-                       {k: v * c for k, v in self.terms.items()})
+        return cls(left, right)
 
     def swap(self) -> "QTensor":
         return QTensor(self.right, self.left,
                        {(y, x): c for (x, y), c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, QTensor) and self.left == other.left
-                and self.right == other.right and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.left, self.right, tuple(self.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (x, y), c in self.items():
-            body = "%s (x) %s" % (x.text(), y.text())
-            if c == 1:
-                parts.append(("+ " if parts else "") + body)
-            else:
-                parts.append(("- " if c < 0 else ("+ " if parts else ""))
-                             + ("" if abs(c) == 1 else qstr(abs(c)) + "*") + body)
-        return " ".join(parts)

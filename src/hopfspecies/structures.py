@@ -75,19 +75,16 @@ class HopfMonoid:
 
 def product_vectors(h: HopfMonoid, S, T, xv: QVector, yv: QVector) -> QVector:
     """mu_{S,T} extended linearly to vectors."""
-    out = QVector.zero(S.union(T))
-    for x, cx in xv.terms.items():
-        for y, cy in yv.terms.items():
-            out = out + h.product(S, T, x, y).scale(cx * cy)
-    return out
+    return QVector(S.union(T), ((s, c * cx * cy)
+                                for x, cx in xv.terms.items()
+                                for y, cy in yv.terms.items()
+                                for s, c in h.product(S, T, x, y).terms.items()))
 
 
 def coproduct_vector(h: HopfMonoid, S, T, v: QVector) -> QTensor:
     """Delta_{S,T} extended linearly to vectors."""
-    out = QTensor.zero(S, T)
-    for s, c in v.terms.items():
-        out = out + h.coproduct(S, T, s).scale(c)
-    return out
+    return QTensor(S, T, ((k, d * c) for s, c in v.terms.items()
+                          for k, d in h.coproduct(S, T, s).terms.items()))
 
 
 def iterated_product(h: HopfMonoid, parts, vectors) -> QVector:
@@ -116,10 +113,8 @@ class HopfMorphism:
         return self._on_basis(s)
 
     def __call__(self, v: QVector) -> QVector:
-        out = QVector.zero(v.ambient)
-        for s, c in v.terms.items():
-            out = out + self._on_basis(s).scale(c)
-        return out
+        return QVector(v.ambient, ((t, d * c) for s, c in v.terms.items()
+                                   for t, d in self._on_basis(s).terms.items()))
 
     def __repr__(self):
         return "HopfMorphism(%s)" % self.name
@@ -385,23 +380,16 @@ def hadamard_hopf(a: HopfMonoid, b: HopfMonoid) -> HopfMonoid:
     def mu(S, T, x, y):
         u = a.product(S, T, x.left, y.left)
         v = b.product(S, T, x.right, y.right)
-        I = S.union(T)
-        out = {}
-        for s1, c1 in u.terms.items():
-            for s2, c2 in v.terms.items():
-                key = PairStructure(s1, s2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return QVector(I, out)
+        return QVector(S.union(T), ((PairStructure(s1, s2), c1 * c2)
+                                    for s1, c1 in u.terms.items()
+                                    for s2, c2 in v.terms.items()))
 
     def delta(S, T, s):
         u = a.coproduct(S, T, s.left)
         v = b.coproduct(S, T, s.right)
-        out = {}
-        for (x1, y1), c1 in u.terms.items():
-            for (x2, y2), c2 in v.terms.items():
-                key = (PairStructure(x1, x2), PairStructure(y1, y2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return QTensor(S, T, out)
+        return QTensor(S, T, (((PairStructure(x1, x2), PairStructure(y1, y2)), c1 * c2)
+                              for (x1, y1), c1 in u.terms.items()
+                              for (x2, y2), c2 in v.terms.items()))
 
     return HopfMonoid(sp, mu, delta, name="Hadamard(%s,%s)" % (a.name, b.name))
 

@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import pytest
@@ -7,11 +6,6 @@ from hopfspecies.structures import (HopfMonoid, hadamard_hopf, make_E, make_Ek,
                                     make_el, make_L, make_Pal, make_Pi,
                                     make_Pi_even, make_PiPrime, make_Sigma,
                                     make_X)
-
-RUN_SLOW = bool(os.environ.get("HOPF_SLOW"))
-
-slow = pytest.mark.skipif(not RUN_SLOW, reason="set HOPF_SLOW=1 to run")
-
 
 def reference_rref(rows, ncols):
     """Naive dense Gauss-Jordan elimination over Fraction, independent of

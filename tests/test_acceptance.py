@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from fractions import Fraction as Q
 from math import comb, factorial
 
-from conftest import RUN_SLOW, mutate_coproduct, mutate_product
+from conftest import mutate_coproduct, mutate_product
 from hopfspecies.axioms import check_all
 from hopfspecies.exactalg import TruncatedSeries, egf_from_counts
 from hopfspecies.kernels import (CyclicOrder, SubspaceBasis, cyclic_orders,
@@ -140,7 +140,6 @@ def test_criterion_5_sequence_verdicts():
 def test_criterion_6_kernels_and_bases(E, L):
     with criterion(6, "primitive and Hopf kernel dimensions and the two "
                       "constructive bases"):
-        nmax_rank = 6 if RUN_SLOW else 5
         assert primitive_dims(L, 6) == [0, 1, 1, 2, 6, 24, 120]
         assert primitive_dims(E, 5) == [0, 1, 0, 0, 0, 0]
 
@@ -173,7 +172,7 @@ def test_criterion_6_kernels_and_bases(E, L):
         assert hker_basis_derangement(ell, ell0, L) == product_vectors(
             L, FiniteSet("eis"), FiniteSet("mt"), b_sie, b_mt)
 
-        for n in range(2, nmax_rank + 1):
+        for n in range(2, 7):
             I = labelset(n)
             ref = LinearOrder(tuple(I))
             prim = primitive_space(L, I)

@@ -177,6 +177,18 @@ class TestReportShape:
         assert data["violations"][0]["axiom"]
         assert rep.summary().startswith("mutant(L)")
 
+    def test_coassociativity_witness_prints_exact_terms(self, L):
+        # the witness sides print like every other one: signed terms with
+        # qstr coefficients, not Python reprs of Fraction tuples
+        bad = mutate_coproduct(L, LinearOrder("bac"), ("b",),
+                               QTensor.basis(LinearOrder("b"), LinearOrder("ac"), 2))
+        rep = check_comonoid(bad, 3)
+        assert [v.to_json() for v in rep.violations][:1] == [
+            {"axiom": "coassociativity", "size": 3,
+             "context": "R={b} S={a} T={c} s=b|a|c",
+             "left": "b (x) a (x) c", "right": "2*b (x) a (x) c"}]
+        assert rep.summary().endswith(": b (x) a (x) c != 2*b (x) a (x) c")
+
     def test_merged_reports_sorted(self, L):
         rep = check_monoid(L, 2).merged(check_comonoid(L, 2))
         assert rep.ok and rep.checked_sizes == [0, 1, 2]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hopfspecies.cli import run
 
 
@@ -55,6 +57,38 @@ class TestSeqTests:
         code, _, err = invoke(capsys, "seq-tests", "--input", "/nonexistent.json")
         assert code == 2
 
+    def test_ordexp_order_beyond_data_is_input_error(self, capsys, tmp_path):
+        # E's own sequence: padding it with zeros used to print a made-up
+        # "fail at index 4" certificate
+        path = write_seq(tmp_path, "e", [1, 1, 1, 1])
+        code, out, err = invoke(capsys, "seq-tests", "--input", path,
+                                "--tests", "ordexp", "--order", "6")
+        assert code == 2 and out == ""
+        assert err == ("input error: order 6 needs terms 0..6, "
+                       "but only 0..3 are given\n")
+        code, out, _ = invoke(capsys, "seq-tests", "--input", path,
+                              "--tests", "ordexp", "--order", "3")
+        assert code == 0 and "ord/exp: pass" in out
+
+    def test_ek_order_beyond_data_is_input_error(self, capsys, tmp_path):
+        path = write_seq(tmp_path, "e", [1, 1, 1, 1])
+        code, out, err = invoke(capsys, "seq-tests", "--input", path,
+                                "--tests", "ek:1", "--order", "6")
+        assert code == 2 and out == ""
+        assert err.startswith("input error: order 6 needs terms 0..6")
+
+    @pytest.mark.parametrize("content", ["[1, 1, 2]", '{"a": null}',
+                                         '{"a": [1, 1.5]}', '{"a": [1, "2"]}',
+                                         '{"name": "x"}',
+                                         '{"a": [1, 1], "abar": [1, 0.5]}'])
+    def test_malformed_sequence_file_is_input_error(self, capsys, tmp_path,
+                                                     content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        code, out, err = invoke(capsys, "seq-tests", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ")
+
 
 class TestSeriesDiv:
     def test_egf_quotient_fails(self, capsys):
@@ -76,6 +110,13 @@ class TestSeriesDiv:
                                 "--denom", "0,1")
         assert code == 2 and out == ""
         assert err == "input error: denominator has zero constant term\n"
+
+    def test_order_beyond_data_is_input_error(self, capsys):
+        code, out, err = invoke(capsys, "series-div", "--numer", "1,1,1,1",
+                                "--denom", "1,1", "--order", "5")
+        assert code == 2 and out == ""
+        assert err == ("input error: order 5 needs terms 0..5, "
+                       "but only 0..1 are given\n")
 
 
 class TestSpeciesDims:
@@ -144,6 +185,14 @@ class TestKernelCommands:
         code, out, _ = invoke(capsys, "hker-basis", "--ell0", "a,b,c,d")
         assert code == 0
         assert len(out.strip().splitlines()) == 9
+
+    @pytest.mark.parametrize("argv", [("hker-basis", "--ell0", ",,"),
+                                      ("hker-basis", "--ell0", "a,b", "--ell", ","),
+                                      ("lie-basis", "--labels", ",,")])
+    def test_empty_label_list_is_usage_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: expected a comma-separated label list")
 
     def test_hker_dims(self, capsys):
         code, out, _ = invoke(capsys, "hker-dims", "--morphism", "L->E",

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_kernel, reference_rref, slow
-from hopfspecies.exactalg import TruncatedSeries, egf_from_counts
+from conftest import reference_kernel, reference_rref
+from hopfspecies.exactalg import Echelon, TruncatedSeries, egf_from_counts
 from hopfspecies.kernels import (CyclicOrder, NotADerangement,
                                  NotCocommutative,
                                  NotInjective, NotSurjective, SubspaceBasis,
-                                 _kernel_space, bracket_expr, cyclic_orders,
+                                 _kernel_space, bracket_expr,
+                                 coproduct_rows, cyclic_orders,
                                  derangement_permutation, derangements,
                                  dual_factorization_check,
                                  hker_basis_derangement, hker_dims,
                                  hker_generated_check, hker_space,
                                  ideal_kplus_h, lagrange_quotient_dims,
                                  lie_basis_p, lie_bracket, lker_space,
-                                 p_ell_expr, pbw_series_check, primitive_dims,
+                                 morphism_rows, p_ell_expr, pbw_series_check, primitive_dims,
                                  primitive_space)
 from hopfspecies.species import (EMPTY, FiniteSet, LinearOrder, QVector,
                                  SetPartition, labelset)
@@ -234,7 +235,6 @@ class TestLieBasis:
         v2 = lie_basis_p(gamma, LinearOrder("bca"), L)
         assert v1 != v2
 
-    @slow
     def test_basis_at_six(self, L):
         I = labelset(6)
         ell0 = LinearOrder(tuple(I))
@@ -259,7 +259,6 @@ class TestHopfKernelSpace:
             assert hker_space(ident, labelset(n)).dim == 0
         assert hker_space(ident, EMPTY).dim == 1
 
-    @slow
     def test_dims_at_six(self, pi_to_e):
         assert hker_space(pi_to_e, labelset(6)).dim == 265
 
@@ -358,7 +357,6 @@ class TestHopfKernelBasis:
             count += 1
         assert count == span.dim == hk.dim
 
-    @slow
     def test_basis_at_six(self, L, pi_to_e):
         I = labelset(6)
         ell0 = LinearOrder(tuple(I))
@@ -498,3 +496,28 @@ class TestPbw:
     def test_generated_check_requires_surjective(self, e_to_pi):
         with pytest.raises(NotSurjective):
             hker_generated_check(e_to_pi, 3)
+
+
+class TestIntegerRows:
+    """Every shipped monoid has integer structure constants, so the rows the
+    echelon engine eliminates must stay int, never Fraction."""
+
+    @staticmethod
+    def all_int(rows):
+        return all(type(v) is int for row in rows for v in row.values())
+
+    def test_coproduct_and_morphism_rows_hold_ints(self, Sigma, pi_to_e):
+        I = labelset(4)
+        prim_rows = coproduct_rows(Sigma, I)
+        hker_rows = (coproduct_rows(pi_to_e.source, I, pi_to_e)
+                     + list(morphism_rows(pi_to_e, I).values()))
+        for rows in (prim_rows, hker_rows):
+            assert rows and self.all_int(rows)
+            ech = Echelon()
+            ech.add_all(rows)
+            assert self.all_int(ech.pivots.values())
+
+    def test_stored_kernel_pivots_hold_ints(self, Sigma, pi_to_e):
+        I = labelset(4)
+        for space in (primitive_space(Sigma, I), hker_space(pi_to_e, I)):
+            assert self.all_int(space._ech.pivots.values())

@@ -258,6 +258,21 @@ class TestHadamard:
             assert egf(h, 5) == ogf(sp, 5)
 
 
+ABC, AB, CD = FiniteSet("abc"), FiniteSet("ab"), FiniteSet("cd")
+ORDERS_ABC = [LinearOrder(p) for p in itertools.permutations("abc")]
+PAIRS_AB_CD = [(LinearOrder(p), LinearOrder(q))
+               for p in ("ab", "ba") for q in ("cd", "dc")]
+EXACT = st.one_of(st.integers(-3, 3),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def naive_sum(pairs) -> dict:
+    acc = {}
+    for key, c in pairs:
+        acc[key] = acc.get(key, 0) + c
+    return {key: c for key, c in acc.items() if c != 0}
+
+
 class TestVectors:
     def test_zero_coefficients_dropped(self):
         s = SingletonMark(FiniteSet("ab"))
@@ -289,6 +304,43 @@ class TestVectors:
         x, y = LinearOrder("a"), LinearOrder("bc")
         t = QTensor.basis(x, y, 2)
         assert t.swap() == QTensor.basis(y, x, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(ORDERS_ABC), EXACT), max_size=12),
+           st.lists(st.tuples(st.sampled_from(PAIRS_AB_CD), EXACT), max_size=12))
+    def test_pairs_accumulate_like_a_dict(self, vpairs, tpairs):
+        for build, pairs in ((lambda t: QVector(ABC, t), vpairs),
+                             (lambda t: QTensor(AB, CD, t), tpairs)):
+            v = build(pairs)
+            assert v.terms == naive_sum(pairs)
+            assert build(iter(pairs)) == v
+            half = len(pairs) // 2
+            head, tail = build(pairs[:half]), build(pairs[half:])
+            assert head + tail == v
+            assert head - build([(k, -c) for k, c in pairs[half:]]) == v
+            assert (v - v).is_zero() and v.scale(0).is_zero()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(ORDERS_ABC), st.integers(-3, 3)),
+                    max_size=8),
+           st.lists(st.tuples(st.sampled_from(PAIRS_AB_CD), st.integers(-3, 3)),
+                    max_size=8))
+    def test_int_and_fraction_coefficients_agree(self, vpairs, tpairs):
+        for build, pairs in ((lambda t: QVector(ABC, t), vpairs),
+                             (lambda t: QTensor(AB, CD, t), tpairs)):
+            v, w = build(pairs), build([(k, Q(c)) for k, c in pairs])
+            assert v == w and hash(v) == hash(w) and repr(v) == repr(w)
+            assert all(type(c) is int for c in v.scale(3).terms.values())
+
+    def test_inexact_coefficient_rejected(self):
+        a = LinearOrder("ab")
+        for bad in (0.5, 1.0, "1"):
+            with pytest.raises(TypeError):
+                QVector(FiniteSet("ab"), {a: bad})
+            with pytest.raises(TypeError):
+                QTensor.basis(LinearOrder("a"), LinearOrder("b"), bad)
+        with pytest.raises(TypeError):
+            QVector.basis(a).scale(0.5)
 
 
 class TestIntegerPartitions:
