@@ -14,7 +14,7 @@ cross-multiplication; Fractions appear only when rref()/kernel() divide.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 from .reports import FAIL, PASS, TestReport, qstr
 
@@ -35,8 +35,6 @@ def _q(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError("exact coefficient expected, got %r" % (x,))
 
@@ -371,18 +369,20 @@ class CycleIndexPoly:
 # Sparse fraction-free echelon engine
 # ---------------------------------------------------------------------------
 
+def _integer_row(row: dict) -> dict:
+    """`row` itself when every entry is an int; otherwise its multiple by the
+    least common denominator, an integer row on the same support."""
+    if all(type(v) is int for v in row.values()):
+        return row
+    denom = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (denom // v.denominator) for c, v in row.items()}
+
+
 def _row_gcd_normalize(row: dict) -> dict:
-    """Scale a sparse row to coprime integers with positive leading entry."""
+    """Scale a sparse integer row to coprime entries with positive leading
+    entry."""
     if not row:
         return row
-    denom = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    if denom != 1:
-        row = {c: int(v * denom) for c, v in row.items()}
-    else:
-        row = {c: int(v) for c, v in row.items()}
     g = 0
     for v in row.values():
         g = gcd(g, v)
@@ -397,10 +397,10 @@ def _row_gcd_normalize(row: dict) -> dict:
 class Echelon:
     """Incremental sparse row echelon over Q.
 
-    Rows are dicts column -> int or Fraction; integer rows are eliminated
-    fraction-free. Stored pivot rows are gcd-normalized integer rows;
-    membership and rank queries never need back-substitution, which is
-    deferred to rref()/kernel().
+    Rows are dicts column -> int or Fraction; each row is scaled to an
+    integer row once and eliminated fraction-free. Stored pivot rows are
+    gcd-normalized integer rows; membership and rank queries never need
+    back-substitution, which is deferred to rref()/kernel().
     """
 
     def __init__(self):
@@ -412,13 +412,17 @@ class Echelon:
         as they are: nothing is eliminated, each row is only rescaled."""
         ech = cls()
         for row in rows:
-            row = _row_gcd_normalize(row)
+            row = _row_gcd_normalize(_integer_row(row))
             ech.pivots[min(row)] = row
         return ech
 
     def reduce(self, row: dict) -> dict:
-        """Forward-reduce a copy of `row` against the stored pivot rows."""
-        row = {c: v for c, v in row.items() if v}
+        """Forward-reduce a copy of `row` against the stored pivot rows.
+
+        A row with Fraction entries is scaled to an integer row on entry, so
+        the result is an integer multiple of the reduced row.
+        """
+        row = _integer_row({c: v for c, v in row.items() if v})
         while row:
             c = min(row)
             prow = self.pivots.get(c)

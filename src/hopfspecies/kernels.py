@@ -22,8 +22,8 @@ from .axioms import check_cocommutative
 from .exactalg import Echelon, egf_from_counts
 from .reports import FAIL, PASS, TestReport
 from .species import FiniteSet, LinearOrder, QVector, labelset
-from .structures import (HopfMonoid, HopfMorphism, iterated_product,
-                         product_vectors)
+from .structures import (HopfMonoid, HopfMorphism, block_partitions,
+                         iterated_product, product_vectors)
 
 
 class NotADerangement(ValueError):
@@ -488,32 +488,6 @@ def pbw_series_check(h: HopfMonoid, nmax: int) -> TestReport:
                       details={"primitive_dims": pdims})
 
 
-def _compositions_with_sizes(I: FiniteSet, sizes):
-    """Ordered set compositions of I with every block size in `sizes`."""
-    toks = tuple(I)
-    if not toks:
-        yield ()
-        return
-    n = len(toks)
-    first = toks[0]
-    for size in sorted(sizes):
-        if size > n:
-            break
-        for others in itertools.combinations(toks[1:], size - 1):
-            block = FiniteSet((first,) + others)
-            rest = I.minus(block)
-            for tail in _compositions_with_sizes(rest, sizes):
-                yield (block,) + tail
-
-
-def _all_compositions_with_sizes(I: FiniteSet, sizes):
-    """All ordered compositions (the first block need not contain the least
-    label); generated as permutations of the unordered ones."""
-    for comp in _compositions_with_sizes(I, sizes):
-        for perm in itertools.permutations(comp):
-            yield perm
-
-
 def hker_generated_check(f: HopfMorphism, nmax: int) -> TestReport:
     """The span of all products of Lie-kernel elements over set compositions
     must equal the Hopf kernel, size by size.
@@ -535,12 +509,12 @@ def hker_generated_check(f: HopfMorphism, nmax: int) -> TestReport:
         gen = SubspaceBasis(I, f.source.species.structures(I))
         if n == 0:
             gen.add(QVector.basis(f.source.one()))
-        for comp in _all_compositions_with_sizes(I, sizes):
-            if not comp:
-                continue
-            choices = [lker_space(f, S).vectors() for S in comp]
-            for pick in itertools.product(*choices):
-                gen.add(iterated_product(f.source, comp, pick))
+        else:
+            for blocks in block_partitions(I.labels, sizes):
+                for comp in itertools.permutations(map(FiniteSet._fast, blocks)):
+                    choices = [lker_space(f, S).vectors() for S in comp]
+                    for pick in itertools.product(*choices):
+                        gen.add(iterated_product(f.source, comp, pick))
         if not gen.same_span(hk):
             return TestReport("hker-generated", FAIL, first_violation=n,
                               witness={"span_dim": gen.dim, "hker_dim": hk.dim})

@@ -4,8 +4,7 @@ Each test is a gate that the dimension sequence (and, where present, the
 orbit-count sequence) of a connected Hopf monoid must pass. All of them are
 necessary conditions only; a fail verdict certifies that no Hopf monoid of
 the stated kind exists with those dimensions, a pass verdict certifies
-nothing. Verdicts carry the first violated index and exact witnesses; a
-flag turns on exhaustive violation listing.
+nothing. Verdicts carry the first violated index and exact witnesses.
 """
 
 from __future__ import annotations
@@ -269,27 +268,16 @@ def ek_limit_test(seq: DimSequence) -> TestReport:
     return TestReport("ek-limit", PASS, details=details)
 
 
-def supermult_test(seq: DimSequence, exhaustive: bool = False) -> TestReport:
+def supermult_test(seq: DimSequence) -> TestReport:
     """a_{i+j} >= a_i a_j for all splits inside the window."""
     a = seq.a
-    violations = []
     for n in range(len(a)):
         for i in range(n + 1):
             j = n - i
             if a[n] < a[i] * a[j]:
-                violations.append((n, i, j))
-                if not exhaustive:
-                    n0, i0, j0 = violations[0]
-                    return TestReport(
-                        "supermultiplicative", FAIL, first_violation=n0,
-                        witness={"a_n": a[n0], "a_i*a_j": a[i0] * a[j0],
-                                 "i": i0, "j": j0})
-    if violations:
-        n0, i0, j0 = violations[0]
-        return TestReport("supermultiplicative", FAIL, first_violation=n0,
-                          witness={"a_n": a[n0], "a_i*a_j": a[i0] * a[j0],
-                                   "i": i0, "j": j0},
-                          details={"all_violations": violations})
+                return TestReport(
+                    "supermultiplicative", FAIL, first_violation=n,
+                    witness={"a_n": a[n], "a_i*a_j": a[i] * a[j], "i": i, "j": j})
     return TestReport("supermultiplicative", PASS)
 
 

@@ -118,15 +118,6 @@ def compose_maps(sigma: dict, tau: dict) -> dict:
     return {t: sigma[v] for t, v in tau.items()}
 
 
-def bijections(I: FiniteSet, J: FiniteSet):
-    """All bijections I -> J as dicts, in a canonical order."""
-    src = tuple(I)
-    if len(src) != len(J):
-        raise ValueError("no bijections between sets of different sizes")
-    for img in itertools.permutations(tuple(J)):
-        yield dict(zip(src, img))
-
-
 # ---------------------------------------------------------------------------
 # Structures
 # ---------------------------------------------------------------------------

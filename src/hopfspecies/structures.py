@@ -167,22 +167,33 @@ def make_L() -> HopfMonoid:
 # Set partitions
 # ---------------------------------------------------------------------------
 
-def set_partitions(I: FiniteSet):
-    toks = tuple(I)
-    if not toks:
-        yield SetPartition(())
+def block_partitions(labels: tuple, sizes=None):
+    """Each set partition of the sorted label tuple `labels` once, as a tuple
+    of sorted blocks ordered by their least labels; with `sizes`, only the
+    partitions whose block sizes all lie in `sizes`.
+
+    The block holding the least label is chosen first, so no partition is
+    generated twice. This is the one partition generator: partitions,
+    compositions and their filtered variants are all built from it.
+    """
+    if not labels:
+        yield ()
         return
+    head, rest = labels[0], labels[1:]
+    n = len(labels)
+    for size in range(1, n + 1) if sizes is None else sorted(sizes):
+        if size > n:
+            break
+        for others in itertools.combinations(rest, size - 1):
+            taken = set(others)
+            remaining = tuple(t for t in rest if t not in taken)
+            for tail in block_partitions(remaining, sizes):
+                yield ((head,) + others,) + tail
 
-    def rec(rest, blocks):
-        if not rest:
-            yield SetPartition(blocks)
-            return
-        head, tail = rest[0], rest[1:]
-        for i in range(len(blocks)):
-            yield from rec(tail, blocks[:i] + [blocks[i] + (head,)] + blocks[i + 1:])
-        yield from rec(tail, blocks + [(head,)])
 
-    yield from rec(toks, [])
+def set_partitions(I: FiniteSet):
+    for blocks in block_partitions(I.labels):
+        yield SetPartition(blocks)
 
 
 def make_Pi() -> HopfMonoid:
@@ -202,10 +213,9 @@ def make_PiPrime() -> SpeciesSpec:
     no Hopf structure is provided, and none exists on this basis."""
 
     def enum(I):
-        for p in set_partitions(I):
-            sizes = [len(b) for b in p.blocks]
-            if len(set(sizes)) == len(sizes):
-                yield p
+        for blocks in block_partitions(I.labels):
+            if len({len(b) for b in blocks}) == len(blocks):
+                yield SetPartition(blocks)
 
     return SpeciesSpec("PiPrime", enum)
 
@@ -236,7 +246,7 @@ def make_PiS(allowed, max_size: int = 9) -> HopfMonoid:
         raise ValueError("allowed block sizes must be positive")
     for i in allowed:
         for j in allowed:
-            if i + j <= max_size and i + j <= max(allowed) and i + j not in allowed:
+            if i + j <= max_size and i + j not in allowed:
                 raise ValueError(
                     "sizes %r are not closed under addition (%d+%d)" % (sorted(allowed), i, j))
     name = "PiS:" + ",".join(str(s) for s in sorted(allowed))
@@ -245,7 +255,8 @@ def make_PiS(allowed, max_size: int = 9) -> HopfMonoid:
         return all(len(b) in allowed for b in p.blocks)
 
     def enum(I):
-        return [p for p in set_partitions(I) if ok(p)]
+        for blocks in block_partitions(I.labels, allowed):
+            yield SetPartition(blocks)
 
     sp = SpeciesSpec(name, enum)
 
@@ -271,16 +282,9 @@ def make_Pi_even(max_size: int = 9) -> HopfMonoid:
 # ---------------------------------------------------------------------------
 
 def set_compositions(I: FiniteSet):
-    toks = tuple(I)
-    if not toks:
-        yield SetComposition(())
-        return
-    n = len(toks)
-    for first_size in range(1, n + 1):
-        for first in itertools.combinations(toks, first_size):
-            rest = FiniteSet(t for t in toks if t not in first)
-            for tail in set_compositions(rest):
-                yield SetComposition((first,) + tail.blocks)
+    for blocks in block_partitions(I.labels):
+        for order in itertools.permutations(blocks):
+            yield SetComposition(order)
 
 
 def make_Sigma() -> HopfMonoid:
@@ -314,10 +318,12 @@ def pal_admissible(F: PalComposition, S) -> bool:
 
 def make_Pal() -> HopfMonoid:
     def enum(I):
-        for c in set_compositions(I):
-            w = c.size_word()
-            if w == w[::-1]:
-                yield PalComposition(c.blocks)
+        # the size word is tested on the raw blocks, before any object exists
+        for blocks in block_partitions(I.labels):
+            for order in itertools.permutations(blocks):
+                w = [len(b) for b in order]
+                if w == w[::-1]:
+                    yield PalComposition(order)
 
     sp = SpeciesSpec("Pal", enum)
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import mutate_coproduct, mutate_product
-from hopfspecies.axioms import (check_all, check_cocommutative,
+from hopfspecies.axioms import (SHIFT_ALPHABET, check_all, check_cocommutative,
                                 check_commutative, check_comonoid,
                                 check_compat, check_connected, check_monoid,
                                 check_morphism, check_naturality,
@@ -195,3 +195,51 @@ class TestReportShape:
 
     def test_naturality_clean(self, Sigma):
         assert check_naturality(Sigma, 3).ok
+
+
+class TestNaturalityAlongGenerators:
+    """Naturality is checked along the adjacent transpositions and one shift
+    onto SHIFT_ALPHABET; maps that read label names are still caught. The
+    shift keeps the order of labels, so the first three mutants, which
+    compare labels, need the transpositions."""
+
+    @staticmethod
+    def axioms(rep):
+        return {v.axiom for v in rep.violations}
+
+    def test_product_ordered_by_least_label(self, L):
+        def mu(S, T, x, y):
+            seq = x.seq + y.seq if min(S) < min(T) else y.seq + x.seq
+            return QVector.basis(LinearOrder(seq))
+
+        bad = HopfMonoid(L.species, mu, lambda S, T, s: L.coproduct(S, T, s))
+        assert self.axioms(check_naturality(bad, 3)) == {"mu-naturality"}
+
+    def test_coproduct_killed_when_least_label_is_right(self, L):
+        def delta(S, T, s):
+            return QTensor.zero(S, T) if min(S) > min(T) else L.coproduct(S, T, s)
+
+        bad = HopfMonoid(L.species, lambda S, T, x, y: L.product(S, T, x, y), delta)
+        assert self.axioms(check_naturality(bad, 3)) == {"delta-naturality"}
+
+    def test_morphism_reading_label_order(self, L, E):
+        def on_basis(s):
+            return QVector.basis(SingletonMark(s.labels),
+                                 2 if s.seq[:2] == tuple(sorted(s.seq[:2])) else 1)
+
+        rep = check_morphism(HopfMorphism("bad", L, E, on_basis), 3)
+        assert "f-naturality" in self.axioms(rep)
+
+    def test_shift_pins_fresh_labels(self, L):
+        # correct on every canonical label set; only relabeling onto
+        # SHIFT_ALPHABET can expose it
+        def mu(S, T, x, y):
+            if x.seq[0] in SHIFT_ALPHABET:
+                return QVector.basis(LinearOrder(y.seq + x.seq))
+            return L.product(S, T, x, y)
+
+        bad = HopfMonoid(L.species, mu, lambda S, T, s: L.coproduct(S, T, s),
+                         name="mutant(L)")
+        rep = check_all(bad, 3)
+        assert self.axioms(rep) == {"mu-naturality"}
+        assert all("'a': 'p'" in v.context for v in rep.violations)

@@ -47,6 +47,14 @@ class TestSeriesArithmetic:
         s = TruncatedSeries([3, Q(1, 7), 0, 2], 3)
         assert s * TruncatedSeries.one(3) == s
 
+    def test_inexact_coefficient_rejected(self):
+        # only int and Fraction are exact; a str is not parsed
+        for bad in ("1/2", "3", 0.5):
+            with pytest.raises(TypeError):
+                TruncatedSeries([1, bad], 2)
+            with pytest.raises(TypeError):
+                CycleIndexPoly({(1,): bad}, 2)
+
     def test_truncation_to_min_order(self):
         a = TruncatedSeries([1, 1, 1, 1, 1], 4)
         b = TruncatedSeries([1, 2], 1)
@@ -297,6 +305,16 @@ class TestEchelon:
         ech = Echelon()
         ech.add_all(rows)
         assert ech.kernel(3) == reference_kernel([[1, 2, 3], [0, 1, 1]], 3)
+
+    def test_fraction_row_scaled_to_integers_on_entry(self):
+        ech = Echelon()
+        ech.add({0: 2, 1: 4})
+        got = ech.reduce({0: Q(1, 2), 1: Q(1, 3), 2: Q(5, 6)})
+        assert all(type(v) is int for v in got.values())
+        assert got == {1: -4, 2: 5}       # 6 * (row - pivot/2)
+        row = {0: 3, 1: -1}
+        assert ech.reduce(row) == {1: -7}
+        assert row == {0: 3, 1: -1}
 
     def test_from_echelon_form_keeps_rows(self):
         ech = Echelon.from_echelon_form([{0: Q(1), 2: Q(-1, 2)}, {1: Q(2, 3)}])

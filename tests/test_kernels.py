@@ -521,3 +521,18 @@ class TestIntegerRows:
         I = labelset(4)
         for space in (primitive_space(Sigma, I), hker_space(pi_to_e, I)):
             assert self.all_int(space._ech.pivots.values())
+
+    def test_generated_check_reduces_only_ints(self, pi_to_e, monkeypatch):
+        # the Lie-kernel vectors hold Fractions (rref divides by the
+        # pivot); their products are scaled to integer rows on entry
+        reduce = Echelon.reduce
+        returned = []
+
+        def spy(self, row):
+            out = reduce(self, row)
+            returned.append(out)
+            return out
+
+        monkeypatch.setattr(Echelon, "reduce", spy)
+        assert hker_generated_check(pi_to_e, 5).ok
+        assert returned and self.all_int(returned)

@@ -12,7 +12,7 @@ from hopfspecies.species import (EMPTY, Element, FiniteSet, FunctionToK,
                                  LinearOrder, NotLinearized,
                                  PalComposition, QTensor, QVector,
                                  SetComposition, SetPartition, SingletonMark,
-                                 SpeciesSpec, bijections, compose_maps,
+                                 SpeciesSpec, compose_maps,
                                  cycle_index, egf, hadamard, integer_partitions,
                                  labelset, ogf, orbit_count, tgf)
 
@@ -347,6 +347,3 @@ class TestIntegerPartitions:
     def test_counts(self):
         assert [sum(1 for _ in integer_partitions(n)) for n in range(8)] == \
             [1, 1, 2, 3, 5, 7, 11, 15]
-
-    def test_bijections_count(self):
-        assert sum(1 for _ in bijections(labelset(3), FiniteSet("xyz"))) == 6

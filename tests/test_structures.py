@@ -1,5 +1,6 @@
+from collections import Counter
 from fractions import Fraction as Q
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -9,10 +10,11 @@ from hopfspecies.exactalg import TruncatedSeries
 from hopfspecies.species import (EMPTY, FiniteSet, FunctionToK, LinearOrder,
                                  PairStructure, PalComposition, QTensor,
                                  QVector, SetComposition, SetPartition,
-                                 SingletonMark, egf, labelset, ogf)
-from hopfspecies.structures import (closed_sizes, get_hopf, get_morphism,
-                                    get_species, hadamard_hopf, make_Ek,
-                                    make_PiS,
+                                 SingletonMark, egf, labelset, ogf,
+                                 orbit_count)
+from hopfspecies.structures import (block_partitions, closed_sizes, get_hopf,
+                                    get_morphism, get_species, hadamard_hopf,
+                                    make_Ek, make_Pal, make_PiS,
                                     morphism_Ek_to_Ek1, morphism_E_to_Pi,
                                     morphism_L_to_E, morphism_L_to_Sigma,
                                     morphism_Pi_to_PiS)
@@ -69,10 +71,14 @@ class TestPartitions:
         assert egf(PiEven.species, 6) == expected
 
     def test_pis_requires_closed_sizes(self):
-        with pytest.raises(ValueError):
-            make_PiS({2, 3, 5})  # 2+3 = 5 ok but 2+2 = 4 missing
+        # {1} and {3} are closed below their own maximum only; closure is
+        # needed up to max_size (9), where 1+1 = 2 and 3+3 = 6 are missing
+        for sizes in ({2, 3, 5}, {1}, {3}):  # {2,3,5}: 2+2 = 4 missing
+            with pytest.raises(ValueError):
+                make_PiS(sizes)
         make_PiS({2, 4, 6, 8})
-        make_PiS(closed_sizes([2, 3], 9))
+        for gens in ([1], [2], [3], [2, 3], [3, 5], [4, 5, 6]):
+            make_PiS(closed_sizes(gens, 9))
 
     def test_closed_sizes_generates_submonoid(self):
         assert closed_sizes([2], 9) == frozenset({2, 4, 6, 8})
@@ -83,6 +89,107 @@ class TestPartitions:
         with pytest.raises(ValueError):
             get_hopf("PiPrime")
         assert get_species("PiPrime").dims(6) == [1, 1, 1, 4, 5, 16, 82]
+
+
+def integer_compositions(n):
+    """Ordered compositions of n, one per set of cut points among n-1 gaps."""
+    if n == 0:
+        yield ()
+        return
+    for cuts in range(2 ** (n - 1)):
+        parts, run = [], 1
+        for i in range(n - 1):
+            if cuts >> i & 1:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        yield tuple(parts + [run])
+
+
+def integer_partitions(n):
+    return {tuple(sorted(c, reverse=True)) for c in integer_compositions(n)}
+
+
+def compositions_of_shape(word):
+    """Set compositions whose block sizes read `word`: a multinomial."""
+    return factorial(sum(word)) // prod(factorial(k) for k in word)
+
+
+def partitions_of_type(lam):
+    """Set partitions whose block sizes are the multiset `lam`."""
+    return (compositions_of_shape(lam)
+            // prod(factorial(m) for m in Counter(lam).values()))
+
+
+class TestClosedFormDims:
+    """Dimensions against counts from integer partitions or compositions
+    and multinomials, computed without any set partition generator."""
+
+    def test_pi_bell(self, Pi):
+        assert Pi.species.dims(8) == [
+            sum(partitions_of_type(lam) for lam in integer_partitions(n))
+            for n in range(9)]
+
+    def test_pis_even_blocks(self):
+        assert get_species("PiS:2").dims(8) == [
+            sum(partitions_of_type(lam) for lam in integer_partitions(n)
+                if all(k % 2 == 0 for k in lam))
+            for n in range(9)]
+
+    def test_piprime_distinct_block_sizes(self, PiPrime):
+        assert PiPrime.dims(8) == [
+            sum(partitions_of_type(lam) for lam in integer_partitions(n)
+                if len(set(lam)) == len(lam))
+            for n in range(9)]
+
+    def test_sigma_fubini(self, Sigma):
+        assert Sigma.species.dims(6) == [
+            sum(compositions_of_shape(w) for w in integer_compositions(n))
+            for n in range(7)]
+
+    def test_pal_palindromic_words(self, Pal):
+        assert Pal.species.dims(7) == [
+            sum(compositions_of_shape(w) for w in integer_compositions(n)
+                if w == w[::-1])
+            for n in range(8)]
+        assert [orbit_count(Pal.species, n) for n in range(8)] == [
+            2 ** (n // 2) for n in range(8)]
+
+
+class TestBlockPartitions:
+    def test_each_partition_once(self):
+        for n in range(8):
+            labels = labelset(n).labels
+            got = list(block_partitions(labels))
+            assert len(got) == len(set(got)) == sum(
+                partitions_of_type(lam) for lam in integer_partitions(n))
+            for blocks in got:
+                assert sorted(t for b in blocks for t in b) == list(labels)
+                assert all(b == tuple(sorted(b)) for b in blocks)
+                assert list(blocks) == sorted(blocks)
+
+    def test_sizes_equal_filtered_output(self):
+        for sizes in ({1}, {2}, {3}, {1, 2}, {2, 3}, {1, 3, 5}, {2, 4, 6}):
+            for n in range(8):
+                labels = labelset(n).labels
+                assert list(block_partitions(labels, sizes)) == [
+                    blocks for blocks in block_partitions(labels)
+                    if all(len(b) in sizes for b in blocks)]
+
+    def test_pal_builds_only_what_it_keeps(self, monkeypatch):
+        # palindromes are chosen on the raw blocks: every object built is
+        # kept, and no plain composition is built along the way
+        built = Counter()
+        init = SetComposition.__init__
+
+        def counting(self, blocks):
+            built[type(self).__name__] += 1
+            init(self, blocks)
+
+        monkeypatch.setattr(SetComposition, "__init__", counting)
+        make_Pal().species.structures(labelset(6))
+        assert built == {"PalComposition": 1581}
 
 
 class TestCompositions:
