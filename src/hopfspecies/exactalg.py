@@ -463,22 +463,33 @@ class Echelon:
         return not self.reduce(row)
 
     def rref(self) -> dict:
-        """Fully reduced rows with pivot value 1, keyed by pivot column."""
+        """Fully reduced rows with pivot value 1, keyed by pivot column.
+
+        Back-substitution stays fraction-free: each stored pivot row is
+        reduced against the already reduced integer rows of the later pivot
+        columns by cross-multiplication and gcd-normalized; only the
+        returned entries are Fractions, one division by the pivot each.
+        """
+        reduced = {}
         out = {}
         for c in sorted(self.pivots, reverse=True):
-            row = self.pivots[c]
-            acc = {cc: Q(v) for cc, v in row.items()}
-            for cc in sorted(k for k in acc if k > c):
-                if cc in out and acc.get(cc):
-                    f = acc[cc]
-                    for c2, v2 in out[cc].items():
-                        nv = acc.get(c2, Q(0)) - f * v2
-                        if nv:
-                            acc[c2] = nv
-                        else:
-                            acc.pop(c2, None)
+            acc = self.pivots[c]
+            for cc in [k for k in acc if k in reduced]:
+                # reduced[cc] is zero at every other pivot column, so this
+                # only adds entries at free columns
+                prow = reduced[cc]
+                g = gcd(acc[cc], prow[cc])
+                f, p = acc[cc] // g, prow[cc] // g
+                acc = {k: v * p for k, v in acc.items()}
+                for k, v in prow.items():
+                    nv = acc.get(k, 0) - f * v
+                    if nv:
+                        acc[k] = nv
+                    else:
+                        acc.pop(k, None)
+            acc = reduced[c] = _row_gcd_normalize(acc)
             lead = acc[c]
-            out[c] = {cc: v / lead for cc, v in acc.items()}
+            out[c] = {k: Fraction(v, lead) for k, v in acc.items()}
         return out
 
     def kernel(self, ncols: int) -> list:

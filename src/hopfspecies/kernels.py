@@ -152,7 +152,9 @@ def coproduct_rows(h: HopfMonoid, I: FiniteSet,
 @_cached
 def primitive_space(h: HopfMonoid, I: FiniteSet) -> SubspaceBasis:
     """Joint kernel of all Delta_{S,T} with S, T nonempty; zero at the empty
-    set, everything at singletons."""
+    set, everything at singletons. A monoid that is not connected is
+    refused (ValueError from h.one()), since primitives need the unit."""
+    h.one()
     basis = h.species.structures(I)
     if len(I) == 0:
         return SubspaceBasis(I, basis)

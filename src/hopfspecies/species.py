@@ -14,7 +14,7 @@ from math import factorial
 from .exactalg import CycleIndexPoly, Q, TruncatedSeries
 from .reports import qstr
 
-SEPARATOR_CHARS = set(".|,:;()[]{}<>=→ \t\r\n")
+SEPARATOR_CHARS = frozenset(".|,:;()[]{}<>=→ \t\r\n")
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -26,7 +26,7 @@ class NotLinearized(TypeError):
 def check_label(tok: str) -> str:
     if not isinstance(tok, str) or not tok or not tok.isascii():
         raise ValueError("label must be a nonempty ASCII token: %r" % (tok,))
-    if any(ch in SEPARATOR_CHARS for ch in tok):
+    if not SEPARATOR_CHARS.isdisjoint(tok):
         raise ValueError("label contains a separator character: %r" % (tok,))
     return tok
 
@@ -38,7 +38,7 @@ class FiniteSet:
     __slots__ = ("labels",)
 
     def __init__(self, labels=()):
-        labels = tuple(sorted(check_label(t) for t in labels))
+        labels = tuple(sorted(map(check_label, labels)))
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be pairwise distinct: %r" % (labels,))
         self.labels = labels
@@ -111,11 +111,6 @@ def labelset(n: int) -> FiniteSet:
     if n > len(ALPHABET):
         raise ValueError("canonical label sets stop at %d labels" % len(ALPHABET))
     return FiniteSet(ALPHABET[:n])
-
-
-def compose_maps(sigma: dict, tau: dict) -> dict:
-    """The bijection sigma o tau (apply tau first)."""
-    return {t: sigma[v] for t, v in tau.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +218,30 @@ class LinearOrder(Structure):
         return ("order", len(self.seq))
 
 
-def _canon_blocks(blocks):
+def _canon_blocks(blocks) -> list:
+    """The blocks, each sorted, in the given order. An empty block, or a
+    label met a second time, is refused at the first block that shows it."""
     out = []
     seen = set()
     for b in blocks:
         b = tuple(sorted(b))
         if not b:
             raise ValueError("empty block")
-        for t in b:
-            if t in seen:
-                raise ValueError("blocks are not disjoint at %r" % (t,))
-            seen.add(t)
+        before = len(seen)
+        seen.update(b)
+        if len(seen) - before != len(b):
+            raise ValueError("blocks are not disjoint at %r" % (_first_repeat(out, b),))
         out.append(b)
     return out
+
+
+def _first_repeat(blocks, b):
+    """The first label of `b` already met in `blocks` or earlier in `b`."""
+    seen = {t for bb in blocks for t in bb}
+    for t in b:
+        if t in seen:
+            return t
+        seen.add(t)
 
 
 class SetPartition(Structure):
@@ -244,15 +250,10 @@ class SetPartition(Structure):
 
     def __init__(self, blocks):
         self.blocks = tuple(sorted(_canon_blocks(blocks)))
-        self._finish(FiniteSet(t for b in self.blocks for t in b))
+        self._finish(FiniteSet(itertools.chain.from_iterable(self.blocks)))
 
     def relabel(self, mapping):
         return SetPartition(tuple(mapping[t] for t in b) for b in self.blocks)
-
-    def restrict(self, keep) -> "SetPartition":
-        keep = set(keep)
-        return SetPartition(bb for b in self.blocks
-                            if (bb := tuple(t for t in b if t in keep)))
 
     def block_sizes(self):
         return sorted((len(b) for b in self.blocks), reverse=True)
@@ -274,19 +275,13 @@ class SetComposition(Structure):
     def __init__(self, blocks):
         self.blocks = tuple(_canon_blocks(blocks))
         self._check_blocks()
-        self._finish(FiniteSet(t for b in self.blocks for t in b))
+        self._finish(FiniteSet(itertools.chain.from_iterable(self.blocks)))
 
     def _check_blocks(self):
         pass
 
     def relabel(self, mapping):
         return type(self)(tuple(mapping[t] for t in b) for b in self.blocks)
-
-    def restrict(self, keep):
-        """Intersect each block with `keep`, deleting empty intersections."""
-        keep = set(keep)
-        return type(self)(bb for b in self.blocks
-                          if (bb := tuple(t for t in b if t in keep)))
 
     def size_word(self):
         return tuple(len(b) for b in self.blocks)
@@ -332,10 +327,6 @@ class FunctionToK(Structure):
 
     def relabel(self, mapping):
         return FunctionToK({mapping[t]: v for t, v in self.mapping}, self.k)
-
-    def restrict(self, keep) -> "FunctionToK":
-        keep = set(keep)
-        return FunctionToK({t: v for t, v in self.mapping if t in keep}, self.k)
 
     def key(self):
         return (self.k, self.mapping)

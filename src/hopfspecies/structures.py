@@ -9,6 +9,12 @@ elements (or to zero, for coproducts with an admissibility condition).
 Coproducts of the partition and composition monoids are plain restriction,
 which together with the union/concatenation products passes the full axiom
 suite and gives the expected generating series.
+
+Every structure map, and every canonical morphism, returns interned
+structures: it computes the canonical key of each output (blocks, sequence,
+mapping, label set or component pair) and fetches the one instance its
+`intern_table` holds for that key, so each distinct output is built and
+validated once.
 """
 
 from __future__ import annotations
@@ -19,6 +25,36 @@ from .species import (EMPTY, Element, FiniteSet, FunctionToK, LinearOrder,
                       PairStructure, PalComposition, QTensor, QVector,
                       SetComposition, SetPartition, SingletonMark,
                       SpeciesSpec, Structure, hadamard)
+
+
+def intern_table(build):
+    """A lookup from canonical keys to structures. The first request for a
+    key runs `build(key)`, the ordinary validating constructor; every later
+    one returns that same instance. Each monoid's structure maps (and each
+    morphism) hold their own table, so it lives exactly as long as they do,
+    like the memo caches of HopfMonoid."""
+    table = {}
+
+    def get(key):
+        got = table.get(key)
+        if got is None:
+            got = table[key] = build(key)
+        return got
+    return get
+
+
+def split_blocks(blocks, S: FiniteSet) -> tuple:
+    """The blocks restricted to S and to the rest: the nonempty
+    intersections in block order, so sorted blocks stay sorted."""
+    inside = set(S.labels).__contains__
+    left, right = [], []
+    for b in blocks:
+        bb = tuple(filter(inside, b))
+        if bb:
+            left.append(bb)
+        if len(bb) < len(b):
+            right.append(tuple(itertools.filterfalse(inside, b)))
+    return tuple(left), tuple(right)
 
 
 class HopfMonoid:
@@ -126,12 +162,13 @@ class HopfMorphism:
 
 def make_E() -> HopfMonoid:
     sp = SpeciesSpec("E", lambda I: [SingletonMark(I)])
+    mark = intern_table(SingletonMark)
 
     def mu(S, T, x, y):
-        return QVector.basis(SingletonMark(S.union(T)))
+        return QVector.basis(mark(S.union(T)))
 
     def delta(S, T, s):
-        return QTensor.basis(SingletonMark(S), SingletonMark(T))
+        return QTensor.basis(mark(S), mark(T))
 
     return HopfMonoid(sp, mu, delta)
 
@@ -153,12 +190,15 @@ def make_X() -> HopfMonoid:
 def make_L() -> HopfMonoid:
     sp = SpeciesSpec(
         "L", lambda I: [LinearOrder(p) for p in itertools.permutations(tuple(I))])
+    order = intern_table(LinearOrder)
 
     def mu(S, T, x, y):
-        return QVector.basis(LinearOrder(x.seq + y.seq))
+        return QVector.basis(order(x.seq + y.seq))
 
     def delta(S, T, s):
-        return QTensor.basis(s.restrict(S), s.restrict(T))
+        inside = set(S.labels).__contains__
+        return QTensor.basis(order(tuple(filter(inside, s.seq))),
+                             order(tuple(itertools.filterfalse(inside, s.seq))))
 
     return HopfMonoid(sp, mu, delta)
 
@@ -198,12 +238,15 @@ def set_partitions(I: FiniteSet):
 
 def make_Pi() -> HopfMonoid:
     sp = SpeciesSpec("Pi", set_partitions)
+    partition = intern_table(SetPartition)
 
     def mu(S, T, x, y):
-        return QVector.basis(SetPartition(x.blocks + y.blocks))
+        return QVector.basis(partition(tuple(sorted(x.blocks + y.blocks))))
 
     def delta(S, T, s):
-        return QTensor.basis(s.restrict(S), s.restrict(T))
+        left, right = split_blocks(s.blocks, S)
+        return QTensor.basis(partition(tuple(sorted(left))),
+                             partition(tuple(sorted(right))))
 
     return HopfMonoid(sp, mu, delta)
 
@@ -251,23 +294,26 @@ def make_PiS(allowed, max_size: int = 9) -> HopfMonoid:
                     "sizes %r are not closed under addition (%d+%d)" % (sorted(allowed), i, j))
     name = "PiS:" + ",".join(str(s) for s in sorted(allowed))
 
-    def ok(p: SetPartition) -> bool:
-        return all(len(b) in allowed for b in p.blocks)
+    def ok(blocks) -> bool:
+        return all(len(b) in allowed for b in blocks)
 
     def enum(I):
         for blocks in block_partitions(I.labels, allowed):
             yield SetPartition(blocks)
 
     sp = SpeciesSpec(name, enum)
+    partition = intern_table(SetPartition)
 
     def mu(S, T, x, y):
-        merged = SetPartition(x.blocks + y.blocks)
-        return QVector.basis(merged) if ok(merged) else QVector.zero(S.union(T))
+        merged = tuple(sorted(x.blocks + y.blocks))
+        if ok(merged):
+            return QVector.basis(partition(merged))
+        return QVector.zero(S.union(T))
 
     def delta(S, T, s):
-        left, right = s.restrict(S), s.restrict(T)
+        left, right = (tuple(sorted(side)) for side in split_blocks(s.blocks, S))
         if ok(left) and ok(right):
-            return QTensor.basis(left, right)
+            return QTensor.basis(partition(left), partition(right))
         return QTensor.zero(S, T)
 
     return HopfMonoid(sp, mu, delta)
@@ -289,12 +335,14 @@ def set_compositions(I: FiniteSet):
 
 def make_Sigma() -> HopfMonoid:
     sp = SpeciesSpec("Sigma", set_compositions)
+    composition = intern_table(SetComposition)
 
     def mu(S, T, x, y):
-        return QVector.basis(SetComposition(x.blocks + y.blocks))
+        return QVector.basis(composition(x.blocks + y.blocks))
 
     def delta(S, T, s):
-        return QTensor.basis(s.restrict(S), s.restrict(T))
+        left, right = split_blocks(s.blocks, S)
+        return QTensor.basis(composition(left), composition(right))
 
     return HopfMonoid(sp, mu, delta)
 
@@ -326,6 +374,7 @@ def make_Pal() -> HopfMonoid:
                     yield PalComposition(order)
 
     sp = SpeciesSpec("Pal", enum)
+    pal = intern_table(PalComposition)
 
     def mu(S, T, x, y):
         # concatenate initial runs, merge central blocks, concatenate final
@@ -334,13 +383,13 @@ def make_Pal() -> HopfMonoid:
         yinit, yc, yfin = pal_split(y)
         center = tuple(sorted(xc + yc))
         blocks = xinit + yinit + ((center,) if center else ()) + yfin + xfin
-        return QVector.basis(PalComposition(blocks))
+        return QVector.basis(pal(blocks))
 
     def delta(S, T, s):
         if not pal_admissible(s, S):
             return QTensor.zero(S, T)
-        return QTensor.basis(PalComposition(s.restrict(S).blocks),
-                             PalComposition(s.restrict(T).blocks))
+        left, right = split_blocks(s.blocks, S)
+        return QTensor.basis(pal(left), pal(right))
 
     return HopfMonoid(sp, mu, delta)
 
@@ -363,12 +412,15 @@ def make_Ek(k: int) -> HopfMonoid:
                 for values in itertools.product(range(1, k + 1), repeat=len(toks))]
 
     sp = SpeciesSpec("Ek:%d" % k, enum)
+    function = intern_table(lambda mapping: FunctionToK(mapping, k))
 
     def mu(S, T, x, y):
-        return QVector.basis(FunctionToK(dict(x.mapping) | dict(y.mapping), k))
+        return QVector.basis(function(tuple(sorted(x.mapping + y.mapping))))
 
     def delta(S, T, s):
-        return QTensor.basis(s.restrict(S), s.restrict(T))
+        keep = set(S.labels)
+        return QTensor.basis(function(tuple(m for m in s.mapping if m[0] in keep)),
+                             function(tuple(m for m in s.mapping if m[0] not in keep)))
 
     return HopfMonoid(sp, mu, delta)
 
@@ -382,18 +434,19 @@ def make_el() -> SpeciesSpec:
 def hadamard_hopf(a: HopfMonoid, b: HopfMonoid) -> HopfMonoid:
     """Componentwise structure maps on pair structures."""
     sp = hadamard(a.species, b.species)
+    pair = intern_table(lambda key: PairStructure(*key))
 
     def mu(S, T, x, y):
         u = a.product(S, T, x.left, y.left)
         v = b.product(S, T, x.right, y.right)
-        return QVector(S.union(T), ((PairStructure(s1, s2), c1 * c2)
+        return QVector(S.union(T), ((pair((s1, s2)), c1 * c2)
                                     for s1, c1 in u.terms.items()
                                     for s2, c2 in v.terms.items()))
 
     def delta(S, T, s):
         u = a.coproduct(S, T, s.left)
         v = b.coproduct(S, T, s.right)
-        return QTensor(S, T, (((PairStructure(x1, x2), PairStructure(y1, y2)), c1 * c2)
+        return QTensor(S, T, (((pair((x1, x2)), pair((y1, y2))), c1 * c2)
                               for (x1, y1), c1 in u.terms.items()
                               for (x2, y2), c2 in v.terms.items()))
 
@@ -408,16 +461,17 @@ def morphism_L_to_E(L: HopfMonoid | None = None, E: HopfMonoid | None = None) ->
     """Collapse every linear order to the canonical basis element."""
     L = L or make_L()
     E = E or make_E()
-    return HopfMorphism("L->E", L, E,
-                        lambda s: QVector.basis(SingletonMark(s.labels)))
+    mark = intern_table(SingletonMark)
+    return HopfMorphism("L->E", L, E, lambda s: QVector.basis(mark(s.labels)))
 
 
 def morphism_E_to_Pi(E: HopfMonoid | None = None, Pi: HopfMonoid | None = None) -> HopfMorphism:
     """Embed E as the partitions into singletons."""
     E = E or make_E()
     Pi = Pi or make_Pi()
-    return HopfMorphism("E->Pi", E, Pi,
-                        lambda s: QVector.basis(SetPartition((t,) for t in s.labels)))
+    partition = intern_table(SetPartition)
+    return HopfMorphism("E->Pi", E, Pi, lambda s: QVector.basis(
+        partition(tuple((t,) for t in s.labels))))
 
 
 def morphism_L_to_Sigma(L: HopfMonoid | None = None,
@@ -425,8 +479,9 @@ def morphism_L_to_Sigma(L: HopfMonoid | None = None,
     """View a linear order as a composition into singleton blocks."""
     L = L or make_L()
     Sigma = Sigma or make_Sigma()
-    return HopfMorphism("L->Sigma", L, Sigma,
-                        lambda s: QVector.basis(SetComposition((t,) for t in s.seq)))
+    composition = intern_table(SetComposition)
+    return HopfMorphism("L->Sigma", L, Sigma, lambda s: QVector.basis(
+        composition(tuple((t,) for t in s.seq))))
 
 
 def morphism_Ek_to_Ek1(k: int, source: HopfMonoid | None = None,
@@ -434,8 +489,9 @@ def morphism_Ek_to_Ek1(k: int, source: HopfMonoid | None = None,
     """Postcompose with the inclusion {1..k} into {1..k+1} sending i to i."""
     source = source or make_Ek(k)
     target = target or make_Ek(k + 1)
+    function = intern_table(lambda mapping: FunctionToK(mapping, k + 1))
     return HopfMorphism("Ek:%d->Ek:%d" % (k, k + 1), source, target,
-                        lambda s: QVector.basis(FunctionToK(dict(s.mapping), k + 1)))
+                        lambda s: QVector.basis(function(s.mapping)))
 
 
 def morphism_Pi_to_PiS(allowed, Pi: HopfMonoid | None = None,

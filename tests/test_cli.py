@@ -166,6 +166,12 @@ class TestKernelCommands:
         assert code == 0
         assert "[0, 1, 1, 2, 6]" in out
 
+    def test_primitives_refuses_non_connected_species(self, capsys):
+        code, out, err = invoke(capsys, "primitives", "--species", "X",
+                                "--max-n", "2")
+        assert code == 2 and out == ""
+        assert "X is not connected: dim at the empty set is 0" in err
+
     def test_lie_basis_golden(self, capsys):
         code, out, _ = invoke(capsys, "lie-basis", "--labels", "a,b,c",
                               "--ell0", "a,b,c")

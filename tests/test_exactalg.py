@@ -316,6 +316,20 @@ class TestEchelon:
         assert ech.reduce(row) == {1: -7}
         assert row == {0: 3, 1: -1}
 
+    def test_rref_back_substitutes_without_touching_pivots(self):
+        ech = Echelon()
+        ech.add_all([{0: 2, 1: 3, 2: 1}, {1: 5, 2: 2}, {1: 10, 3: 7}])
+        stored = {c: dict(row) for c, row in ech.pivots.items()}
+        assert stored[2] == {2: 4, 3: -7}
+        got = ech.rref()
+        assert got == {0: {0: 1, 3: Q(-7, 40)},
+                       1: {1: 1, 3: Q(7, 10)},
+                       2: {2: 1, 3: Q(-7, 4)}}
+        assert [tuple(got[c].get(j, 0) for j in range(4)) for c in sorted(got)] == (
+            reference_rref([[2, 3, 1, 0], [0, 5, 2, 0], [0, 10, 0, 7]], 4)[0])
+        assert all(type(v) is Q for row in got.values() for v in row.values())
+        assert ech.pivots == stored
+
     def test_from_echelon_form_keeps_rows(self):
         ech = Echelon.from_echelon_form([{0: Q(1), 2: Q(-1, 2)}, {1: Q(2, 3)}])
         assert ech.pivots == {0: {0: 2, 2: -1}, 1: {1: 1}}

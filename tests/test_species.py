@@ -12,7 +12,7 @@ from hopfspecies.species import (EMPTY, Element, FiniteSet, FunctionToK,
                                  LinearOrder, NotLinearized,
                                  PalComposition, QTensor, QVector,
                                  SetComposition, SetPartition, SingletonMark,
-                                 SpeciesSpec, compose_maps,
+                                 SpeciesSpec,
                                  cycle_index, egf, hadamard, integer_partitions,
                                  labelset, ogf, orbit_count, tgf)
 
@@ -49,6 +49,32 @@ class TestStructures:
             SetPartition((("a",), ("a", "b")))
         with pytest.raises(ValueError):
             SetPartition(((),))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SetComposition((("a",), ())), "empty block"),
+        (lambda: SetPartition(((), ("a", "a"))), "empty block"),
+        (lambda: SetPartition((("a", "b"), ("c", "b"))), "blocks are not disjoint at 'b'"),
+        (lambda: SetComposition((("a", "c"), ("d", "c", "a"))),
+         "blocks are not disjoint at 'a'"),
+        (lambda: SetComposition((("b", "b"),)), "blocks are not disjoint at 'b'"),
+        (lambda: SetComposition((("a",), ("a",), ())), "blocks are not disjoint at 'a'"),
+        (lambda: SetComposition((("a|b",),)),
+         "label contains a separator character: 'a|b'"),
+        (lambda: SetPartition((("a",), ("x y",))),
+         "label contains a separator character: 'x y'"),
+        (lambda: FiniteSet(["ok", "é"]), "label must be a nonempty ASCII token: 'é'"),
+        (lambda: SetPartition((("a", "ß"),)), "label must be a nonempty ASCII token: 'ß'"),
+        (lambda: FiniteSet(["b", "a", "b"]),
+         "labels must be pairwise distinct: ('a', 'b', 'b')"),
+        (lambda: LinearOrder(("a", "b", "a")), "linear order repeats a label: ('a', 'b', 'a')"),
+        (lambda: PalComposition((("a",), ("b", "c"))), "block sizes (1, 2) are not palindromic"),
+        (lambda: PalComposition((("a", "b"), ("c",), ("d",))),
+         "block sizes (2, 1, 1) are not palindromic"),
+    ])
+    def test_constructors_refuse_with_their_message(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
     def test_composition_order_matters(self):
         assert SetComposition((("a",), ("b",))) != SetComposition((("b",), ("a",)))
@@ -96,7 +122,7 @@ class TestFunctoriality:
     def test_relabel_composes(self, data):
         toks, sigma, tau = data
         I = FiniteSet(toks)
-        composed = compose_maps(sigma, tau)
+        composed = {t: sigma[v] for t, v in tau.items()}  # sigma o tau
         from hopfspecies.structures import (make_Ek, make_L, make_Pal, make_Pi,
                                             make_Sigma)
         for sp in (make_L().species, make_Pi().species, make_Sigma().species,

@@ -7,6 +7,7 @@ import pytest
 from hopfspecies.axioms import (check_all, check_cocommutative,
                                 check_commutative, check_connected)
 from hopfspecies.exactalg import TruncatedSeries
+from hopfspecies.kernels import primitive_dims
 from hopfspecies.species import (EMPTY, FiniteSet, FunctionToK, LinearOrder,
                                  PairStructure, PalComposition, QTensor,
                                  QVector, SetComposition, SetPartition,
@@ -14,7 +15,7 @@ from hopfspecies.species import (EMPTY, FiniteSet, FunctionToK, LinearOrder,
                                  orbit_count)
 from hopfspecies.structures import (block_partitions, closed_sizes, get_hopf,
                                     get_morphism, get_species, hadamard_hopf,
-                                    make_Ek, make_Pal, make_PiS,
+                                    make_Ek, make_Pal, make_PiS, make_Sigma,
                                     morphism_Ek_to_Ek1, morphism_E_to_Pi,
                                     morphism_L_to_E, morphism_L_to_Sigma,
                                     morphism_Pi_to_PiS)
@@ -122,20 +123,57 @@ def partitions_of_type(lam):
             // prod(factorial(m) for m in Counter(lam).values()))
 
 
+def bell(n):
+    return sum(partitions_of_type(lam) for lam in integer_partitions(n))
+
+
+def fubini(n):
+    return sum(compositions_of_shape(w) for w in integer_compositions(n))
+
+
+def palindromic(n):
+    return sum(compositions_of_shape(w) for w in integer_compositions(n)
+               if w == w[::-1])
+
+
+def even_block_partitions(n):
+    return sum(partitions_of_type(lam) for lam in integer_partitions(n)
+               if all(k % 2 == 0 for k in lam))
+
+
+# closed-form dimension counts of the shipped cocommutative Hopf monoids
+CLOSED_FORM_DIMS = {
+    "E": lambda n: 1,
+    "Pi": bell,
+    "PiS:2": even_block_partitions,
+    "Ek:2": lambda n: 2 ** n,
+    "L": factorial,
+    "Sigma": fubini,
+    "Pal": palindromic,
+    "Hadamard(Pi,E)": bell,
+}
+
+
+def log_egf_counts(counts):
+    """n! [x^n] log A(x) for the EGF A of `counts` (counts[0] == 1), from
+    n P_n = n A_n - sum_{k<n} k P_k A_{n-k} on the EGF coefficients."""
+    a = [Q(c, factorial(n)) for n, c in enumerate(counts)]
+    p = [Q(0)]
+    for n in range(1, len(a)):
+        p.append(a[n] - sum((k * p[k] * a[n - k] for k in range(1, n)), Q(0)) / n)
+    return [v * factorial(n) for n, v in enumerate(p)]
+
+
 class TestClosedFormDims:
     """Dimensions against counts from integer partitions or compositions
     and multinomials, computed without any set partition generator."""
 
     def test_pi_bell(self, Pi):
-        assert Pi.species.dims(8) == [
-            sum(partitions_of_type(lam) for lam in integer_partitions(n))
-            for n in range(9)]
+        assert Pi.species.dims(8) == [bell(n) for n in range(9)]
 
     def test_pis_even_blocks(self):
         assert get_species("PiS:2").dims(8) == [
-            sum(partitions_of_type(lam) for lam in integer_partitions(n)
-                if all(k % 2 == 0 for k in lam))
-            for n in range(9)]
+            even_block_partitions(n) for n in range(9)]
 
     def test_piprime_distinct_block_sizes(self, PiPrime):
         assert PiPrime.dims(8) == [
@@ -144,17 +182,32 @@ class TestClosedFormDims:
             for n in range(9)]
 
     def test_sigma_fubini(self, Sigma):
-        assert Sigma.species.dims(6) == [
-            sum(compositions_of_shape(w) for w in integer_compositions(n))
-            for n in range(7)]
+        assert Sigma.species.dims(6) == [fubini(n) for n in range(7)]
 
     def test_pal_palindromic_words(self, Pal):
-        assert Pal.species.dims(7) == [
-            sum(compositions_of_shape(w) for w in integer_compositions(n)
-                if w == w[::-1])
-            for n in range(8)]
+        assert Pal.species.dims(7) == [palindromic(n) for n in range(8)]
         assert [orbit_count(Pal.species, n) for n in range(8)] == [
             2 ** (n // 2) for n in range(8)]
+
+    def test_l_factorials(self, L):
+        assert L.species.dims(7) == [factorial(n) for n in range(8)]
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_ek_powers(self, k):
+        assert make_Ek(k).species.dims(6) == [k ** n for n in range(7)]
+
+
+class TestPrimitiveDimsOracle:
+    """Primitive dims of every shipped cocommutative monoid against the
+    logarithm of its exponential series (the Milnor-Moore/PBW count), with
+    the series built from closed-form counts, never from the enumerators."""
+
+    @pytest.mark.parametrize("ident", sorted(CLOSED_FORM_DIMS))
+    def test_primitive_dims_are_log_of_egf(self, ident):
+        h = get_hopf(ident)
+        assert check_cocommutative(h, 4).ok
+        counts = [CLOSED_FORM_DIMS[ident](n) for n in range(6)]
+        assert primitive_dims(h, 5) == log_egf_counts(counts)
 
 
 class TestBlockPartitions:
@@ -190,6 +243,48 @@ class TestBlockPartitions:
         monkeypatch.setattr(SetComposition, "__init__", counting)
         make_Pal().species.structures(labelset(6))
         assert built == {"PalComposition": 1581}
+
+
+class TestInterning:
+    def test_sigma_maps_build_each_structure_once(self, monkeypatch):
+        # once the basis is enumerated, Delta builds each distinct output
+        # once: 540 constructions, where building two per call makes 34,728
+        h = make_Sigma()
+        for n in range(6):
+            h.species.structures(labelset(n))
+        built = Counter()
+        init = SetComposition.__init__
+
+        def counting(self, blocks):
+            init(self, blocks)
+            built[self.blocks] += 1
+
+        monkeypatch.setattr(SetComposition, "__init__", counting)
+        assert primitive_dims(h, 5) == [0, 1, 2, 6, 26, 150]
+        assert set(built.values()) == {1}
+        assert len(built) < 1200
+
+    @pytest.mark.parametrize("ident", ["Sigma", "Pi", "Pal", "L", "Ek:2", "PiS:2",
+                                       "Hadamard(Pi,L)"])
+    def test_equal_outputs_are_one_object(self, ident):
+        h = get_hopf(ident)
+        I = labelset(4)
+        seen = {}
+        repeats = 0
+        for S, T in I.decompositions():
+            if not (len(S) and len(T)):
+                continue
+            for s in h.species.structures(I):
+                for pair in h.coproduct(S, T, s).terms:
+                    for x in pair:
+                        repeats += x in seen
+                        assert seen.setdefault(x, x) is x
+            for x in h.species.structures(S):
+                for y in h.species.structures(T):
+                    for z in h.product(S, T, x, y).terms:
+                        repeats += z in seen
+                        assert seen.setdefault(z, z) is z
+        assert repeats > 0
 
 
 class TestCompositions:
