@@ -68,6 +68,8 @@ def _parse_labels(text: str) -> list:
 
 
 def _emit(report: dict, fmt: str, lines) -> None:
+    """Print the JSON report or the text lines. Commands that print vectors
+    render those lines only in text mode; JSON mode never prints them."""
     if fmt == "json":
         print(json.dumps(jsonable(report), sort_keys=True, indent=2))
     else:
@@ -189,14 +191,16 @@ def cmd_primitives(args) -> int:
     nmax = _cap_n(args.max_n)
     h = get_hopf(args.species)
     dims = kernels_mod.primitive_dims(h, nmax)
+    text = args.format == "text"
     lines = ["primitive dimensions of %s: %s" % (h.name, dims)]
     details = [{"species": h.name, "primitive_dims": dims}]
     if args.show_basis:
         for n in range(1, nmax + 1):
             vecs = kernels_mod.primitive_space(h, labelset(n)).vectors()
             details.append({"n": n, "basis": [v.to_json() for v in vecs]})
-            lines.append("n = %d:" % n)
-            lines.extend("  %r" % v for v in vecs)
+            if text:
+                lines.append("n = %d:" % n)
+                lines.extend("  %r" % v for v in vecs)
     payload = {"tool": "primitives", "verdict": "pass", "details": details}
     _emit(payload, args.format, lines)
     return 0
@@ -210,12 +214,14 @@ def cmd_lie_basis(args) -> int:
         raise UsageError("--ell0 must order exactly the given labels")
     from .species import FiniteSet
     I = FiniteSet(labels)
+    text = args.format == "text"
     lines = []
     details = []
     for gamma in kernels_mod.cyclic_orders(I):
         vec = kernels_mod.lie_basis_p(gamma, ell0)
         expr = kernels_mod.bracket_expr(gamma, ell0)
-        lines.append("p_%r = %s = %r" % (gamma, expr, vec))
+        if text:
+            lines.append("p_%r = %s = %r" % (gamma, expr, vec))
         details.append({"cycle": repr(gamma), "bracket": expr,
                         "vector": vec.to_json()})
     payload = {"tool": "lie-basis", "verdict": "pass", "details": details}
@@ -230,12 +236,14 @@ def cmd_hker_basis(args) -> int:
         orders = [LinearOrder(_parse_labels(args.ell))]
     else:
         orders = list(kernels_mod.derangements(ell0))
+    text = args.format == "text"
     lines = []
     details = []
     for ell in orders:
         vec = kernels_mod.hker_basis_derangement(ell, ell0)
         expr = kernels_mod.p_ell_expr(ell, ell0)
-        lines.append("p_{%s} = %s = %r" % (ell.text(), expr, vec))
+        if text:
+            lines.append("p_{%s} = %s = %r" % (ell.text(), expr, vec))
         details.append({"ell": ell.text(), "factors": expr,
                         "vector": vec.to_json()})
     payload = {"tool": "hker-basis", "verdict": "pass", "details": details}

@@ -420,26 +420,28 @@ class Echelon:
         """Forward-reduce a copy of `row` against the stored pivot rows.
 
         A row with Fraction entries is scaled to an integer row on entry, so
-        the result is an integer multiple of the reduced row.
+        the result is an integer multiple of the reduced row. The copy is
+        private, so it is updated in place; it is scaled by the pivot entry
+        (integer cross-multiplication, fraction-free) only when that entry
+        is not 1, which gcd normalization makes the common case.
         """
         row = _integer_row({c: v for c, v in row.items() if v})
+        pivots = self.pivots
         while row:
             c = min(row)
-            prow = self.pivots.get(c)
+            prow = pivots.get(c)
             if prow is None:
                 return row
-            # integer cross-multiplication keeps everything fraction-free
             f, p = row[c], prow[c]
-            out = {}
-            for cc, v in row.items():
-                out[cc] = v * p
+            if p != 1:
+                row = {cc: v * p for cc, v in row.items()}
             for cc, v in prow.items():
-                nv = out.get(cc, 0) - f * v
+                # f and v are nonzero, so a zero result means cc was in row
+                nv = row.get(cc, 0) - f * v
                 if nv:
-                    out[cc] = nv
+                    row[cc] = nv
                 else:
-                    out.pop(cc, None)
-            row = out
+                    del row[cc]
         return row
 
     def add(self, row: dict) -> bool:
@@ -493,17 +495,15 @@ class Echelon:
         return out
 
     def kernel(self, ncols: int) -> list:
-        """Deterministic kernel basis of the row system, one vector per free
-        column in ascending order; entries are exact rationals."""
+        """Deterministic kernel basis of the row system, one sparse vector
+        {column: nonzero exact rational} per free column in ascending order:
+        1 at its free column, minus that column's rref entry at each pivot.
+        """
         rref = self.rref()
-        free = [c for c in range(ncols) if c not in rref]
-        basis = []
-        for f in free:
-            vec = [Q(0)] * ncols
-            vec[f] = Q(1)
-            for c, row in rref.items():
-                v = row.get(f)
-                if v:
-                    vec[c] = -v
-            basis.append(tuple(vec))
-        return basis
+        basis = {f: {f: Q(1)} for f in range(ncols) if f not in rref}
+        for c, row in rref.items():
+            for f, v in row.items():
+                # an rref row is zero at every other pivot column
+                if f != c:
+                    basis[f][c] = -v
+        return list(basis.values())

@@ -108,7 +108,7 @@ def _kernel_space(basis, ambient, rows) -> SubspaceBasis:
             continue
         seen.add(frozen)
         ech.add({n - 1 - j: c for j, c in row.items()})
-    kernel = [{n - 1 - j: c for j, c in enumerate(vec) if c}
+    kernel = [{n - 1 - j: c for j, c in vec.items()}
               for vec in reversed(ech.kernel(n))]
     return SubspaceBasis(ambient, basis, Echelon.from_echelon_form(kernel))
 
@@ -135,15 +135,17 @@ def coproduct_rows(h: HopfMonoid, I: FiniteSet,
                    f: HopfMorphism | None = None) -> list:
     """Sparse rows of the stacked maps Delta_{S,T} over S, T nonempty, or of
     (f x id) o Delta_{S,T} when a morphism f out of h is given; columns
-    index the sorted basis of h[I]."""
+    index the sorted basis of h[I]. The rows are read off the maps'
+    (output, coefficient) pairs; nothing is memoized, since each (S, s) is
+    asked for once."""
     basis = h.species.structures(I)
     rows: dict = {}
     for S, T in I.decompositions():
         if not len(S) or not len(T):
             continue
         for j, s in enumerate(basis):
-            for (u, w), c in h.coproduct(S, T, s).terms.items():
-                for t, d in (f.on_basis(u).terms.items() if f else ((u, 1),)):
+            for (u, w), c in h.coproduct_terms(S, T, s):
+                for t, d in (f.on_basis_terms(u) if f else ((u, 1),)):
                     row = rows.setdefault((S.labels, t, w), {})
                     row[j] = row.get(j, 0) + c * d
     return list(rows.values())
@@ -166,8 +168,9 @@ def morphism_rows(f: HopfMorphism, I: FiniteSet) -> dict:
     src = f.source.species.structures(I)
     rows: dict = {}
     for j, s in enumerate(src):
-        for t, c in f.on_basis(s).terms.items():
-            rows.setdefault(t, {})[j] = c
+        for t, c in f.on_basis_terms(s):
+            row = rows.setdefault(t, {})
+            row[j] = row.get(j, 0) + c
     return rows
 
 

@@ -552,6 +552,12 @@ def tensor_text(key) -> str:
     return " (x) ".join(x.text() for x in key)
 
 
+def check_coeff(c):
+    """Refuse a coefficient that is not an exact int or Fraction."""
+    if not isinstance(c, (int, Q)):
+        raise TypeError("exact coefficient expected, got %r" % (c,))
+
+
 class _Combination:
     """A sparse exact combination: keys -> nonzero int or Fraction coefficients.
 
@@ -566,8 +572,7 @@ class _Combination:
     def _collect(self, terms):
         acc = {}
         for key, c in (terms.items() if isinstance(terms, dict) else terms or ()):
-            if not isinstance(c, (int, Q)):
-                raise TypeError("exact coefficient expected, got %r" % (c,))
+            check_coeff(c)
             acc[key] = acc[key] + c if key in acc else c
         self.terms = {key: c for key, c in acc.items() if c}
         self._check_keys()
@@ -616,8 +621,12 @@ class QVector(_Combination):
 
     def _check_keys(self):
         for s in self.terms:
-            if s._labels != self.ambient:
-                raise ValueError("structure %r not on ambient %r" % (s, self.ambient))
+            self.check_key(self.ambient, s)
+
+    @staticmethod
+    def check_key(ambient: FiniteSet, s: Structure) -> None:
+        if s._labels != ambient:
+            raise ValueError("structure %r not on ambient %r" % (s, ambient))
 
     @staticmethod
     def _key_text(s):
@@ -625,7 +634,12 @@ class QVector(_Combination):
 
     @classmethod
     def basis(cls, s: Structure, coeff=1) -> "QVector":
-        return cls(s.labels, {s: coeff})
+        # s lies on its own label set, so only the coefficient needs a check
+        check_coeff(coeff)
+        out = object.__new__(cls)
+        out.ambient = s.labels
+        out.terms = {s: coeff} if coeff else {}
+        return out
 
     @classmethod
     def zero(cls, ambient: FiniteSet) -> "QVector":
@@ -660,16 +674,27 @@ class QTensor(_Combination):
         return (self.left, self.right)
 
     def _check_keys(self):
-        for x, y in self.terms:
-            if x._labels != self.left or y._labels != self.right:
-                raise ValueError("tensor term (%r, %r) off ambient (%r, %r)"
-                                 % (x, y, self.left, self.right))
+        for key in self.terms:
+            self.check_key(self.left, self.right, key)
+
+    @staticmethod
+    def check_key(left: FiniteSet, right: FiniteSet, key: tuple) -> None:
+        x, y = key
+        if x._labels != left or y._labels != right:
+            raise ValueError("tensor term (%r, %r) off ambient (%r, %r)"
+                             % (x, y, left, right))
 
     _key_text = staticmethod(tensor_text)
 
     @classmethod
     def basis(cls, x: Structure, y: Structure, coeff=1) -> "QTensor":
-        return cls(x.labels, y.labels, {(x, y): coeff})
+        # (x, y) lies on its own label sets, so only the coefficient needs a check
+        check_coeff(coeff)
+        out = object.__new__(cls)
+        out.left = x.labels
+        out.right = y.labels
+        out.terms = {(x, y): coeff} if coeff else {}
+        return out
 
     @classmethod
     def zero(cls, left: FiniteSet, right: FiniteSet) -> "QTensor":

@@ -10,11 +10,13 @@ Coproducts of the partition and composition monoids are plain restriction,
 which together with the union/concatenation products passes the full axiom
 suite and gives the expected generating series.
 
-Every structure map, and every canonical morphism, returns interned
-structures: it computes the canonical key of each output (blocks, sequence,
-mapping, label set or component pair) and fetches the one instance its
-`intern_table` holds for that key, so each distinct output is built and
-validated once.
+Every structure map, and every canonical morphism, is a closure that
+returns a tuple of (output, coefficient) pairs: `((out, 1),)` for the
+monoids built here, `()` for zero. An output of Delta is a pair
+(structure on S, structure on T). The outputs are interned: each map
+computes the canonical key of an output (blocks, sequence, mapping, label
+set or component pair) and fetches the one instance its `intern_table`
+holds for that key, so each distinct output is built and validated once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 from .species import (EMPTY, Element, FiniteSet, FunctionToK, LinearOrder,
                       PairStructure, PalComposition, QTensor, QVector,
                       SetComposition, SetPartition, SingletonMark,
-                      SpeciesSpec, Structure, hadamard)
+                      SpeciesSpec, Structure, check_coeff, hadamard)
 
 
 def intern_table(build):
@@ -59,17 +61,21 @@ def split_blocks(blocks, S: FiniteSet) -> tuple:
 
 class HopfMonoid:
     """A species with product mu_{S,T} and coproduct Delta_{S,T} on basis
-    elements, returning exact-rational vectors / tensors.
+    elements.
 
-    Structure maps are pure, so evaluations are memoized; the cached values
-    are immutable and safe to share.
+    `product_terms`/`coproduct_terms` return the maps' (output, coefficient)
+    pairs as they are, checked but not memoized: the kernel row builders
+    ask for each (S, s) once. `product`/`coproduct` return exact-rational
+    vectors / tensors built from the same pairs, memoized because the axiom
+    battery asks for the same values many times over; the cached values are
+    immutable and safe to share.
     """
 
     def __init__(self, species: SpeciesSpec, mu, delta, name: str | None = None):
         self.species = species
         self.name = name or species.name
-        self._mu = mu        # (S, T, x, y) -> QVector on S u T; S, T nonempty
-        self._delta = delta  # (S, T, s) -> QTensor on (S, T); S, T nonempty
+        self._mu = mu        # (S, T, x, y) -> pairs (z on S u T, c); S, T nonempty
+        self._delta = delta  # (S, T, s) -> pairs ((u on S, w on T), c); S, T nonempty
         self._mu_cache: dict = {}
         self._delta_cache: dict = {}
         self.space_cache: dict = {}  # kernels' subspaces, by (kind, labels)
@@ -81,6 +87,34 @@ class HopfMonoid:
                              % (self.name, len(structs)))
         return structs[0]
 
+    def product_terms(self, S: FiniteSet, T: FiniteSet, x: Structure,
+                      y: Structure) -> tuple:
+        """mu_{S,T}(x . y) as (structure, coefficient) pairs, unmemoized.
+        Each output must live on S u T, as in `product`."""
+        if len(S) == 0:
+            return ((y, 1),)
+        if len(T) == 0:
+            return ((x, 1),)
+        terms = self._mu(S, T, x, y)
+        ambient = S.union(T)
+        for z, c in terms:
+            check_coeff(c)
+            QVector.check_key(ambient, z)
+        return terms
+
+    def coproduct_terms(self, S: FiniteSet, T: FiniteSet, s: Structure) -> tuple:
+        """Delta_{S,T}(s) as ((u, w), coefficient) pairs, unmemoized. Each
+        output must live on (S, T), as in `coproduct`."""
+        if len(S) == 0:
+            return (((self.one(), s), 1),)
+        if len(T) == 0:
+            return (((s, self.one()), 1),)
+        terms = self._delta(S, T, s)
+        for key, c in terms:
+            check_coeff(c)
+            QTensor.check_key(S, T, key)
+        return terms
+
     def product(self, S: FiniteSet, T: FiniteSet, x: Structure, y: Structure) -> QVector:
         if len(S) == 0:
             return QVector.basis(y)
@@ -89,8 +123,7 @@ class HopfMonoid:
         key = (S.labels, x, y)
         got = self._mu_cache.get(key)
         if got is None:
-            got = self._mu(S, T, x, y)
-            self._mu_cache[key] = got
+            got = self._mu_cache[key] = QVector(S.union(T), self._mu(S, T, x, y))
         return got
 
     def coproduct(self, S: FiniteSet, T: FiniteSet, s: Structure) -> QTensor:
@@ -101,8 +134,7 @@ class HopfMonoid:
         key = (S.labels, s)
         got = self._delta_cache.get(key)
         if got is None:
-            got = self._delta(S, T, s)
-            self._delta_cache[key] = got
+            got = self._delta_cache[key] = QTensor(S, T, self._delta(S, T, s))
         return got
 
     def __repr__(self):
@@ -135,22 +167,31 @@ def iterated_product(h: HopfMonoid, parts, vectors) -> QVector:
 
 
 class HopfMorphism:
-    """A morphism of Hopf monoids, given on basis structures and extended
-    linearly; naturality in the label set is part of the contract."""
+    """A morphism of Hopf monoids, given on basis structures by (structure,
+    coefficient) pairs and extended linearly; naturality in the label set
+    is part of the contract."""
 
     def __init__(self, name: str, source: HopfMonoid, target: HopfMonoid, on_basis):
         self.name = name
         self.source = source
         self.target = target
-        self._on_basis = on_basis
+        self._on_basis = on_basis  # s -> pairs (t on the labels of s, c)
         self.space_cache: dict = {}  # kernels' subspaces, by (kind, labels)
 
+    def on_basis_terms(self, s: Structure) -> tuple:
+        """f(s) as (structure, coefficient) pairs on the labels of s."""
+        terms = self._on_basis(s)
+        for t, c in terms:
+            check_coeff(c)
+            QVector.check_key(s.labels, t)
+        return terms
+
     def on_basis(self, s: Structure) -> QVector:
-        return self._on_basis(s)
+        return QVector(s.labels, self._on_basis(s))
 
     def __call__(self, v: QVector) -> QVector:
         return QVector(v.ambient, ((t, d * c) for s, c in v.terms.items()
-                                   for t, d in self._on_basis(s).terms.items()))
+                                   for t, d in self._on_basis(s)))
 
     def __repr__(self):
         return "HopfMorphism(%s)" % self.name
@@ -165,10 +206,10 @@ def make_E() -> HopfMonoid:
     mark = intern_table(SingletonMark)
 
     def mu(S, T, x, y):
-        return QVector.basis(mark(S.union(T)))
+        return ((mark(S.union(T)), 1),)
 
     def delta(S, T, s):
-        return QTensor.basis(mark(S), mark(T))
+        return (((mark(S), mark(T)), 1),)
 
     return HopfMonoid(sp, mu, delta)
 
@@ -179,10 +220,10 @@ def make_X() -> HopfMonoid:
     sp = SpeciesSpec("X", lambda I: [SingletonMark(I)] if len(I) == 1 else [])
 
     def mu(S, T, x, y):
-        return QVector.zero(S.union(T))
+        return ()
 
     def delta(S, T, s):
-        return QTensor.zero(S, T)
+        return ()
 
     return HopfMonoid(sp, mu, delta)
 
@@ -193,12 +234,12 @@ def make_L() -> HopfMonoid:
     order = intern_table(LinearOrder)
 
     def mu(S, T, x, y):
-        return QVector.basis(order(x.seq + y.seq))
+        return ((order(x.seq + y.seq), 1),)
 
     def delta(S, T, s):
         inside = set(S.labels).__contains__
-        return QTensor.basis(order(tuple(filter(inside, s.seq))),
-                             order(tuple(itertools.filterfalse(inside, s.seq))))
+        return (((order(tuple(filter(inside, s.seq))),
+                  order(tuple(itertools.filterfalse(inside, s.seq)))), 1),)
 
     return HopfMonoid(sp, mu, delta)
 
@@ -241,12 +282,12 @@ def make_Pi() -> HopfMonoid:
     partition = intern_table(SetPartition)
 
     def mu(S, T, x, y):
-        return QVector.basis(partition(tuple(sorted(x.blocks + y.blocks))))
+        return ((partition(tuple(sorted(x.blocks + y.blocks))), 1),)
 
     def delta(S, T, s):
         left, right = split_blocks(s.blocks, S)
-        return QTensor.basis(partition(tuple(sorted(left))),
-                             partition(tuple(sorted(right))))
+        return (((partition(tuple(sorted(left))),
+                  partition(tuple(sorted(right)))), 1),)
 
     return HopfMonoid(sp, mu, delta)
 
@@ -306,15 +347,13 @@ def make_PiS(allowed, max_size: int = 9) -> HopfMonoid:
 
     def mu(S, T, x, y):
         merged = tuple(sorted(x.blocks + y.blocks))
-        if ok(merged):
-            return QVector.basis(partition(merged))
-        return QVector.zero(S.union(T))
+        return ((partition(merged), 1),) if ok(merged) else ()
 
     def delta(S, T, s):
         left, right = (tuple(sorted(side)) for side in split_blocks(s.blocks, S))
         if ok(left) and ok(right):
-            return QTensor.basis(partition(left), partition(right))
-        return QTensor.zero(S, T)
+            return (((partition(left), partition(right)), 1),)
+        return ()
 
     return HopfMonoid(sp, mu, delta)
 
@@ -338,11 +377,11 @@ def make_Sigma() -> HopfMonoid:
     composition = intern_table(SetComposition)
 
     def mu(S, T, x, y):
-        return QVector.basis(composition(x.blocks + y.blocks))
+        return ((composition(x.blocks + y.blocks), 1),)
 
     def delta(S, T, s):
         left, right = split_blocks(s.blocks, S)
-        return QTensor.basis(composition(left), composition(right))
+        return (((composition(left), composition(right)), 1),)
 
     return HopfMonoid(sp, mu, delta)
 
@@ -383,13 +422,13 @@ def make_Pal() -> HopfMonoid:
         yinit, yc, yfin = pal_split(y)
         center = tuple(sorted(xc + yc))
         blocks = xinit + yinit + ((center,) if center else ()) + yfin + xfin
-        return QVector.basis(pal(blocks))
+        return ((pal(blocks), 1),)
 
     def delta(S, T, s):
         if not pal_admissible(s, S):
-            return QTensor.zero(S, T)
+            return ()
         left, right = split_blocks(s.blocks, S)
-        return QTensor.basis(pal(left), pal(right))
+        return (((pal(left), pal(right)), 1),)
 
     return HopfMonoid(sp, mu, delta)
 
@@ -415,12 +454,12 @@ def make_Ek(k: int) -> HopfMonoid:
     function = intern_table(lambda mapping: FunctionToK(mapping, k))
 
     def mu(S, T, x, y):
-        return QVector.basis(function(tuple(sorted(x.mapping + y.mapping))))
+        return ((function(tuple(sorted(x.mapping + y.mapping))), 1),)
 
     def delta(S, T, s):
         keep = set(S.labels)
-        return QTensor.basis(function(tuple(m for m in s.mapping if m[0] in keep)),
-                             function(tuple(m for m in s.mapping if m[0] not in keep)))
+        return (((function(tuple(m for m in s.mapping if m[0] in keep)),
+                  function(tuple(m for m in s.mapping if m[0] not in keep))), 1),)
 
     return HopfMonoid(sp, mu, delta)
 
@@ -437,18 +476,15 @@ def hadamard_hopf(a: HopfMonoid, b: HopfMonoid) -> HopfMonoid:
     pair = intern_table(lambda key: PairStructure(*key))
 
     def mu(S, T, x, y):
-        u = a.product(S, T, x.left, y.left)
-        v = b.product(S, T, x.right, y.right)
-        return QVector(S.union(T), ((pair((s1, s2)), c1 * c2)
-                                    for s1, c1 in u.terms.items()
-                                    for s2, c2 in v.terms.items()))
+        u = a.product_terms(S, T, x.left, y.left)
+        v = b.product_terms(S, T, x.right, y.right)
+        return tuple((pair((s1, s2)), c1 * c2) for s1, c1 in u for s2, c2 in v)
 
     def delta(S, T, s):
-        u = a.coproduct(S, T, s.left)
-        v = b.coproduct(S, T, s.right)
-        return QTensor(S, T, (((pair((x1, x2)), pair((y1, y2))), c1 * c2)
-                              for (x1, y1), c1 in u.terms.items()
-                              for (x2, y2), c2 in v.terms.items()))
+        u = a.coproduct_terms(S, T, s.left)
+        v = b.coproduct_terms(S, T, s.right)
+        return tuple(((pair((x1, x2)), pair((y1, y2))), c1 * c2)
+                     for (x1, y1), c1 in u for (x2, y2), c2 in v)
 
     return HopfMonoid(sp, mu, delta, name="Hadamard(%s,%s)" % (a.name, b.name))
 
@@ -462,7 +498,7 @@ def morphism_L_to_E(L: HopfMonoid | None = None, E: HopfMonoid | None = None) ->
     L = L or make_L()
     E = E or make_E()
     mark = intern_table(SingletonMark)
-    return HopfMorphism("L->E", L, E, lambda s: QVector.basis(mark(s.labels)))
+    return HopfMorphism("L->E", L, E, lambda s: ((mark(s.labels), 1),))
 
 
 def morphism_E_to_Pi(E: HopfMonoid | None = None, Pi: HopfMonoid | None = None) -> HopfMorphism:
@@ -470,8 +506,8 @@ def morphism_E_to_Pi(E: HopfMonoid | None = None, Pi: HopfMonoid | None = None) 
     E = E or make_E()
     Pi = Pi or make_Pi()
     partition = intern_table(SetPartition)
-    return HopfMorphism("E->Pi", E, Pi, lambda s: QVector.basis(
-        partition(tuple((t,) for t in s.labels))))
+    return HopfMorphism("E->Pi", E, Pi, lambda s: (
+        (partition(tuple((t,) for t in s.labels)), 1),))
 
 
 def morphism_L_to_Sigma(L: HopfMonoid | None = None,
@@ -480,8 +516,8 @@ def morphism_L_to_Sigma(L: HopfMonoid | None = None,
     L = L or make_L()
     Sigma = Sigma or make_Sigma()
     composition = intern_table(SetComposition)
-    return HopfMorphism("L->Sigma", L, Sigma, lambda s: QVector.basis(
-        composition(tuple((t,) for t in s.seq))))
+    return HopfMorphism("L->Sigma", L, Sigma, lambda s: (
+        (composition(tuple((t,) for t in s.seq)), 1),))
 
 
 def morphism_Ek_to_Ek1(k: int, source: HopfMonoid | None = None,
@@ -491,7 +527,7 @@ def morphism_Ek_to_Ek1(k: int, source: HopfMonoid | None = None,
     target = target or make_Ek(k + 1)
     function = intern_table(lambda mapping: FunctionToK(mapping, k + 1))
     return HopfMorphism("Ek:%d->Ek:%d" % (k, k + 1), source, target,
-                        lambda s: QVector.basis(function(s.mapping)))
+                        lambda s: ((function(s.mapping), 1),))
 
 
 def morphism_Pi_to_PiS(allowed, Pi: HopfMonoid | None = None,
@@ -503,9 +539,7 @@ def morphism_Pi_to_PiS(allowed, Pi: HopfMonoid | None = None,
     allowed = frozenset(int(s) for s in allowed)
 
     def on_basis(s):
-        if all(len(b) in allowed for b in s.blocks):
-            return QVector.basis(s)
-        return QVector.zero(s.labels)
+        return ((s, 1),) if all(len(b) in allowed for b in s.blocks) else ()
 
     return HopfMorphism("Pi->%s" % PiS.name, Pi, PiS, on_basis)
 

@@ -45,28 +45,32 @@ def reference_kernel(rows, ncols):
 
 
 def mutate_product(h, victim_xy, replacement, name="mutant"):
-    """Replace the product value at one basis pair; everything else delegates."""
+    """Replace the product value at one basis pair by the pairs of the
+    QVector `replacement`; everything else delegates."""
     x0, y0 = victim_xy
+    pairs = tuple(replacement.terms.items())
 
     def mu(S, T, x, y):
         if (x, y) == (x0, y0):
-            return replacement
-        return h.product(S, T, x, y)
+            return pairs
+        return h.product_terms(S, T, x, y)
 
-    return HopfMonoid(h.species, mu, lambda S, T, s: h.coproduct(S, T, s),
+    return HopfMonoid(h.species, mu, h.coproduct_terms,
                       name="%s(%s)" % (name, h.name))
 
 
 def mutate_coproduct(h, victim, split_labels, replacement, name="mutant"):
-    """Replace the coproduct value at one (decomposition, basis) entry."""
+    """Replace the coproduct value at one (decomposition, basis) entry by
+    the pairs of the QTensor `replacement`."""
+    pairs = tuple(replacement.terms.items())
 
     def delta(S, T, s):
         if s == victim and S.labels == split_labels:
-            return replacement
-        return h.coproduct(S, T, s)
+            return pairs
+        return h.coproduct_terms(S, T, s)
 
-    return HopfMonoid(h.species, lambda S, T, x, y: h.product(S, T, x, y),
-                      delta, name="%s(%s)" % (name, h.name))
+    return HopfMonoid(h.species, h.product_terms, delta,
+                      name="%s(%s)" % (name, h.name))
 
 
 @pytest.fixture(scope="session")

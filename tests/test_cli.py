@@ -1,8 +1,16 @@
+import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from hopfspecies.cli import run
+from hopfspecies.kernels import primitive_space
+from hopfspecies.species import QVector, labelset
+from hopfspecies.structures import get_hopf
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def invoke(capsys, *argv):
@@ -241,6 +249,58 @@ class TestDeterminism:
                            "--morphism", "L->E", "--max-n", "3")
         payload = json.loads(out)
         assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+class TestTextOnlyInTextMode:
+    @pytest.mark.parametrize("argv", [
+        ("primitives", "--species", "Sigma", "--max-n", "4", "--show-basis"),
+        ("lie-basis", "--labels", "a,b,c,d"),
+        ("hker-basis", "--ell0", "a,b,c,d")])
+    def test_json_mode_never_renders_vectors(self, capsys, monkeypatch, argv):
+        def refuse(self):
+            raise AssertionError("a vector was rendered as text")
+
+        monkeypatch.setattr(QVector, "__repr__", refuse)
+        code, out, _ = invoke(capsys, "--format", "json", *argv)
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+    def test_text_mode_prints_every_basis_vector(self, capsys):
+        code, out, _ = invoke(capsys, "primitives", "--species", "Pi",
+                              "--max-n", "3", "--show-basis")
+        h = get_hopf("Pi")
+        expected = ["primitive dimensions of Pi: [0, 1, 1, 1]"]
+        for n in (1, 2, 3):
+            expected.append("n = %d:" % n)
+            expected += ["  %r" % v for v in primitive_space(h, labelset(n)).vectors()]
+        assert code == 0 and out == "\n".join(expected) + "\n"
+
+
+def _perfbench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestReferenceOutputs:
+    """Each benchmark command line, run in-process, prints exactly the bytes
+    recorded in perfbench/reference.json, so output drift fails here without
+    a benchmark run. The files under perfbench/ are only read."""
+
+    REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())["workloads"]
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_stdout_matches_reference(self, capsys, name):
+        workload = _perfbench_workloads().WORKLOADS[name]
+        ref = self.REFERENCE[name]
+        assert list(workload.argv) == ref["argv"]
+        code, out, err = invoke(capsys, *workload.argv)
+        data = out.encode()
+        assert (code, err) == (0, "")
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (
+            ref["bytes"], ref["sha256"])
+        assert workload.oracle(out)
 
 
 class TestUsage:

@@ -221,6 +221,11 @@ def sparse(vec) -> dict:
     return {j: v for j, v in enumerate(vec) if v}
 
 
+def dense_kernel(ech: Echelon, ncols: int) -> list:
+    """Echelon.kernel with each sparse vector written out as a tuple."""
+    return [tuple(vec.get(j, Q(0)) for j in range(ncols)) for vec in ech.kernel(ncols)]
+
+
 def echelon_of(rows) -> Echelon:
     ech = Echelon()
     ech.add_all(sparse(r) for r in rows)
@@ -251,19 +256,21 @@ class TestQMatrix:
     def test_zero(self):
         ech = echelon_of([[0] * 5, [0] * 5])
         assert ech.rank == 0
-        assert ech.kernel(5) == reference_kernel([[0] * 5], 5)
+        assert dense_kernel(ech, 5) == reference_kernel([[0] * 5], 5)
         assert len(ech.kernel(5)) == 5
 
     def test_kernel_vectors_annihilate(self):
         rows = [[1, 2, 3, 1], [2, 4, 6, 2], [0, 1, 1, 0]]
         ech = echelon_of(rows)
-        ker = ech.kernel(4)
+        ker = dense_kernel(ech, 4)
         assert len(ker) == 4 - ech.rank
         for v in ker:
             assert apply(rows, v) == (0,) * 3
 
     def test_kernel_deterministic_reduced_form(self):
-        assert echelon_of([[1, 1, 0], [0, 0, 1]]).kernel(3) == [(Q(-1), Q(1), Q(0))]
+        ech = echelon_of([[1, 1, 0], [0, 0, 1]])
+        assert dense_kernel(ech, 3) == [(Q(-1), Q(1), Q(0))]
+        assert ech.kernel(3) == [{1: 1, 0: -1}]
 
     def test_span_contains(self):
         ech = echelon_of([[1, 0, 1], [0, 1, 1]])
@@ -281,7 +288,8 @@ class TestQMatrix:
         in_span = len(reference_rref(rows + [vec], n)[0]) == len(rref)
         assert ech.contains(sparse(vec)) == in_span
         assert all(ech.contains(sparse(r)) for r in rows)
-        ker = ech.kernel(n)
+        assert all(all(vec.values()) for vec in ech.kernel(n))
+        ker = dense_kernel(ech, n)
         assert ech.rank + len(ker) == n
         for v in ker:
             assert all(x == 0 for x in apply(rows, v))
@@ -304,7 +312,7 @@ class TestEchelon:
         rows = [{0: 1, 1: 2, 2: 3}, {1: 1, 2: 1}]
         ech = Echelon()
         ech.add_all(rows)
-        assert ech.kernel(3) == reference_kernel([[1, 2, 3], [0, 1, 1]], 3)
+        assert dense_kernel(ech, 3) == reference_kernel([[1, 2, 3], [0, 1, 1]], 3)
 
     def test_fraction_row_scaled_to_integers_on_entry(self):
         ech = Echelon()
@@ -329,6 +337,33 @@ class TestEchelon:
             reference_rref([[2, 3, 1, 0], [0, 5, 2, 0], [0, 10, 0, 7]], 4)[0])
         assert all(type(v) is Q for row in got.values() for v in row.values())
         assert ech.pivots == stored
+
+    @given(matrix_and_vector)
+    @settings(max_examples=150, deadline=None)
+    def test_reduce_and_add_leave_their_inputs_alone(self, case):
+        # reduce updates a private copy in place; neither the caller's row
+        # nor a stored pivot row may change, with int or Fraction entries
+        rows, vec = case
+        ech = Echelon()
+        for r in rows + [vec]:
+            row = {j: v for j, v in enumerate(r) if v}
+            given_row = dict(row)
+            stored = {c: dict(p) for c, p in ech.pivots.items()}
+            ech.reduce(row)
+            assert row == given_row
+            assert ech.pivots == stored
+            ech.add(row)
+            assert row == given_row
+            assert all(ech.pivots[c] == p for c, p in stored.items())
+
+    def test_unit_pivot_reduction_matches_cross_multiplication(self):
+        ech = Echelon()
+        ech.add({0: 1, 1: 2, 2: 3})          # pivot entry 1: updated in place
+        ech.add({1: 3, 2: 1})                # pivot entry 3: scaled first
+        assert ech.pivots == {0: {0: 1, 1: 2, 2: 3}, 1: {1: 3, 2: 1}}
+        row = {0: 2, 1: 1, 3: 1}
+        assert ech.reduce(row) == {2: -15, 3: 3}   # 3*(row - 2*p0) + 3*p1
+        assert row == {0: 2, 1: 1, 3: 1}
 
     def test_from_echelon_form_keeps_rows(self):
         ech = Echelon.from_echelon_form([{0: Q(1), 2: Q(-1, 2)}, {1: Q(2, 3)}])

@@ -20,10 +20,12 @@ from hopfspecies.kernels import (CyclicOrder, NotADerangement,
                                  lie_basis_p, lie_bracket, lker_space,
                                  morphism_rows, p_ell_expr, pbw_series_check, primitive_dims,
                                  primitive_space)
-from hopfspecies.species import (EMPTY, FiniteSet, LinearOrder, QVector,
-                                 SetPartition, labelset)
-from hopfspecies.structures import (HopfMorphism, closed_sizes,
-                                    coproduct_vector, make_E, make_L,
+from hopfspecies.species import (EMPTY, FiniteSet, LinearOrder, QTensor,
+                                 QVector, SetPartition, SingletonMark,
+                                 labelset)
+from hopfspecies.structures import (HopfMonoid, HopfMorphism, closed_sizes,
+                                    coproduct_vector, get_hopf, get_morphism,
+                                    make_E, make_L, make_Sigma,
                                     morphism_E_to_Pi, morphism_L_to_E,
                                     morphism_L_to_Sigma, morphism_Pi_to_PiS,
                                     product_vectors)
@@ -254,7 +256,7 @@ class TestHopfKernelSpace:
         assert derangement_egf_counts(6) == [1, 0, 1, 2, 9, 44, 265]
 
     def test_identity_morphism_has_zero_kernel(self, Pi):
-        ident = HopfMorphism("id", Pi, Pi, QVector.basis)
+        ident = HopfMorphism("id", Pi, Pi, lambda s: ((s, 1),))
         for n in (1, 2, 3):
             assert hker_space(ident, labelset(n)).dim == 0
         assert hker_space(ident, EMPTY).dim == 1
@@ -273,7 +275,7 @@ class TestLieKernel:
         assert lker_space(pi_to_e, labelset(1)).dim == 0
 
     def test_identity_morphism(self, Pi):
-        ident = HopfMorphism("id", Pi, Pi, QVector.basis)
+        ident = HopfMorphism("id", Pi, Pi, lambda s: ((s, 1),))
         for n in (1, 2, 3):
             assert lker_space(ident, labelset(n)).dim == 0
 
@@ -447,7 +449,7 @@ class TestIdealAndLagrange:
         assert q == [1, 0, 1, 4, 23]
 
     def test_trivial_submonoid(self, Pi):
-        ident = HopfMorphism("id", Pi, Pi, QVector.basis)
+        ident = HopfMorphism("id", Pi, Pi, lambda s: ((s, 1),))
         assert lagrange_quotient_dims(ident, 4) == [1, 0, 0, 0, 0]
 
     def test_not_injective_rejected(self, pi_to_e):
@@ -481,15 +483,10 @@ class TestPbw:
 
     def test_not_cocommutative_rejected(self, L, E):
         # an order-reversing coproduct breaks cocommutativity at size 2
-        from hopfspecies.species import QTensor
-        from hopfspecies.structures import HopfMonoid
-
         def delta(S, T, s):
-            return QTensor.basis(
-                LinearOrder(reversed(s.restrict(S).seq)), s.restrict(T))
+            return (((LinearOrder(reversed(s.restrict(S).seq)), s.restrict(T)), 1),)
 
-        twisted = HopfMonoid(L.species, lambda S, T, x, y: L.product(S, T, x, y),
-                             delta, name="twisted")
+        twisted = HopfMonoid(L.species, L.product_terms, delta, name="twisted")
         with pytest.raises(NotCocommutative):
             pbw_series_check(twisted, 3)
 
@@ -536,3 +533,132 @@ class TestIntegerRows:
         monkeypatch.setattr(Echelon, "reduce", spy)
         assert hker_generated_check(pi_to_e, 5).ok
         assert returned and self.all_int(returned)
+
+
+def rows_from_public_maps(h, I, f=None) -> list:
+    """coproduct_rows rebuilt from the memoized QTensor/QVector maps."""
+    basis = h.species.structures(I)
+    rows: dict = {}
+    for S, T in I.decompositions():
+        if not (len(S) and len(T)):
+            continue
+        for j, s in enumerate(basis):
+            for (u, w), c in h.coproduct(S, T, s).terms.items():
+                for t, d in (f.on_basis(u).terms.items() if f else ((u, 1),)):
+                    row = rows.setdefault((S.labels, t, w), {})
+                    row[j] = row.get(j, 0) + c * d
+    return list(rows.values())
+
+
+class TestRowsFromPairs:
+    """The row builders read the structure maps' (output, coefficient)
+    pairs directly; the rows must be those of the public maps."""
+
+    @pytest.mark.parametrize("ident", ["E", "L", "Pi", "PiS:2", "Sigma", "Pal",
+                                       "Ek:2", "Hadamard(Pi,L)"])
+    def test_coproduct_rows_match_public_coproduct(self, ident):
+        h = get_hopf(ident)
+        for n in range(5):
+            I = labelset(n)
+            assert coproduct_rows(h, I) == rows_from_public_maps(h, I), n
+
+    @pytest.mark.parametrize("ident", ["L->E", "E->Pi", "L->Sigma", "Pi->PiS:2"])
+    def test_hker_rows_match_public_maps(self, ident):
+        f = get_morphism(ident)
+        for n in range(5):
+            I = labelset(n)
+            public = rows_from_public_maps(f.source, I, f)
+            src = f.source.species.structures(I)
+            by_target: dict = {}
+            for j, s in enumerate(src):
+                for t, c in f.on_basis(s).terms.items():
+                    by_target.setdefault(t, {})[j] = c
+            assert coproduct_rows(f.source, I, f) == public, n
+            assert morphism_rows(f, I) == by_target, n
+
+    def test_repeated_pairs_are_summed_like_the_public_maps(self, L, E):
+        # a map may return one output more than once; the rows must hold
+        # the sum, as the collected QTensor/QVector do
+        def delta(S, T, s):
+            return L.coproduct_terms(S, T, s) * 2
+
+        twice = HopfMonoid(L.species, L.product_terms, delta)
+        f = HopfMorphism("twice", twice, E,
+                         lambda s: ((SingletonMark(s.labels), 1),) * 3)
+        I = labelset(3)
+        assert coproduct_rows(twice, I) == rows_from_public_maps(twice, I)
+        assert coproduct_rows(twice, I, f) == rows_from_public_maps(twice, I, f)
+        assert {v for row in coproduct_rows(twice, I, f) for v in row.values()} == {6}
+        assert morphism_rows(f, I) == {
+            t: {j: c for j in range(6)}
+            for t, c in f.on_basis(LinearOrder(("a", "b", "c"))).terms.items()}
+
+    def test_primitive_dims_build_no_tensor_and_no_memo(self, monkeypatch):
+        built = []
+        init = QTensor.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(QTensor, "__init__", counting)
+        h = make_Sigma()
+        assert primitive_dims(h, 5) == [0, 1, 2, 6, 26, 150]
+        assert built == [] and h._delta_cache == {}
+
+    def test_off_ambient_pair_is_refused_on_both_paths(self, L):
+        a, b, c = LinearOrder("a"), LinearOrder("b"), LinearOrder(("a", "b"))
+
+        def delta(S, T, s):
+            return (((c, LinearOrder(tuple(T))), 1),) if len(S) == 1 else (
+                L.coproduct_terms(S, T, s))
+
+        bad = HopfMonoid(L.species, L.product_terms, delta)
+        S, T = FiniteSet("a"), FiniteSet("bc")
+        s = LinearOrder(("a", "b", "c"))
+        message = r"tensor term \(a\|b, b\|c\) off ambient \(\{a\}, \{b,c\}\)"
+        with pytest.raises(ValueError, match=message):
+            bad.coproduct(S, T, s)
+        with pytest.raises(ValueError, match=message):
+            bad.coproduct_terms(S, T, s)
+        with pytest.raises(ValueError, match=message):
+            coproduct_rows(bad, labelset(3))
+
+        def mu(S, T, x, y):
+            return ((a, 1),)
+
+        bad = HopfMonoid(L.species, mu, L.coproduct_terms)
+        message = r"structure a not on ambient \{a,b\}"
+        with pytest.raises(ValueError, match=message):
+            bad.product(FiniteSet("a"), FiniteSet("b"), a, b)
+        with pytest.raises(ValueError, match=message):
+            bad.product_terms(FiniteSet("a"), FiniteSet("b"), a, b)
+
+        f = HopfMorphism("bad", L, L, lambda s: ((a, 1),))
+        message = r"structure a not on ambient \{a,b\}"
+        with pytest.raises(ValueError, match=message):
+            f.on_basis(c)
+        with pytest.raises(ValueError, match=message):
+            f.on_basis_terms(c)
+        with pytest.raises(ValueError, match=message):
+            morphism_rows(f, labelset(2))
+
+    def test_inexact_coefficient_is_refused_on_both_paths(self, L):
+        def delta(S, T, s):
+            return tuple((key, 0.5) for key, _ in L.coproduct_terms(S, T, s))
+
+        bad = HopfMonoid(L.species, L.product_terms, delta)
+        S, T = FiniteSet("a"), FiniteSet("b")
+        s = LinearOrder(("a", "b"))
+        for call in (bad.coproduct, bad.coproduct_terms):
+            with pytest.raises(TypeError, match="exact coefficient expected, got 0.5"):
+                call(S, T, s)
+
+    def test_empty_sides_are_the_unit_identifications(self, Sigma):
+        I = FiniteSet("ab")
+        s = Sigma.species.structures(I)[0]
+        one = Sigma.one()
+        assert Sigma.coproduct_terms(EMPTY, I, s) == (((one, s), 1),)
+        assert Sigma.coproduct_terms(I, EMPTY, s) == (((s, one), 1),)
+        assert Sigma.product_terms(EMPTY, I, one, s) == ((s, 1),)
+        assert Sigma.product_terms(I, EMPTY, s, one) == ((s, 1),)
