@@ -18,8 +18,8 @@ from . import kernels as kernels_mod
 from . import seqtests as seq_mod
 from .exactalg import egf_from_counts, nonneg_prefix, ogf_from_counts
 from .reports import jsonable
-from .species import LinearOrder, labelset, orbit_count
-from .structures import get_hopf, get_morphism, get_species
+from .species import FiniteSet, LinearOrder, labelset, orbit_count
+from .structures import get_hopf, get_morphism, get_species, make_L
 
 HARD_MAX_N = 9
 HARD_MAX_ORDER = 32
@@ -137,7 +137,7 @@ def cmd_series_div(args) -> int:
         _cap_order(args.order) if args.order is not None else None,
         len(numer), len(denom))
     build = egf_from_counts if args.kind == "egf" else ogf_from_counts
-    quot = build(numer[: order + 1], order) / build(denom[: order + 1], order)
+    quot = build(numer, order) / build(denom, order)
     rep = nonneg_prefix(quot)
     payload = {"tool": "series-div", "verdict": rep.verdict,
                "details": [{"quotient": quot.to_json(),
@@ -212,13 +212,13 @@ def cmd_lie_basis(args) -> int:
     ell0 = LinearOrder(_parse_labels(args.ell0)) if args.ell0 else LinearOrder(sorted(labels))
     if sorted(ell0.seq) != sorted(labels):
         raise UsageError("--ell0 must order exactly the given labels")
-    from .species import FiniteSet
     I = FiniteSet(labels)
+    L = make_L()
     text = args.format == "text"
     lines = []
     details = []
     for gamma in kernels_mod.cyclic_orders(I):
-        vec = kernels_mod.lie_basis_p(gamma, ell0)
+        vec = kernels_mod.lie_basis_p(gamma, ell0, L)
         expr = kernels_mod.bracket_expr(gamma, ell0)
         if text:
             lines.append("p_%r = %s = %r" % (gamma, expr, vec))
@@ -236,11 +236,12 @@ def cmd_hker_basis(args) -> int:
         orders = [LinearOrder(_parse_labels(args.ell))]
     else:
         orders = list(kernels_mod.derangements(ell0))
+    L = make_L()
     text = args.format == "text"
     lines = []
     details = []
     for ell in orders:
-        vec = kernels_mod.hker_basis_derangement(ell, ell0)
+        vec = kernels_mod.hker_basis_derangement(ell, ell0, L)
         expr = kernels_mod.p_ell_expr(ell, ell0)
         if text:
             lines.append("p_{%s} = %s = %r" % (ell.text(), expr, vec))

@@ -453,10 +453,6 @@ class Echelon:
         self.pivots[min(row)] = row
         return True
 
-    def add_all(self, rows) -> None:
-        for row in rows:
-            self.add(row)
-
     @property
     def rank(self) -> int:
         return len(self.pivots)

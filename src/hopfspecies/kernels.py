@@ -23,7 +23,7 @@ from .exactalg import Echelon, egf_from_counts
 from .reports import FAIL, PASS, TestReport
 from .species import FiniteSet, LinearOrder, QVector, labelset
 from .structures import (HopfMonoid, HopfMorphism, block_partitions,
-                         iterated_product, product_vectors)
+                         iterated_product, make_L, product_vectors)
 
 
 class NotADerangement(ValueError):
@@ -71,9 +71,6 @@ class SubspaceBasis:
         if v.ambient != self.ambient:
             return False
         return self._ech.contains(v.coordinates(self.index))
-
-    def contains_all(self, vectors) -> bool:
-        return all(self.contains(v) for v in vectors)
 
     def same_span(self, other: "SubspaceBasis") -> bool:
         return (self.dim == other.dim
@@ -314,7 +311,7 @@ def lie_basis_p(gamma: CyclicOrder, ell0: LinearOrder,
                 L: HopfMonoid | None = None) -> QVector:
     """The recursive bracketing of `gamma` with respect to `ell0`, an
     element of the span of linear orders on the common label set."""
-    L = L or _default_L()
+    L = L or make_L()
     if gamma.labels != ell0.labels:
         raise ValueError("cyclic order and reference order disagree: %r vs %r"
                          % (gamma, ell0))
@@ -333,17 +330,6 @@ def bracket_expr(gamma: CyclicOrder, ell0: LinearOrder) -> str:
     S, T = _p_split(gamma, ell0)
     return "[%s,%s]" % (bracket_expr(gamma.restrict(S), ell0.restrict(S)),
                         bracket_expr(gamma.restrict(T), ell0.restrict(T)))
-
-
-_L_singleton = None
-
-
-def _default_L():
-    global _L_singleton
-    if _L_singleton is None:
-        from .structures import make_L
-        _L_singleton = make_L()
-    return _L_singleton
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +379,7 @@ def hker_basis_derangement(ell: LinearOrder, ell0: LinearOrder,
                            L: HopfMonoid | None = None) -> QVector:
     """Factor ell o ell0^{-1} into cycles and multiply their bracketings
     left-to-right in the order of least reference position."""
-    L = L or _default_L()
+    L = L or make_L()
     sigma = derangement_permutation(ell, ell0)
     cycles = _orbit_cycles(sigma, ell0)
     parts = [g.labels for g in cycles]

@@ -9,11 +9,11 @@ nothing. Verdicts carry the first violated index and exact witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
-from .exactalg import (TruncatedSeries, ZeroConstantTerm, binomial_transform,
-                       egf_from_counts, ogf_from_counts)
+from .exactalg import (TruncatedSeries, binomial_transform, egf_from_counts,
+                       nonneg_prefix, ogf_from_counts)
 from .reports import FAIL, INCONCLUSIVE, PASS, TestReport
 
 
@@ -38,7 +38,7 @@ class DimSequence:
     def from_json(cls, data) -> "DimSequence":
         if not isinstance(data, dict):
             raise ValueError("sequence file must hold a JSON object {name, a, abar?}")
-        return cls(data.get("name", "sequence"), data.get("a"), data.get("abar") or None)
+        return cls(data.get("name", "sequence"), data.get("a"), data.get("abar"))
 
     def to_json(self) -> dict:
         out = {"name": self.name, "a": list(self.a)}
@@ -48,9 +48,10 @@ class DimSequence:
 
 
 def _counts(values, what: str) -> tuple:
-    """A count sequence as a tuple of nonnegative ints; anything else, such
-    as a missing list or a non-integral entry, is refused, never truncated."""
-    if not isinstance(values, (list, tuple)) or not all(
+    """A nonempty count sequence as a tuple of nonnegative ints; anything
+    else, such as a missing or empty list or a non-integral entry, is
+    refused, never truncated."""
+    if not isinstance(values, (list, tuple)) or not values or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in values):
         raise ValueError("%s sequence must be a list of integers: %r" % (what, values))
     if any(x < 0 for x in values):
@@ -72,23 +73,20 @@ def series_window(order: int | None, *lengths: int) -> int:
     return order
 
 
-def _series_of(seq: DimSequence, kind: str, order: int) -> TruncatedSeries:
-    if kind == "egf":
-        return egf_from_counts(seq.a[: order + 1], order)
-    if kind == "ogf":
-        return ogf_from_counts(seq.a[: order + 1], order)
-    if kind == "tgf":
-        if seq.abar is None:
-            raise PreconditionFailed("type series needs the orbit sequence")
-        return ogf_from_counts(seq.abar[: order + 1], order)
-    raise ValueError("kind must be 'ogf', 'egf' or 'tgf'")
-
-
-def _first_negative(series: TruncatedSeries):
-    for i, c in enumerate(series.coeffs):
-        if c < 0:
-            return i, c
-    return None, None
+def _quotient_gate(name: str, num: TruncatedSeries, den: TruncatedSeries,
+                   details: dict | None = None,
+                   warn_non_integer: bool = False) -> TestReport:
+    """The Lagrange quotient gate behind every series test: divide, demand a
+    nonnegative prefix, and report under the gate's own name with the
+    quotient plus any extra details. A denominator with zero constant term
+    raises the division's own ZeroConstantTerm."""
+    quot = num / den
+    warnings = []
+    if warn_non_integer:
+        warnings = ["coefficient of x^%d is %s, not an integer" % (i, c)
+                    for i, c in enumerate(quot.coeffs) if c.denominator != 1][:1]
+    return replace(nonneg_prefix(quot), name=name, warnings=warnings,
+                   details={"quotient": quot.to_json(), **(details or {})})
 
 
 def quotient_nonneg_test(numer: DimSequence, denom: DimSequence, kind: str,
@@ -99,32 +97,28 @@ def quotient_nonneg_test(numer: DimSequence, denom: DimSequence, kind: str,
     coefficient, `denom` cannot sit inside (or under) `numer` as a Hopf
     monoid.
     """
-    lengths = [len(numer.a), len(denom.a)]
+    lengths, counts = [len(numer.a), len(denom.a)], (numer.a, denom.a)
     if kind == "tgf":
-        lengths += [len(s.abar) for s in (numer, denom) if s.abar is not None]
+        # the window spans both dimension and both orbit sequences
+        counts = (numer.abar, denom.abar)
+        lengths += [len(c) for c in counts if c is not None]
     order = series_window(order, *lengths)
-    num = _series_of(numer, kind, order)
-    den = _series_of(denom, kind, order)
-    if den[0] == 0:
-        raise ZeroConstantTerm("denominator sequence starts with 0")
-    quot = num / den
-    name = "quotient-nonneg(%s)" % kind
-    idx, val = _first_negative(quot)
-    details = {"quotient": quot.to_json()}
-    if idx is None:
-        return TestReport(name, PASS, details=details)
-    return TestReport(name, FAIL, first_violation=idx,
-                      witness={"coefficient": val}, details=details)
+    if kind not in ("ogf", "egf", "tgf"):
+        raise ValueError("kind must be 'ogf', 'egf' or 'tgf'")
+    if None in counts:
+        raise PreconditionFailed("type series needs the orbit sequence")
+    build = egf_from_counts if kind == "egf" else ogf_from_counts
+    return _quotient_gate("quotient-nonneg(%s)" % kind,
+                          *(build(c, order) for c in counts))
 
 
 def ord_exp_test(seq: DimSequence, order: int | None = None) -> TestReport:
     """Nonnegativity of the ordinary-by-exponential quotient, with the two
     low-order polynomial inequalities instantiated exactly."""
     a = seq.a
-    if not a or a[0] != 1:
+    if a[0] != 1:
         raise PreconditionFailed("connectedness needs a_0 = 1")
     order = series_window(order, len(a))
-    quot = ogf_from_counts(a[: order + 1], order) / egf_from_counts(a[: order + 1], order)
     inequalities = []
     if len(a) >= 4:
         lhs, rhs = 5 * a[3], 3 * a[2] * a[1]
@@ -135,12 +129,8 @@ def ord_exp_test(seq: DimSequence, order: int | None = None) -> TestReport:
         rhs = 20 * a[3] * a[1] + 6 * a[2] ** 2
         inequalities.append({"inequality": "23*a4 + 12*a2*a1^2 >= 20*a3*a1 + 6*a2^2",
                              "lhs": lhs, "rhs": rhs, "holds": lhs >= rhs})
-    details = {"quotient": quot.to_json(), "inequalities": inequalities}
-    idx, val = _first_negative(quot)
-    if idx is None:
-        return TestReport("ord/exp", PASS, details=details)
-    return TestReport("ord/exp", FAIL, first_violation=idx,
-                      witness={"coefficient": val}, details=details)
+    return _quotient_gate("ord/exp", ogf_from_counts(a, order),
+                          egf_from_counts(a, order), {"inequalities": inequalities})
 
 
 def ord_type_test(seq: DimSequence, order: int | None = None) -> TestReport:
@@ -150,24 +140,18 @@ def ord_type_test(seq: DimSequence, order: int | None = None) -> TestReport:
     if seq.abar is None:
         raise PreconditionFailed("the ord/type test needs the orbit sequence")
     order = series_window(order, len(seq.a), len(seq.abar))
-    num = ogf_from_counts(seq.a[: order + 1], order)
-    den = ogf_from_counts(seq.abar[: order + 1], order)
-    if den[0] == 0:
-        raise ZeroConstantTerm("type sequence starts with 0")
-    quot = num / den
-    warnings = []
-    for i, c in enumerate(quot.coeffs):
-        if c.denominator != 1:
-            warnings.append("coefficient of x^%d is %s, not an integer"
-                            % (i, c))
-            break
-    details = {"quotient": quot.to_json()}
-    idx, val = _first_negative(quot)
-    if idx is None:
-        return TestReport("ord/type", PASS, details=details, warnings=warnings)
-    return TestReport("ord/type", FAIL, first_violation=idx,
-                      witness={"coefficient": val}, details=details,
-                      warnings=warnings)
+    return _quotient_gate("ord/type", ogf_from_counts(seq.a, order),
+                          ogf_from_counts(seq.abar, order), warn_non_integer=True)
+
+
+def _orbits_nondecreasing(name: str, seq: DimSequence, details: dict) -> TestReport:
+    """Pass unless the orbit sequence, when given, drops somewhere."""
+    abar = seq.abar or ()
+    for n in range(1, len(abar)):
+        if abar[n] < abar[n - 1]:
+            return TestReport(name, FAIL, first_violation=n, details=details,
+                              witness={"abar_n": abar[n], "abar_{n-1}": abar[n - 1]})
+    return TestReport(name, PASS, details=details)
 
 
 def e_test(seq: DimSequence) -> TestReport:
@@ -175,7 +159,7 @@ def e_test(seq: DimSequence) -> TestReport:
     the binomial transform must be nonnegative; the orbit sequence, if
     given, must be nondecreasing."""
     a = seq.a
-    if not a or a[0] != 1:
+    if a[0] != 1:
         raise PreconditionFailed("connectedness needs a_0 = 1")
     b = binomial_transform(a)
     details = {"binomial_transform": b}
@@ -183,14 +167,7 @@ def e_test(seq: DimSequence) -> TestReport:
         if bn < 0:
             return TestReport("e-test", FAIL, first_violation=n,
                               witness={"b_n": bn}, details=details)
-    if seq.abar is not None:
-        for n in range(1, len(seq.abar)):
-            if seq.abar[n] < seq.abar[n - 1]:
-                return TestReport(
-                    "e-test", FAIL, first_violation=n,
-                    witness={"abar_n": seq.abar[n], "abar_{n-1}": seq.abar[n - 1]},
-                    details=details)
-    return TestReport("e-test", PASS, details=details)
+    return _orbits_nondecreasing("e-test", seq, details)
 
 
 def l_test(seq: DimSequence) -> TestReport:
@@ -204,14 +181,7 @@ def l_test(seq: DimSequence) -> TestReport:
             return TestReport("l-test", FAIL, first_violation=n,
                               witness={"a_n - n*a_{n-1}": a[n] - n * a[n - 1]},
                               details=details)
-    if seq.abar is not None:
-        for n in range(1, len(seq.abar)):
-            if seq.abar[n] < seq.abar[n - 1]:
-                return TestReport(
-                    "l-test", FAIL, first_violation=n,
-                    witness={"abar_n": seq.abar[n], "abar_{n-1}": seq.abar[n - 1]},
-                    details=details)
-    return TestReport("l-test", PASS, details=details)
+    return _orbits_nondecreasing("l-test", seq, details)
 
 
 def ek_test(seq: DimSequence, k: int, order: int | None = None) -> TestReport:
@@ -219,14 +189,11 @@ def ek_test(seq: DimSequence, k: int, order: int | None = None) -> TestReport:
     the one-dimensional monoid: the quotient of the twisted exponential
     series must be nonnegative, and two explicit inequalities hold at k."""
     a = seq.a
-    if not a or a[0] != 1:
+    if a[0] != 1:
         raise PreconditionFailed("connectedness needs a_0 = 1")
     if k < 0:
         raise PreconditionFailed("k must be nonnegative")
     order = series_window(order, len(a))
-    num = egf_from_counts([(k + 1) ** n * a[n] for n in range(order + 1)], order)
-    den = egf_from_counts([k ** n * a[n] for n in range(order + 1)], order)
-    quot = num / den
     inequalities = []
     if len(a) >= 3:
         lhs, rhs = (2 * k + 1) * a[2], 2 * k * a[1] ** 2
@@ -237,12 +204,11 @@ def ek_test(seq: DimSequence, k: int, order: int | None = None) -> TestReport:
         rhs = 3 * (3 * k * k + k) * a[2] * a[1] - 6 * k * k * a[1] ** 3
         inequalities.append({"inequality": "(3k^2+3k+1)*a3 >= 3(3k^2+k)*a2*a1 - 6k^2*a1^3",
                              "k": k, "lhs": lhs, "rhs": rhs, "holds": lhs >= rhs})
-    details = {"quotient": quot.to_json(), "inequalities": inequalities}
-    idx, val = _first_negative(quot)
-    if idx is None:
-        return TestReport("ek-test(k=%d)" % k, PASS, details=details)
-    return TestReport("ek-test(k=%d)" % k, FAIL, first_violation=idx,
-                      witness={"coefficient": val}, details=details)
+    return _quotient_gate(
+        "ek-test(k=%d)" % k,
+        egf_from_counts([(k + 1) ** n * a[n] for n in range(order + 1)], order),
+        egf_from_counts([k ** n * a[n] for n in range(order + 1)], order),
+        {"inequalities": inequalities})
 
 
 def ek_limit_test(seq: DimSequence) -> TestReport:

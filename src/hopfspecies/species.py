@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
-from .exactalg import CycleIndexPoly, Q, TruncatedSeries
+from .exactalg import (CycleIndexPoly, Q, TruncatedSeries, egf_from_counts,
+                       ogf_from_counts)
 from .reports import qstr
 
 SEPARATOR_CHARS = frozenset(".|,:;()[]{}<>=→ \t\r\n")
@@ -452,16 +453,15 @@ def orbit_count(sp: SpeciesSpec, n: int) -> int:
 
 
 def egf(sp: SpeciesSpec, order: int) -> TruncatedSeries:
-    return TruncatedSeries(
-        [Q(sp.dimension(n), factorial(n)) for n in range(order + 1)], order)
+    return egf_from_counts(sp.dims(order))
 
 
 def ogf(sp: SpeciesSpec, order: int) -> TruncatedSeries:
-    return TruncatedSeries([sp.dimension(n) for n in range(order + 1)], order)
+    return ogf_from_counts(sp.dims(order))
 
 
 def tgf(sp: SpeciesSpec, order: int) -> TruncatedSeries:
-    return TruncatedSeries([orbit_count(sp, n) for n in range(order + 1)], order)
+    return ogf_from_counts([orbit_count(sp, n) for n in range(order + 1)])
 
 
 def integer_partitions(n: int, largest: int | None = None):

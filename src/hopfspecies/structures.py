@@ -124,6 +124,10 @@ class HopfMonoid:
         got = self._mu_cache.get(key)
         if got is None:
             got = self._mu_cache[key] = QVector(S.union(T), self._mu(S, T, x, y))
+            if got.terms:
+                # checked against S u T; keep the outputs' own label set
+                # rather than a new FiniteSet per memo entry
+                got.ambient = next(iter(got.terms)).labels
         return got
 
     def coproduct(self, S: FiniteSet, T: FiniteSet, s: Structure) -> QTensor:

@@ -1,6 +1,9 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,6 +99,33 @@ class TestSeqTests:
         code, out, err = invoke(capsys, "seq-tests", "--input", str(path))
         assert code == 2 and out == ""
         assert err.startswith("input error: ")
+
+    @pytest.mark.parametrize("field,value", [("abar", 0), ("abar", False),
+                                             ("abar", ""), ("abar", []),
+                                             ("a", [])])
+    def test_falsy_or_empty_sequence_is_input_error(self, capsys, tmp_path,
+                                                    field, value):
+        # only a missing key or null means "no orbit sequence"; a falsy
+        # value used to be dropped and the ord/type gate silently skipped
+        data = {"name": "x", "a": [1, 1, 2]}
+        data[field] = value
+        path = tmp_path / "falsy.json"
+        path.write_text(json.dumps(data))
+        code, out, err = invoke(capsys, "seq-tests", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+    def test_null_abar_means_absent(self, capsys, tmp_path):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps({"name": "x", "a": [1, 1, 2], "abar": None}))
+        code, out, _ = invoke(capsys, "seq-tests", "--input", str(path))
+        assert code == 0 and "ord/type" not in out
+
+    def test_zero_constant_orbit_sequence_is_input_error(self, capsys, tmp_path):
+        path = write_seq(tmp_path, "z", [1, 1, 1], abar=[0, 1, 1])
+        code, out, err = invoke(capsys, "seq-tests", "--input", path)
+        assert code == 2 and out == ""
+        assert err == "input error: denominator has zero constant term\n"
 
 
 class TestSeriesDiv:
@@ -301,6 +331,32 @@ class TestReferenceOutputs:
         assert (len(data), hashlib.sha256(data).hexdigest()) == (
             ref["bytes"], ref["sha256"])
         assert workload.oracle(out)
+
+
+class TestTracerInstalls:
+    """The traced benchmark run wraps package functions by name, so a rename
+    would break only that run. Each workload command line at size 2 runs
+    under `perfbench/child.py trace` in a subprocess: it must exit 0, print
+    what the untraced CLI prints, and end stderr with a JSON dump. Nothing
+    is written under perfbench/."""
+
+    REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())["workloads"]
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_traced_run_matches_untraced(self, capsys, name):
+        argv = list(self.REFERENCE[name]["argv"])
+        argv[argv.index("--max-n") + 1] = "2"
+        code, want, _ = invoke(capsys, *argv)
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run([sys.executable, str(PERFBENCH / "child.py"), "trace"]
+                              + argv, capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert (proc.returncode, code) == (0, 0), proc.stderr
+        assert proc.stdout == want
+        mark = "perfbench-trace "
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith(mark)
+        assert isinstance(json.loads(last[len(mark):]), dict)
 
 
 class TestUsage:

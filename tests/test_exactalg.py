@@ -228,7 +228,8 @@ def dense_kernel(ech: Echelon, ncols: int) -> list:
 
 def echelon_of(rows) -> Echelon:
     ech = Echelon()
-    ech.add_all(sparse(r) for r in rows)
+    for r in rows:
+        ech.add(sparse(r))
     return ech
 
 
@@ -311,7 +312,8 @@ class TestEchelon:
     def test_kernel_matches_dense(self):
         rows = [{0: 1, 1: 2, 2: 3}, {1: 1, 2: 1}]
         ech = Echelon()
-        ech.add_all(rows)
+        for row in rows:
+            ech.add(row)
         assert dense_kernel(ech, 3) == reference_kernel([[1, 2, 3], [0, 1, 1]], 3)
 
     def test_fraction_row_scaled_to_integers_on_entry(self):
@@ -326,7 +328,8 @@ class TestEchelon:
 
     def test_rref_back_substitutes_without_touching_pivots(self):
         ech = Echelon()
-        ech.add_all([{0: 2, 1: 3, 2: 1}, {1: 5, 2: 2}, {1: 10, 3: 7}])
+        for row in ({0: 2, 1: 3, 2: 1}, {1: 5, 2: 2}, {1: 10, 3: 7}):
+            ech.add(row)
         stored = {c: dict(row) for c, row in ech.pivots.items()}
         assert stored[2] == {2: 4, 3: -7}
         got = ech.rref()

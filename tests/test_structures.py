@@ -286,6 +286,21 @@ class TestInterning:
                         assert seen.setdefault(z, z) is z
         assert repeats > 0
 
+    @pytest.mark.parametrize("ident", ["Sigma", "Pal"])
+    def test_memoized_product_shares_its_outputs_label_set(self, ident):
+        # a memo entry holds no FiniteSet of its own: its ambient is the
+        # label set the interned output already carries
+        h = get_hopf(ident)
+        for n in range(5):
+            for S, T in labelset(n).decompositions():
+                for x in h.species.structures(S):
+                    for y in h.species.structures(T):
+                        h.product(S, T, x, y)
+        memo = [v for v in h._mu_cache.values() if v.terms]
+        assert len(memo) > 100
+        for v in memo:
+            assert all(v.ambient is z.labels for z in v.terms)
+
 
 class TestCompositions:
     def test_dims_fubini(self, Sigma):
