@@ -53,6 +53,20 @@ def _cap_order(order: int) -> int:
     return order
 
 
+def _series_order(order: int | None, *lengths: int) -> int | None:
+    """--order, capped; without it the window is the sequences' whole
+    common prefix, refused here when it passes the cap, since the series
+    division is quadratic in ever longer Fractions."""
+    if order is not None:
+        return _cap_order(order)
+    window = seq_mod.series_window(None, *lengths)
+    if window > HARD_MAX_ORDER:
+        raise UsageError("the default window 0..%d exceeds the order cap %d;"
+                         " pass --order N with N <= %d"
+                         % (window, HARD_MAX_ORDER, HARD_MAX_ORDER))
+    return None
+
+
 def _parse_ints(text: str) -> list:
     try:
         return [int(v) for v in text.split(",") if v != ""]
@@ -88,7 +102,7 @@ def _verdict_exit(ok: bool) -> int:
 def cmd_seq_tests(args) -> int:
     with open(args.input) as fh:
         seq = seq_mod.DimSequence.from_json(json.load(fh))
-    order = _cap_order(args.order) if args.order is not None else None
+    order = _series_order(args.order, len(seq.a))
     wanted = args.tests.split(",") if args.tests else None
     if wanted is None:
         # gates every connected Hopf monoid must pass; the e/l gates assume
@@ -134,8 +148,7 @@ def cmd_series_div(args) -> int:
     numer = _parse_ints(args.numer)
     denom = _parse_ints(args.denom)
     order = seq_mod.series_window(
-        _cap_order(args.order) if args.order is not None else None,
-        len(numer), len(denom))
+        _series_order(args.order, len(numer), len(denom)), len(numer), len(denom))
     build = egf_from_counts if args.kind == "egf" else ogf_from_counts
     quot = build(numer, order) / build(denom, order)
     rep = nonneg_prefix(quot)
@@ -150,12 +163,12 @@ def cmd_series_div(args) -> int:
 def cmd_species_dims(args) -> int:
     nmax = _cap_n(args.max_n)
     sp = get_species(args.species)
+    # orbit_count makes the one pass per size; dimension reads its count
+    types = [orbit_count(sp, n) for n in range(nmax + 1)] if args.types else []
     dims = [sp.dimension(n) for n in range(nmax + 1)]
     rows = ["%-3s %10s%s" % ("n", "dim", "   orbits" if args.types else "")]
-    types = []
     for n in range(nmax + 1):
         if args.types:
-            types.append(orbit_count(sp, n))
             rows.append("%-3d %10d %8d" % (n, dims[n], types[n]))
         else:
             rows.append("%-3d %10d" % (n, dims[n]))

@@ -424,8 +424,10 @@ def lagrange_quotient_dims(f: HopfMorphism, nmax: int) -> list:
         if not is_injective_at(f, n):
             raise NotInjective("%s is not injective at size %d" % (f.name, n))
     kdims = [f.source.species.dimension(n) for n in range(nmax + 1)]
+    idims = [ideal_kplus_h(f, labelset(n)).dim for n in range(nmax + 1)]
+    # read off the structures that ideal_kplus_h kept, not a second pass
     hdims = [f.target.species.dimension(n) for n in range(nmax + 1)]
-    q = [hdims[n] - ideal_kplus_h(f, labelset(n)).dim for n in range(nmax + 1)]
+    q = [hdims[n] - idims[n] for n in range(nmax + 1)]
     for n in range(nmax + 1):
         total = sum(comb(n, i) * kdims[i] * q[n - i] for i in range(n + 1))
         if total != hdims[n]:

@@ -51,7 +51,10 @@ def _counts(values, what: str) -> tuple:
     """A nonempty count sequence as a tuple of nonnegative ints; anything
     else, such as a missing or empty list or a non-integral entry, is
     refused, never truncated."""
-    if not isinstance(values, (list, tuple)) or not values or not all(
+    if isinstance(values, (list, tuple)) and not values:
+        raise ValueError("%s sequence must be a nonempty list of integers: %r"
+                         % (what, values))
+    if not isinstance(values, (list, tuple)) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in values):
         raise ValueError("%s sequence must be a list of integers: %r" % (what, values))
     if any(x < 0 for x in values):

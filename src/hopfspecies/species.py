@@ -219,20 +219,33 @@ class LinearOrder(Structure):
         return ("order", len(self.seq))
 
 
-def _canon_blocks(blocks) -> list:
+def _canon_blocks(blocks, on: FiniteSet | None = None) -> tuple:
     """The blocks, each sorted, in the given order. An empty block, or a
-    label met a second time, is refused at the first block that shows it."""
-    out = []
+    label met a second time, is refused at the first block that shows it.
+
+    With `on`, the blocks must cover on's labels exactly; a label outside
+    it, or one it has that no block holds, is refused. Blocks whose labels,
+    sorted, equal on.labels pass at once: on's labels are distinct and were
+    checked when on was built, so these blocks are disjoint and valid."""
+    out = tuple([tuple(sorted(b)) for b in blocks])
+    if (on is not None and all(out)
+            and tuple(sorted(itertools.chain.from_iterable(out))) == on.labels):
+        return out
     seen = set()
-    for b in blocks:
-        b = tuple(sorted(b))
+    for i, b in enumerate(out):
         if not b:
             raise ValueError("empty block")
         before = len(seen)
         seen.update(b)
         if len(seen) - before != len(b):
-            raise ValueError("blocks are not disjoint at %r" % (_first_repeat(out, b),))
-        out.append(b)
+            raise ValueError("blocks are not disjoint at %r"
+                             % (_first_repeat(out[:i], b),))
+    if on is not None:
+        outside = seen.difference(on.labels)
+        if outside:
+            raise ValueError("label %r is not in %r" % (min(outside), on))
+        raise ValueError("blocks miss label %r of %r"
+                         % (min(set(on.labels) - seen), on))
     return out
 
 
@@ -245,13 +258,24 @@ def _first_repeat(blocks, b):
         seen.add(t)
 
 
+def _covered(blocks, on: FiniteSet | None) -> FiniteSet:
+    """The label set of blocks checked by _canon_blocks: `on` itself, shared,
+    or else a new FiniteSet, which checks every label."""
+    if on is not None:
+        return on
+    return FiniteSet(itertools.chain.from_iterable(blocks))
+
+
 class SetPartition(Structure):
+    """A set partition; `on`, if given, is the label set the blocks must
+    cover exactly, as for an enumerator building on a checked set."""
+
     __slots__ = ("blocks",)
     kind = "partition"
 
-    def __init__(self, blocks):
-        self.blocks = tuple(sorted(_canon_blocks(blocks)))
-        self._finish(FiniteSet(itertools.chain.from_iterable(self.blocks)))
+    def __init__(self, blocks, on: FiniteSet | None = None):
+        self.blocks = tuple(sorted(_canon_blocks(blocks, on)))
+        self._finish(_covered(self.blocks, on))
 
     def relabel(self, mapping):
         return SetPartition(tuple(mapping[t] for t in b) for b in self.blocks)
@@ -270,13 +294,15 @@ class SetPartition(Structure):
 
 
 class SetComposition(Structure):
+    """A set composition; `on` as for SetPartition."""
+
     __slots__ = ("blocks",)
     kind = "composition"
 
-    def __init__(self, blocks):
-        self.blocks = tuple(_canon_blocks(blocks))
+    def __init__(self, blocks, on: FiniteSet | None = None):
+        self.blocks = _canon_blocks(blocks, on)
         self._check_blocks()
-        self._finish(FiniteSet(itertools.chain.from_iterable(self.blocks)))
+        self._finish(_covered(self.blocks, on))
 
     def _check_blocks(self):
         pass
@@ -285,7 +311,7 @@ class SetComposition(Structure):
         return type(self)(tuple(mapping[t] for t in b) for b in self.blocks)
 
     def size_word(self):
-        return tuple(len(b) for b in self.blocks)
+        return tuple(map(len, self.blocks))
 
     def key(self):
         return self.blocks
@@ -304,7 +330,7 @@ class PalComposition(SetComposition):
     kind = "pal"
 
     def _check_blocks(self):
-        w = tuple(len(b) for b in self.blocks)
+        w = self.size_word()
         if w != w[::-1]:
             raise ValueError("block sizes %r are not palindromic" % (w,))
 
@@ -398,9 +424,13 @@ class PairStructure(Structure):
 class SpeciesSpec:
     """A species presented by a basis enumerator.
 
-    `enumerator(I)` yields the basis structures on the label set I;
-    enumeration results are memoized and returned sorted. Relabeling is the
-    structures' own relabel, so functoriality holds by construction.
+    `enumerator(I)` yields the basis structures on the label set I.
+    `structures` is the one path that keeps them: it memoizes the
+    enumeration and returns it sorted, for the kernels and the axioms.
+    `dimension` and `orbit_count` only count: they read that memo when it
+    is filled, and otherwise make one enumerator pass (`stream`) that
+    stores no structure. Relabeling is the structures' own relabel, so
+    functoriality holds by construction.
     """
 
     def __init__(self, name: str, enumerator, linearized: bool = True):
@@ -408,6 +438,7 @@ class SpeciesSpec:
         self._enumerator = enumerator
         self.linearized = linearized
         self._cache: dict = {}
+        self._counts: dict = {}  # structures per label set, from a pass
 
     def structures(self, I: FiniteSet) -> tuple:
         got = self._cache.get(I.labels)
@@ -416,10 +447,31 @@ class SpeciesSpec:
             self._cache[I.labels] = got
         return got
 
+    def stream(self, I: FiniteSet):
+        """Each structure on I once, in no fixed order: the memo of
+        `structures` when it is filled, else one enumerator pass that keeps
+        none of them. A pass run to its end records how many it yielded,
+        which `dimension` then reads."""
+        got = self._cache.get(I.labels)
+        if got is not None:
+            yield from got
+            return
+        count = 0
+        for s in self._enumerator(I):
+            count += 1
+            yield s
+        self._counts[I.labels] = count
+
     def dimension(self, I) -> int:
         if isinstance(I, int):
             I = labelset(I)
-        return len(self.structures(I))
+        got = self._cache.get(I.labels)
+        if got is not None:
+            return len(got)
+        if I.labels not in self._counts:
+            for _ in self.stream(I):
+                pass
+        return self._counts[I.labels]
 
     def dims(self, nmax: int) -> list:
         return [self.dimension(n) for n in range(nmax + 1)]
@@ -431,14 +483,24 @@ class SpeciesSpec:
 def orbit_count(sp: SpeciesSpec, n: int) -> int:
     """Number of S_n-orbits on the basis structures over an n-element set.
 
-    Uses a structure-provided complete invariant when available; otherwise
-    enumerates orbits by applying all n! relabelings (desk scale, n <= 8).
+    One `stream` pass collects the structures' orbit keys, a complete
+    invariant; the pass also leaves the dimension behind. A kind without
+    one falls back to the stored structures and enumerates orbits by
+    applying all n! relabelings (desk scale, n <= 8).
     """
     I = labelset(n)
-    structs = sp.structures(I)
-    if structs and all(s.orbit_key() is not None for s in structs):
-        return len({s.orbit_key() for s in structs})
-    if n > 8:
+    keys = set()
+    for s in sp.stream(I):
+        key = s.orbit_key()
+        if key is None:
+            return _orbits_by_relabeling(sp.structures(I), I)
+        keys.add(key)
+    return len(keys)
+
+
+def _orbits_by_relabeling(structs: tuple, I: FiniteSet) -> int:
+    """The orbits of `structs`, counted by applying every bijection of I."""
+    if len(I) > 8:
         raise ValueError("orbit enumeration without invariants is capped at n = 8")
     seen = set()
     count = 0

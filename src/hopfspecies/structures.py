@@ -278,7 +278,7 @@ def block_partitions(labels: tuple, sizes=None):
 
 def set_partitions(I: FiniteSet):
     for blocks in block_partitions(I.labels):
-        yield SetPartition(blocks)
+        yield SetPartition(blocks, I)
 
 
 def make_Pi() -> HopfMonoid:
@@ -303,7 +303,7 @@ def make_PiPrime() -> SpeciesSpec:
     def enum(I):
         for blocks in block_partitions(I.labels):
             if len({len(b) for b in blocks}) == len(blocks):
-                yield SetPartition(blocks)
+                yield SetPartition(blocks, I)
 
     return SpeciesSpec("PiPrime", enum)
 
@@ -344,7 +344,7 @@ def make_PiS(allowed, max_size: int = 9) -> HopfMonoid:
 
     def enum(I):
         for blocks in block_partitions(I.labels, allowed):
-            yield SetPartition(blocks)
+            yield SetPartition(blocks, I)
 
     sp = SpeciesSpec(name, enum)
     partition = intern_table(SetPartition)
@@ -373,7 +373,7 @@ def make_Pi_even(max_size: int = 9) -> HopfMonoid:
 def set_compositions(I: FiniteSet):
     for blocks in block_partitions(I.labels):
         for order in itertools.permutations(blocks):
-            yield SetComposition(order)
+            yield SetComposition(order, I)
 
 
 def make_Sigma() -> HopfMonoid:
@@ -388,6 +388,44 @@ def make_Sigma() -> HopfMonoid:
         return (((composition(left), composition(right)), 1),)
 
     return HopfMonoid(sp, mu, delta)
+
+
+def pal_words(labels: tuple):
+    """Each palindromic set composition of the sorted label tuple `labels`
+    once, as a tuple of sorted blocks: outer pairs of equal-size blocks
+    around at most one central block. The centre is the middle block of an
+    odd word, so its size has the parity of len(labels)."""
+    n = len(labels)
+    for k in range(n % 2, n + 1, 2):
+        for center in itertools.combinations(labels, k):
+            taken = set(center)
+            rest = tuple(t for t in labels if t not in taken)
+            middle = (center,) if center else ()
+            if not rest:
+                yield middle
+                continue
+            for head, tail in _outer_pairs(rest):
+                yield head + middle + tail
+
+
+def _outer_pairs(labels: tuple):
+    """Each way to cut the nonempty sorted label tuple into an ordered
+    sequence of pairs of equal-size blocks (B1, B1'), ..., (Bh, Bh'), as
+    the pair of words (B1, ..., Bh) and (Bh', ..., B1')."""
+    m = len(labels)
+    for size in range(1, m // 2 + 1):
+        for left in itertools.combinations(labels, size):
+            taken = set(left)
+            others = tuple(t for t in labels if t not in taken)
+            for right in itertools.combinations(others, size):
+                if 2 * size == m:
+                    # the last pair: no recursion for the empty remainder
+                    yield (left,), (right,)
+                    continue
+                taken = set(right)
+                remaining = tuple(t for t in others if t not in taken)
+                for head, tail in _outer_pairs(remaining):
+                    yield (left,) + head, tail + (right,)
 
 
 def pal_split(F: PalComposition):
@@ -409,12 +447,8 @@ def pal_admissible(F: PalComposition, S) -> bool:
 
 def make_Pal() -> HopfMonoid:
     def enum(I):
-        # the size word is tested on the raw blocks, before any object exists
-        for blocks in block_partitions(I.labels):
-            for order in itertools.permutations(blocks):
-                w = [len(b) for b in order]
-                if w == w[::-1]:
-                    yield PalComposition(order)
+        for blocks in pal_words(I.labels):
+            yield PalComposition(blocks, I)
 
     sp = SpeciesSpec("Pal", enum)
     pal = intern_table(PalComposition)

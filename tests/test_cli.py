@@ -114,6 +114,13 @@ class TestSeqTests:
         code, out, err = invoke(capsys, "seq-tests", "--input", str(path))
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and err.count("\n") == 1
+        what = "dimension" if field == "a" else "orbit"
+        if value == []:
+            assert err == ("input error: %s sequence must be a nonempty list "
+                           "of integers: []\n" % what)
+        else:
+            assert err == ("input error: %s sequence must be a list of "
+                           "integers: %r\n" % (what, value))
 
     def test_null_abar_means_absent(self, capsys, tmp_path):
         path = tmp_path / "null.json"
@@ -126,6 +133,36 @@ class TestSeqTests:
         code, out, err = invoke(capsys, "seq-tests", "--input", path)
         assert code == 2 and out == ""
         assert err == "input error: denominator has zero constant term\n"
+
+
+class TestDefaultWindowCap:
+    """Without --order the window is the whole sequence, and the series
+    division is quadratic in growing Fractions; past the order cap of 32
+    the run is refused before any division."""
+
+    MESSAGE = ("usage error: the default window 0..39 exceeds the order cap "
+               "32; pass --order N with N <= 32\n")
+
+    def test_long_sequence_file_is_refused_up_front(self, capsys, tmp_path):
+        path = write_seq(tmp_path, "ones40", [1] * 40)
+        code, out, err = invoke(capsys, "seq-tests", "--input", path)
+        assert (code, out, err) == (2, "", self.MESSAGE)
+        code, out, _ = invoke(capsys, "seq-tests", "--input", path, "--order", "8")
+        assert code == 0 and "ord/exp: pass" in out
+
+    def test_window_at_the_cap_still_runs(self, capsys, tmp_path):
+        path = write_seq(tmp_path, "ones33", [1] * 33)
+        code, out, err = invoke(capsys, "seq-tests", "--input", path)
+        assert (code, err) == (0, "") and "ord/exp: pass" in out
+
+    def test_series_div_is_refused_up_front(self, capsys):
+        ones = ",".join(["1"] * 40)
+        code, out, err = invoke(capsys, "series-div", "--numer", ones,
+                                "--denom", ones)
+        assert (code, out, err) == (2, "", self.MESSAGE)
+        code, out, _ = invoke(capsys, "series-div", "--numer", ones,
+                              "--denom", ones[:65])
+        assert code == 0 and out.startswith("quotient = 1\n")
 
 
 class TestSeriesDiv:
@@ -163,6 +200,15 @@ class TestSpeciesDims:
                               "--max-n", "5", "--types")
         assert code == 0
         assert "171" in out and out.strip().splitlines()[-1].split()[-1] == "4"
+
+    def test_empty_sizes_count_no_orbits(self, capsys):
+        # no structure means no orbit, also past the n = 8 cap of the
+        # relabeling fallback (which used to refuse size 9 with exit 2)
+        code, out, err = invoke(capsys, "species-dims", "--species", "X",
+                                "--max-n", "9", "--types")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == ["8            0        0",
+                                         "9            0        0"]
 
     def test_json_payload(self, capsys):
         code, out, _ = invoke(capsys, "--format", "json", "species-dims",
@@ -357,6 +403,27 @@ class TestTracerInstalls:
         last = proc.stderr.splitlines()[-1]
         assert last.startswith(mark)
         assert isinstance(json.loads(last[len(mark):]), dict)
+
+
+class TestTracerCountsStreamingPasses:
+    """dims_pal's per-layer metrics read the enumerator counter and the
+    orbit_count span, since `species-dims` no longer goes through
+    SpeciesSpec.structures. Only perfbench/child.py is run; nothing under
+    perfbench/ is written."""
+
+    def test_pal_counts_and_orbit_time(self):
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "child.py"), "trace", "species-dims",
+             "--species", "Pal", "--max-n", "4", "--types"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        mark = "perfbench-trace "
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith(mark)
+        dump = json.loads(last[len(mark):])
+        assert dump["counts"]["species.structures.count.n4"] == 43
+        assert dump["self_s"]["species.orbit_count"] > 0
 
 
 class TestUsage:

@@ -76,6 +76,29 @@ class TestStructures:
             build()
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda I: SetPartition((("a",), ("c",)), I), "blocks miss label 'b' of {a,b,c}"),
+        (lambda I: SetComposition((("a", "b"), ("c",), ("z",)), I),
+         "label 'z' is not in {a,b,c}"),
+        (lambda I: SetPartition((("a", "b"), ("c", "b")), I),
+         "blocks are not disjoint at 'b'"),
+        (lambda I: SetComposition((("a", "b"), (), ("c",)), I), "empty block"),
+        (lambda I: PalComposition((("a",), ("b", "c")), I),
+         "block sizes (1, 2) are not palindromic"),
+    ])
+    def test_building_on_a_label_set_refuses_with_its_message(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build(FiniteSet("abc"))
+        assert str(err.value) == message
+
+    def test_building_on_a_label_set_shares_it(self):
+        I = FiniteSet("abc")
+        for s in (SetPartition((("c", "b"), ("a",)), I),
+                  SetComposition((("c",), ("b", "a")), I),
+                  PalComposition((("a",), ("b",), ("c",)), I)):
+            assert s.labels is I
+            assert s == type(s)(s.blocks) and s.labels == type(s)(s.blocks).labels
+
     def test_composition_order_matters(self):
         assert SetComposition((("a",), ("b",))) != SetComposition((("b",), ("a",)))
 
@@ -183,9 +206,11 @@ class TestOrbitCounts:
                 assert orbit_count(sp, n) == Q(total, factorial(n))
 
     def test_fallback_orbit_enumeration(self, L, Pi):
-        # pair structures carry no cheap invariant; force the generic path
+        # pair structures carry no cheap invariant; force the generic path,
+        # which reads the stored structures
         h = hadamard(L.species, Pi.species)
         assert orbit_count(h, 3) == 5  # one orbit per partition shape x 1
+        assert len(h._cache[labelset(3).labels]) == 30
 
 
 class TestSeries:

@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as Q
 from math import comb, factorial, prod
@@ -11,14 +13,14 @@ from hopfspecies.kernels import primitive_dims
 from hopfspecies.species import (EMPTY, FiniteSet, FunctionToK, LinearOrder,
                                  PairStructure, PalComposition, QTensor,
                                  QVector, SetComposition, SetPartition,
-                                 SingletonMark, egf, labelset, ogf,
-                                 orbit_count)
+                                 SingletonMark, SpeciesSpec, egf, labelset,
+                                 ogf, orbit_count)
 from hopfspecies.structures import (block_partitions, closed_sizes, get_hopf,
                                     get_morphism, get_species, hadamard_hopf,
                                     make_Ek, make_Pal, make_PiS, make_Sigma,
                                     morphism_Ek_to_Ek1, morphism_E_to_Pi,
                                     morphism_L_to_E, morphism_L_to_Sigma,
-                                    morphism_Pi_to_PiS)
+                                    morphism_Pi_to_PiS, pal_words)
 
 
 class TestExponentialMonoid:
@@ -164,33 +166,50 @@ def log_egf_counts(counts):
     return [v * factorial(n) for n, v in enumerate(p)]
 
 
+@pytest.fixture(scope="module")
+def pal_counted_to_eight():
+    """A fresh Pal species counted as `species-dims --types` counts it, orbit
+    counts first, sizes 0..8, under tracemalloc: (species, dims, orbits,
+    peak traced bytes)."""
+    sp = make_Pal().species
+    tracemalloc.start()
+    try:
+        orbits = [orbit_count(sp, n) for n in range(9)]
+        dims = sp.dims(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sp, dims, orbits, peak
+
+
 class TestClosedFormDims:
     """Dimensions against counts from integer partitions or compositions
-    and multinomials, computed without any set partition generator."""
+    and multinomials, computed without any set partition generator. Each
+    species is fresh, so the counts come from the streaming pass."""
 
-    def test_pi_bell(self, Pi):
-        assert Pi.species.dims(8) == [bell(n) for n in range(9)]
+    def test_pi_bell(self):
+        assert get_species("Pi").dims(9) == [bell(n) for n in range(10)]
 
     def test_pis_even_blocks(self):
-        assert get_species("PiS:2").dims(8) == [
-            even_block_partitions(n) for n in range(9)]
+        assert get_species("PiS:2").dims(9) == [
+            even_block_partitions(n) for n in range(10)]
 
-    def test_piprime_distinct_block_sizes(self, PiPrime):
-        assert PiPrime.dims(8) == [
+    def test_piprime_distinct_block_sizes(self):
+        assert get_species("PiPrime").dims(9) == [
             sum(partitions_of_type(lam) for lam in integer_partitions(n)
                 if len(set(lam)) == len(lam))
-            for n in range(9)]
+            for n in range(10)]
 
-    def test_sigma_fubini(self, Sigma):
-        assert Sigma.species.dims(6) == [fubini(n) for n in range(7)]
+    def test_sigma_fubini(self):
+        assert get_species("Sigma").dims(7) == [fubini(n) for n in range(8)]
 
-    def test_pal_palindromic_words(self, Pal):
-        assert Pal.species.dims(7) == [palindromic(n) for n in range(8)]
-        assert [orbit_count(Pal.species, n) for n in range(8)] == [
-            2 ** (n // 2) for n in range(8)]
+    def test_pal_palindromic_words(self, pal_counted_to_eight):
+        _, dims, orbits, _ = pal_counted_to_eight
+        assert dims == [palindromic(n) for n in range(9)]
+        assert orbits == [2 ** (n // 2) for n in range(9)]
 
-    def test_l_factorials(self, L):
-        assert L.species.dims(7) == [factorial(n) for n in range(8)]
+    def test_l_factorials(self):
+        assert get_species("L").dims(8) == [factorial(n) for n in range(9)]
 
     @pytest.mark.parametrize("k", range(4))
     def test_ek_powers(self, k):
@@ -231,18 +250,60 @@ class TestBlockPartitions:
                     if all(len(b) in sizes for b in blocks)]
 
     def test_pal_builds_only_what_it_keeps(self, monkeypatch):
-        # palindromes are chosen on the raw blocks: every object built is
-        # kept, and no plain composition is built along the way
+        # palindromic words are built directly: every object built is kept,
+        # and no plain composition is built along the way
         built = Counter()
         init = SetComposition.__init__
 
-        def counting(self, blocks):
+        def counting(self, blocks, on=None):
             built[type(self).__name__] += 1
-            init(self, blocks)
+            init(self, blocks, on)
 
         monkeypatch.setattr(SetComposition, "__init__", counting)
         make_Pal().species.structures(labelset(6))
         assert built == {"PalComposition": 1581}
+
+    def test_pal_words_equal_the_ordering_filter(self):
+        # the filter Pal used before building its words directly: every
+        # ordering of every partition, kept when its size word is a palindrome
+        for n in range(8):
+            I = labelset(n)
+            filtered = sorted(
+                order for blocks in block_partitions(I.labels)
+                for order in itertools.permutations(blocks)
+                if [len(b) for b in order] == [len(b) for b in order][::-1])
+            assert sorted(pal_words(I.labels)) == filtered
+            assert [s.blocks for s in make_Pal().species.structures(I)] == filtered
+
+    def test_enumerated_structures_share_their_label_set(self):
+        I = labelset(4)
+        for ident in ("Pi", "PiS:2", "PiPrime", "Sigma", "Pal"):
+            assert all(s.labels is I for s in get_species(ident).structures(I))
+
+
+class TestCountingWithoutStoring:
+    def test_counting_keeps_no_structure(self, pal_counted_to_eight):
+        # storing the 108,347 structures at n = 8 peaks near 90 MB traced
+        sp, _, _, peak = pal_counted_to_eight
+        assert sp._cache == {}
+        assert peak < 8 * 2 ** 20
+
+    def test_each_size_is_enumerated_once(self):
+        pal = make_Pal().species
+        passes = Counter()
+
+        def enumerator(I):
+            passes[len(I)] += 1
+            return pal._enumerator(I)
+
+        sp = SpeciesSpec("Pal", enumerator)
+        assert [orbit_count(sp, n) for n in range(6)] == [1, 1, 2, 2, 4, 4]
+        assert sp.dims(5) == [1, 1, 3, 7, 43, 171]
+        assert passes == {n: 1 for n in range(6)} and sp._cache == {}
+        # once stored, the counts read the stored tuple
+        assert len(sp.structures(labelset(5))) == 171
+        assert (sp.dimension(5), orbit_count(sp, 5)) == (171, 4)
+        assert passes[5] == 2
 
 
 class TestInterning:
