@@ -141,8 +141,8 @@ def coproduct_rows(h: HopfMonoid, I: FiniteSet,
         if not len(S) or not len(T):
             continue
         for j, s in enumerate(basis):
-            for (u, w), c in h.coproduct_terms(S, T, s):
-                for t, d in (f.on_basis_terms(u) if f else ((u, 1),)):
+            for (u, w), c in h.coproduct(S, T, s):
+                for t, d in (f.on_basis(u) if f else ((u, 1),)):
                     row = rows.setdefault((S.labels, t, w), {})
                     row[j] = row.get(j, 0) + c * d
     return list(rows.values())
@@ -165,7 +165,7 @@ def morphism_rows(f: HopfMorphism, I: FiniteSet) -> dict:
     src = f.source.species.structures(I)
     rows: dict = {}
     for j, s in enumerate(src):
-        for t, c in f.on_basis_terms(s):
+        for t, c in f.on_basis(s):
             row = rows.setdefault(t, {})
             row[j] = row.get(j, 0) + c
     return rows
@@ -352,7 +352,7 @@ def derangements(ell0: LinearOrder):
     """All derangements of the reference order, in lexicographic order."""
     for perm in itertools.permutations(ell0.seq):
         if all(a != b for a, b in zip(ell0.seq, perm)):
-            yield LinearOrder(perm)
+            yield LinearOrder(perm, ell0.labels)
 
 
 def _orbit_cycles(sigma: dict, ell0: LinearOrder) -> list:
@@ -408,7 +408,7 @@ def ideal_kplus_h(f: HopfMorphism, I: FiniteSet) -> SubspaceBasis:
         if not len(S):
             continue
         for x in f.source.species.structures(S):
-            fx = f.on_basis(x)
+            fx = f(QVector.basis(x))
             if fx.is_zero():
                 continue
             for y in h.species.structures(T):

@@ -193,14 +193,22 @@ class SingletonMark(Structure):
 
 
 class LinearOrder(Structure):
+    """A linear order; `on`, if given, is the label set it must order, as
+    for an enumerator building on a checked set, and is then shared."""
+
     __slots__ = ("seq",)
     kind = "order"
 
-    def __init__(self, seq):
+    def __init__(self, seq, on: FiniteSet | None = None):
         self.seq = tuple(seq)
-        if len(set(self.seq)) != len(self.seq):
-            raise ValueError("linear order repeats a label: %r" % (self.seq,))
-        self._finish(FiniteSet(self.seq))
+        if on is None or tuple(sorted(self.seq)) != on.labels:
+            if len(set(self.seq)) != len(self.seq):
+                raise ValueError("linear order repeats a label: %r" % (self.seq,))
+            labels = FiniteSet(self.seq)
+            if on is not None:
+                raise ValueError("linear order %s is not on %r" % (self.text(), on))
+            on = labels
+        self._finish(on)
 
     def relabel(self, mapping):
         return LinearOrder(mapping[t] for t in self.seq)
@@ -620,6 +628,16 @@ def check_coeff(c):
         raise TypeError("exact coefficient expected, got %r" % (c,))
 
 
+def summed(pairs) -> dict:
+    """The nonzero sums of (key, coefficient) pairs by key; each coefficient
+    must be exact."""
+    acc = {}
+    for key, c in pairs:
+        check_coeff(c)
+        acc[key] = acc[key] + c if key in acc else c
+    return {key: c for key, c in acc.items() if c}
+
+
 class _Combination:
     """A sparse exact combination: keys -> nonzero int or Fraction coefficients.
 
@@ -632,11 +650,7 @@ class _Combination:
     __slots__ = ("terms",)
 
     def _collect(self, terms):
-        acc = {}
-        for key, c in (terms.items() if isinstance(terms, dict) else terms or ()):
-            check_coeff(c)
-            acc[key] = acc[key] + c if key in acc else c
-        self.terms = {key: c for key, c in acc.items() if c}
+        self.terms = summed(terms.items() if isinstance(terms, dict) else terms or ())
         self._check_keys()
 
     def _like(self, terms):
@@ -761,7 +775,3 @@ class QTensor(_Combination):
     @classmethod
     def zero(cls, left: FiniteSet, right: FiniteSet) -> "QTensor":
         return cls(left, right)
-
-    def swap(self) -> "QTensor":
-        return QTensor(self.right, self.left,
-                       {(y, x): c for (x, y), c in self.terms.items()})

@@ -33,8 +33,7 @@ def intern_table(build):
     """A lookup from canonical keys to structures. The first request for a
     key runs `build(key)`, the ordinary validating constructor; every later
     one returns that same instance. Each monoid's structure maps (and each
-    morphism) hold their own table, so it lives exactly as long as they do,
-    like the memo caches of HopfMonoid."""
+    morphism) hold their own table, so it lives exactly as long as they do."""
     table = {}
 
     def get(key):
@@ -63,12 +62,10 @@ class HopfMonoid:
     """A species with product mu_{S,T} and coproduct Delta_{S,T} on basis
     elements.
 
-    `product_terms`/`coproduct_terms` return the maps' (output, coefficient)
-    pairs as they are, checked but not memoized: the kernel row builders
-    ask for each (S, s) once. `product`/`coproduct` return exact-rational
-    vectors / tensors built from the same pairs, memoized because the axiom
-    battery asks for the same values many times over; the cached values are
-    immutable and safe to share.
+    `product`/`coproduct` return the maps' (output, coefficient) pairs,
+    each output checked to live where it must, and memoize nothing: the
+    kernel rows ask for each value once, and the axiom battery keeps its
+    own memo for the length of one check.
     """
 
     def __init__(self, species: SpeciesSpec, mu, delta, name: str | None = None):
@@ -76,8 +73,6 @@ class HopfMonoid:
         self.name = name or species.name
         self._mu = mu        # (S, T, x, y) -> pairs (z on S u T, c); S, T nonempty
         self._delta = delta  # (S, T, s) -> pairs ((u on S, w on T), c); S, T nonempty
-        self._mu_cache: dict = {}
-        self._delta_cache: dict = {}
         self.space_cache: dict = {}  # kernels' subspaces, by (kind, labels)
 
     def one(self) -> Structure:
@@ -87,59 +82,31 @@ class HopfMonoid:
                              % (self.name, len(structs)))
         return structs[0]
 
-    def product_terms(self, S: FiniteSet, T: FiniteSet, x: Structure,
-                      y: Structure) -> tuple:
-        """mu_{S,T}(x . y) as (structure, coefficient) pairs, unmemoized.
-        Each output must live on S u T, as in `product`."""
+    def product(self, S: FiniteSet, T: FiniteSet, x: Structure,
+                y: Structure) -> tuple:
+        """mu_{S,T}(x . y) as checked (structure on S u T, coefficient) pairs."""
         if len(S) == 0:
             return ((y, 1),)
         if len(T) == 0:
             return ((x, 1),)
-        terms = self._mu(S, T, x, y)
+        terms = tuple(self._mu(S, T, x, y))
         ambient = S.union(T)
         for z, c in terms:
             check_coeff(c)
             QVector.check_key(ambient, z)
         return terms
 
-    def coproduct_terms(self, S: FiniteSet, T: FiniteSet, s: Structure) -> tuple:
-        """Delta_{S,T}(s) as ((u, w), coefficient) pairs, unmemoized. Each
-        output must live on (S, T), as in `coproduct`."""
+    def coproduct(self, S: FiniteSet, T: FiniteSet, s: Structure) -> tuple:
+        """Delta_{S,T}(s) as checked ((u on S, w on T), coefficient) pairs."""
         if len(S) == 0:
             return (((self.one(), s), 1),)
         if len(T) == 0:
             return (((s, self.one()), 1),)
-        terms = self._delta(S, T, s)
+        terms = tuple(self._delta(S, T, s))
         for key, c in terms:
             check_coeff(c)
             QTensor.check_key(S, T, key)
         return terms
-
-    def product(self, S: FiniteSet, T: FiniteSet, x: Structure, y: Structure) -> QVector:
-        if len(S) == 0:
-            return QVector.basis(y)
-        if len(T) == 0:
-            return QVector.basis(x)
-        key = (S.labels, x, y)
-        got = self._mu_cache.get(key)
-        if got is None:
-            got = self._mu_cache[key] = QVector(S.union(T), self._mu(S, T, x, y))
-            if got.terms:
-                # checked against S u T; keep the outputs' own label set
-                # rather than a new FiniteSet per memo entry
-                got.ambient = next(iter(got.terms)).labels
-        return got
-
-    def coproduct(self, S: FiniteSet, T: FiniteSet, s: Structure) -> QTensor:
-        if len(S) == 0:
-            return QTensor.basis(self.one(), s)
-        if len(T) == 0:
-            return QTensor.basis(s, self.one())
-        key = (S.labels, s)
-        got = self._delta_cache.get(key)
-        if got is None:
-            got = self._delta_cache[key] = QTensor(S, T, self._delta(S, T, s))
-        return got
 
     def __repr__(self):
         return "HopfMonoid(%s)" % self.name
@@ -150,13 +117,13 @@ def product_vectors(h: HopfMonoid, S, T, xv: QVector, yv: QVector) -> QVector:
     return QVector(S.union(T), ((s, c * cx * cy)
                                 for x, cx in xv.terms.items()
                                 for y, cy in yv.terms.items()
-                                for s, c in h.product(S, T, x, y).terms.items()))
+                                for s, c in h.product(S, T, x, y)))
 
 
 def coproduct_vector(h: HopfMonoid, S, T, v: QVector) -> QTensor:
     """Delta_{S,T} extended linearly to vectors."""
     return QTensor(S, T, ((k, d * c) for s, c in v.terms.items()
-                          for k, d in h.coproduct(S, T, s).terms.items()))
+                          for k, d in h.coproduct(S, T, s)))
 
 
 def iterated_product(h: HopfMonoid, parts, vectors) -> QVector:
@@ -182,20 +149,17 @@ class HopfMorphism:
         self._on_basis = on_basis  # s -> pairs (t on the labels of s, c)
         self.space_cache: dict = {}  # kernels' subspaces, by (kind, labels)
 
-    def on_basis_terms(self, s: Structure) -> tuple:
-        """f(s) as (structure, coefficient) pairs on the labels of s."""
-        terms = self._on_basis(s)
+    def on_basis(self, s: Structure) -> tuple:
+        """f(s) as checked (structure on the labels of s, coefficient) pairs."""
+        terms = tuple(self._on_basis(s))
         for t, c in terms:
             check_coeff(c)
             QVector.check_key(s.labels, t)
         return terms
 
-    def on_basis(self, s: Structure) -> QVector:
-        return QVector(s.labels, self._on_basis(s))
-
     def __call__(self, v: QVector) -> QVector:
         return QVector(v.ambient, ((t, d * c) for s, c in v.terms.items()
-                                   for t, d in self._on_basis(s)))
+                                   for t, d in self.on_basis(s)))
 
     def __repr__(self):
         return "HopfMorphism(%s)" % self.name
@@ -234,7 +198,7 @@ def make_X() -> HopfMonoid:
 
 def make_L() -> HopfMonoid:
     sp = SpeciesSpec(
-        "L", lambda I: [LinearOrder(p) for p in itertools.permutations(tuple(I))])
+        "L", lambda I: [LinearOrder(p, I) for p in itertools.permutations(I.labels)])
     order = intern_table(LinearOrder)
 
     def mu(S, T, x, y):
@@ -514,13 +478,13 @@ def hadamard_hopf(a: HopfMonoid, b: HopfMonoid) -> HopfMonoid:
     pair = intern_table(lambda key: PairStructure(*key))
 
     def mu(S, T, x, y):
-        u = a.product_terms(S, T, x.left, y.left)
-        v = b.product_terms(S, T, x.right, y.right)
+        u = a.product(S, T, x.left, y.left)
+        v = b.product(S, T, x.right, y.right)
         return tuple((pair((s1, s2)), c1 * c2) for s1, c1 in u for s2, c2 in v)
 
     def delta(S, T, s):
-        u = a.coproduct_terms(S, T, s.left)
-        v = b.coproduct_terms(S, T, s.right)
+        u = a.coproduct(S, T, s.left)
+        v = b.coproduct(S, T, s.right)
         return tuple(((pair((x1, x2)), pair((y1, y2))), c1 * c2)
                      for (x1, y1), c1 in u for (x2, y2), c2 in v)
 

@@ -53,9 +53,9 @@ def mutate_product(h, victim_xy, replacement, name="mutant"):
     def mu(S, T, x, y):
         if (x, y) == (x0, y0):
             return pairs
-        return h.product_terms(S, T, x, y)
+        return h.product(S, T, x, y)
 
-    return HopfMonoid(h.species, mu, h.coproduct_terms,
+    return HopfMonoid(h.species, mu, h.coproduct,
                       name="%s(%s)" % (name, h.name))
 
 
@@ -67,9 +67,9 @@ def mutate_coproduct(h, victim, split_labels, replacement, name="mutant"):
     def delta(S, T, s):
         if s == victim and S.labels == split_labels:
             return pairs
-        return h.coproduct_terms(S, T, s)
+        return h.coproduct(S, T, s)
 
-    return HopfMonoid(h.species, h.product_terms, delta,
+    return HopfMonoid(h.species, h.product, delta,
                       name="%s(%s)" % (name, h.name))
 
 

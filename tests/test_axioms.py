@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,10 @@ from hopfspecies.axioms import (SHIFT_ALPHABET, check_all, check_cocommutative,
 from hopfspecies.species import (FiniteSet, FunctionToK, LinearOrder,
                                  PalComposition, QTensor, QVector,
                                  SetComposition, SetPartition, SingletonMark)
-from hopfspecies.structures import HopfMonoid, HopfMorphism, get_hopf
+from hopfspecies.structures import (HopfMonoid, HopfMorphism, get_hopf,
+                                    make_Sigma, morphism_L_to_Sigma)
+
+REPORTS = Path(__file__).resolve().parent / "data" / "axiom_reports.json"
 
 
 class TestShippedMonoidsPass:
@@ -62,9 +67,8 @@ class TestMorphisms:
         rep = check_morphism(get_morphism(ident), 4)
         assert rep.ok, rep.summary()
 
-    def test_doubling_map_fails(self, L, E):
-        bad = HopfMorphism("bad", L, E, lambda s: ((SingletonMark(s.labels), 2),))
-        rep = check_morphism(bad, 2)
+    def test_doubling_map_fails(self):
+        rep = check_morphism(*morphism_mutants()["doubling_map"])
         assert not rep.ok
         assert any(v.axiom == "unit-preservation" for v in rep.violations)
 
@@ -73,71 +77,108 @@ def _ls(s):
     return FiniteSet(s)
 
 
+def mutants() -> dict:
+    """The ten single-entry corruptions of TestMutationsDetected, by test
+    name, each with the size the battery runs at."""
+    L, E, Pi, Pal, Sigma, E2 = (get_hopf(ident) for ident in
+                                ("L", "E", "Pi", "Pal", "Sigma", "Ek:2"))
+    return {
+        "L_product_swapped_entry": (mutate_product(
+            L, (LinearOrder("a"), LinearOrder("b")),
+            QVector.basis(LinearOrder(("b", "a")))), 3),
+        "L_coproduct_reversed_entry": (mutate_coproduct(
+            L, LinearOrder(("a", "b", "c")), ("a", "b"),
+            QTensor.basis(LinearOrder(("b", "a")), LinearOrder("c"))), 3),
+        "E_product_doubled": (mutate_product(
+            E, (SingletonMark(_ls("a")), SingletonMark(_ls("b"))),
+            QVector.basis(SingletonMark(_ls("ab")), 2)), 2),
+        "E_coproduct_killed": (mutate_coproduct(
+            E, SingletonMark(_ls("abc")), ("a",),
+            QTensor.zero(_ls("a"), _ls("bc"))), 3),
+        "Pi_product_merged_blocks": (mutate_product(
+            Pi, (SetPartition((("a",),)), SetPartition((("b",),))),
+            QVector.basis(SetPartition((("a", "b"),)))), 3),
+        "Pi_coproduct_split_block": (mutate_coproduct(
+            Pi, SetPartition((("a", "b"), ("c",))), ("a", "b"),
+            QTensor.basis(SetPartition((("a",), ("b",))),
+                          SetPartition((("c",),)))), 3),
+        "Pal_product_misordered_entry": (mutate_product(
+            Pal, (PalComposition((("a",), ("b",))), PalComposition((("c",), ("d",)))),
+            QVector.basis(PalComposition((("a",), ("c",), ("b",), ("d",))))), 4),
+        "Pal_coproduct_killed_entry": (mutate_coproduct(
+            Pal, PalComposition((("a", "b", "c", "d"),)), ("a", "b"),
+            QTensor.zero(_ls("ab"), _ls("cd"))), 4),
+        "Sigma_product_merged_entry": (mutate_product(
+            Sigma, (SetComposition((("a",),)), SetComposition((("b", "c"),))),
+            QVector.basis(SetComposition((("a", "b", "c"),)))), 4),
+        "Ek_coproduct_wrong_value": (mutate_coproduct(
+            E2, FunctionToK({"a": 1, "b": 2}, 2), ("a",),
+            QTensor.basis(FunctionToK({"a": 2}, 2), FunctionToK({"b": 2}, 2))), 2),
+    }
+
+
+def _reads_label_order(s):
+    return ((SingletonMark(s.labels),
+             2 if s.seq[:2] == tuple(sorted(s.seq[:2])) else 1),)
+
+
+def morphism_mutants() -> dict:
+    """The two faulty morphisms L -> E of the tests, each with its size."""
+    L, E = get_hopf("L"), get_hopf("E")
+    return {
+        "doubling_map": (HopfMorphism(
+            "bad", L, E, lambda s: ((SingletonMark(s.labels), 2),)), 2),
+        "morphism_reading_label_order": (HopfMorphism(
+            "bad", L, E, _reads_label_order), 3),
+    }
+
+
+def recorded_reports() -> dict:
+    """What the battery reports on every mutant, as JSON."""
+    out = {}
+    for name, (bad, nmax) in mutants().items():
+        out[name] = check_all(bad, nmax).to_json()
+    for name, (bad, nmax) in morphism_mutants().items():
+        out[name] = check_morphism(bad, nmax).to_json()
+    return out
+
+
 class TestMutationsDetected:
     """Ten single-entry corruptions of structure maps, each caught."""
 
-    def detected(self, mutant, nmax=4):
-        return not check_all(mutant, nmax).ok
+    def detected(self, name):
+        bad, nmax = mutants()[name]
+        return not check_all(bad, nmax).ok
 
-    def test_L_product_swapped_entry(self, L):
-        bad = mutate_product(
-            L, (LinearOrder("a"), LinearOrder("b")),
-            QVector.basis(LinearOrder(("b", "a"))))
-        assert self.detected(bad, 3)
+    def test_L_product_swapped_entry(self):
+        assert self.detected("L_product_swapped_entry")
 
-    def test_L_coproduct_reversed_entry(self, L):
-        bad = mutate_coproduct(
-            L, LinearOrder(("a", "b", "c")), ("a", "b"),
-            QTensor.basis(LinearOrder(("b", "a")), LinearOrder("c")))
-        assert self.detected(bad, 3)
+    def test_L_coproduct_reversed_entry(self):
+        assert self.detected("L_coproduct_reversed_entry")
 
-    def test_E_product_doubled(self, E):
-        bad = mutate_product(
-            E, (SingletonMark(_ls("a")), SingletonMark(_ls("b"))),
-            QVector.basis(SingletonMark(_ls("ab")), 2))
-        assert self.detected(bad, 2)
+    def test_E_product_doubled(self):
+        assert self.detected("E_product_doubled")
 
-    def test_E_coproduct_killed(self, E):
-        bad = mutate_coproduct(
-            E, SingletonMark(_ls("abc")), ("a",),
-            QTensor.zero(_ls("a"), _ls("bc")))
-        assert self.detected(bad, 3)
+    def test_E_coproduct_killed(self):
+        assert self.detected("E_coproduct_killed")
 
-    def test_Pi_product_merged_blocks(self, Pi):
-        bad = mutate_product(
-            Pi, (SetPartition((("a",),)), SetPartition((("b",),))),
-            QVector.basis(SetPartition((("a", "b"),))))
-        assert self.detected(bad, 3)
+    def test_Pi_product_merged_blocks(self):
+        assert self.detected("Pi_product_merged_blocks")
 
-    def test_Pi_coproduct_split_block(self, Pi):
-        bad = mutate_coproduct(
-            Pi, SetPartition((("a", "b"), ("c",))), ("a", "b"),
-            QTensor.basis(SetPartition((("a",), ("b",))), SetPartition((("c",),))))
-        assert self.detected(bad, 3)
+    def test_Pi_coproduct_split_block(self):
+        assert self.detected("Pi_coproduct_split_block")
 
-    def test_Pal_product_misordered_entry(self, Pal):
-        bad = mutate_product(
-            Pal, (PalComposition((("a",), ("b",))), PalComposition((("c",), ("d",)))),
-            QVector.basis(PalComposition((("a",), ("c",), ("b",), ("d",)))))
-        assert self.detected(bad, 4)
+    def test_Pal_product_misordered_entry(self):
+        assert self.detected("Pal_product_misordered_entry")
 
-    def test_Pal_coproduct_killed_entry(self, Pal):
-        bad = mutate_coproduct(
-            Pal, PalComposition((("a", "b", "c", "d"),)), ("a", "b"),
-            QTensor.zero(_ls("ab"), _ls("cd")))
-        assert self.detected(bad, 4)
+    def test_Pal_coproduct_killed_entry(self):
+        assert self.detected("Pal_coproduct_killed_entry")
 
-    def test_Sigma_product_merged_entry(self, Sigma):
-        bad = mutate_product(
-            Sigma, (SetComposition((("a",),)), SetComposition((("b", "c"),))),
-            QVector.basis(SetComposition((("a", "b", "c"),))))
-        assert self.detected(bad, 4)
+    def test_Sigma_product_merged_entry(self):
+        assert self.detected("Sigma_product_merged_entry")
 
-    def test_Ek_coproduct_wrong_value(self, E2):
-        bad = mutate_coproduct(
-            E2, FunctionToK({"a": 1, "b": 2}, 2), ("a",),
-            QTensor.basis(FunctionToK({"a": 2}, 2), FunctionToK({"b": 2}, 2)))
-        assert self.detected(bad, 2)
+    def test_Ek_coproduct_wrong_value(self):
+        assert self.detected("Ek_coproduct_wrong_value")
 
     def test_Pal_swapped_final_run(self, Pal):
         # reversing the final run stays inside palindromic compositions only
@@ -155,7 +196,7 @@ class TestMutationsDetected:
             cls = PalComposition if sizes == sizes[::-1] else SetComposition
             return ((cls(blocks), 1),)
 
-        bad = HopfMonoid(Pal.species, mu, Pal.coproduct_terms, name="mutant(Pal)")
+        bad = HopfMonoid(Pal.species, mu, Pal.coproduct, name="mutant(Pal)")
         assert check_all(bad, 4).ok          # invisible below size five
         rep = check_compat(bad, 5)
         assert not rep.ok
@@ -209,22 +250,18 @@ class TestNaturalityAlongGenerators:
             seq = x.seq + y.seq if min(S) < min(T) else y.seq + x.seq
             return ((LinearOrder(seq), 1),)
 
-        bad = HopfMonoid(L.species, mu, L.coproduct_terms)
+        bad = HopfMonoid(L.species, mu, L.coproduct)
         assert self.axioms(check_naturality(bad, 3)) == {"mu-naturality"}
 
     def test_coproduct_killed_when_least_label_is_right(self, L):
         def delta(S, T, s):
-            return () if min(S) > min(T) else L.coproduct_terms(S, T, s)
+            return () if min(S) > min(T) else L.coproduct(S, T, s)
 
-        bad = HopfMonoid(L.species, L.product_terms, delta)
+        bad = HopfMonoid(L.species, L.product, delta)
         assert self.axioms(check_naturality(bad, 3)) == {"delta-naturality"}
 
-    def test_morphism_reading_label_order(self, L, E):
-        def on_basis(s):
-            return ((SingletonMark(s.labels),
-                     2 if s.seq[:2] == tuple(sorted(s.seq[:2])) else 1),)
-
-        rep = check_morphism(HopfMorphism("bad", L, E, on_basis), 3)
+    def test_morphism_reading_label_order(self):
+        rep = check_morphism(*morphism_mutants()["morphism_reading_label_order"])
         assert "f-naturality" in self.axioms(rep)
 
     def test_shift_pins_fresh_labels(self, L):
@@ -233,9 +270,68 @@ class TestNaturalityAlongGenerators:
         def mu(S, T, x, y):
             if x.seq[0] in SHIFT_ALPHABET:
                 return ((LinearOrder(y.seq + x.seq), 1),)
-            return L.product_terms(S, T, x, y)
+            return L.product(S, T, x, y)
 
-        bad = HopfMonoid(L.species, mu, L.coproduct_terms, name="mutant(L)")
+        bad = HopfMonoid(L.species, mu, L.coproduct, name="mutant(L)")
         rep = check_all(bad, 3)
         assert self.axioms(rep) == {"mu-naturality"}
         assert all("'a': 'p'" in v.context for v in rep.violations)
+
+
+def counted(h, calls: Counter, tag: str) -> HopfMonoid:
+    """h with every evaluation of its maps counted in `calls`, by the key
+    the battery memoizes it under."""
+    def mu(S, T, x, y):
+        calls[(tag, "mu", S.labels, x, y)] += 1
+        return h.product(S, T, x, y)
+
+    def delta(S, T, s):
+        calls[(tag, "delta", S.labels, s)] += 1
+        return h.coproduct(S, T, s)
+    return HopfMonoid(h.species, mu, delta, name=h.name)
+
+
+class TestBatteryMemo:
+    """The battery holds the only memo of the structure maps: one per check
+    call, dropped when the check returns."""
+
+    @pytest.mark.parametrize("check", [
+        check_monoid, check_comonoid, check_compat, check_naturality,
+        is_linearized, check_cocommutative, check_commutative])
+    def test_each_key_is_evaluated_once_per_check(self, Sigma, check):
+        calls = Counter()
+        h = counted(Sigma, calls, "Sigma")
+        for _ in range(2):
+            calls.clear()
+            check(h, 3)
+            assert calls and max(calls.values()) == 1
+
+    def test_morphism_check_evaluates_each_key_once(self, L, Sigma):
+        calls = Counter()
+        f = morphism_L_to_Sigma(counted(L, calls, "L"), counted(Sigma, calls, "Sigma"))
+        assert check_morphism(f, 3).ok
+        assert {key[0] for key in calls} == {"L", "Sigma"}
+        assert max(calls.values()) == 1
+
+    def test_battery_leaves_no_map_results_on_the_monoid(self):
+        h = make_Sigma()
+        attributes = set(vars(h))
+        assert check_all(h, 4).ok
+        assert h.space_cache == {} and set(vars(h)) == attributes == {
+            "species", "name", "_mu", "_delta", "space_cache"}
+
+
+class TestRecordedReports:
+    """Replay of `tests/data/axiom_reports.json`: the battery's report on
+    each mutant, violations and witness text included, as recorded.
+
+    Regenerate the data only on a deliberate output change:
+        PYTHONPATH=src python tests/test_axioms.py
+    """
+
+    def test_reports_replay(self):
+        assert recorded_reports() == json.loads(REPORTS.read_text())
+
+
+if __name__ == "__main__":
+    REPORTS.write_text(json.dumps(recorded_reports(), indent=1, sort_keys=True) + "\n")

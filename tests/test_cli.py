@@ -426,6 +426,27 @@ class TestTracerCountsStreamingPasses:
         assert dump["self_s"]["species.orbit_count"] > 0
 
 
+class TestTracerCountsKernelCoproducts:
+    """The kernel rows evaluate Delta through `HopfMonoid.coproduct`, the
+    name the tracer counts, and nothing memoizes it there: every call is an
+    evaluation of the map. Only perfbench/child.py is run; nothing under
+    perfbench/ is written."""
+
+    def test_prim_rows_count_every_coproduct(self):
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "child.py"), "trace", "primitives",
+             "--species", "Sigma", "--max-n", "3"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        mark = "perfbench-trace "
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith(mark)
+        counts = json.loads(last[len(mark):])["counts"]
+        calls = counts.get("structures.coproduct", 0)
+        assert calls == counts.get("structures.coproduct.miss", 0) > 0
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert run([]) == 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_kernel, reference_rref
+from hopfspecies.axioms import check_all, check_morphism
 from hopfspecies.exactalg import Echelon, TruncatedSeries, egf_from_counts
 from hopfspecies.kernels import (CyclicOrder, NotADerangement,
                                  NotCocommutative,
@@ -25,10 +26,11 @@ from hopfspecies.species import (EMPTY, FiniteSet, LinearOrder, QTensor,
                                  labelset)
 from hopfspecies.structures import (HopfMonoid, HopfMorphism, closed_sizes,
                                     coproduct_vector, get_hopf, get_morphism,
+                                    iterated_product,
                                     make_E, make_L, make_Sigma,
                                     morphism_E_to_Pi, morphism_L_to_E,
                                     morphism_L_to_Sigma, morphism_Pi_to_PiS,
-                                    product_vectors)
+                                    product_vectors, set_compositions)
 
 
 def derangement_egf_counts(order):
@@ -86,6 +88,54 @@ class TestPrimitiveSpaces:
         assert rep.ok
 
 
+def eulerian_idempotent(h, I) -> dict:
+    """The first Eulerian idempotent of h at each basis element x of h[I]:
+    e(x) = sum over set compositions F = (S1, ..., Sk) of I of
+    (-1)^(k-1)/k mu_F Delta_F(x) (Aguiar-Mahajan, Monoidal Functors,
+    Species and Hopf Algebras, 2010). Delta_F peels S1, ..., S(k-1) off the
+    front one coproduct at a time; mu_F multiplies the pieces left to right.
+    For a cocommutative connected h it projects h[I] onto the primitives."""
+    comps = [tuple(FiniteSet(b) for b in F.blocks) for F in set_compositions(I)]
+    out = {}
+    for x in h.species.structures(I):
+        acc = QVector.zero(I)
+        for F in comps:
+            terms = [((), x, 1)]
+            rest = I
+            for S in F[:-1]:
+                rest = rest.minus(S)
+                terms = [(done + (u,), w, c * d) for done, v, c in terms
+                         for (u, w), d in h.coproduct(S, rest, v)]
+            sign = Q((-1) ** (len(F) - 1), len(F))
+            for done, last, c in terms:
+                pieces = [QVector.basis(u) for u in done + (last,)]
+                acc = acc + iterated_product(h, F, pieces).scale(sign * c)
+        out[x] = acc
+    return out
+
+
+class TestEulerianOracle:
+    """An oracle for the primitive bases that shares no code with the
+    kernel rows: the first Eulerian idempotent, built from mu and Delta."""
+
+    @pytest.mark.parametrize("ident", ["L", "Pi", "Sigma", "Pal"])
+    def test_idempotent_fixes_the_primitives_and_spans_them(self, ident):
+        h = get_hopf(ident)
+        dims = primitive_dims(h, 4)
+        for n in range(1, 5):
+            I = labelset(n)
+            e = eulerian_idempotent(h, I)
+            space = primitive_space(h, I)
+            for v in space.vectors():
+                assert sum((e[s].scale(c) for s, c in v.terms.items()),
+                           QVector.zero(I)) == v
+            image = SubspaceBasis(I, h.species.structures(I))
+            for ex in e.values():
+                image.add(ex)
+                assert space.contains(ex)
+            assert image.dim == space.dim == dims[n], n
+
+
 class TestStackedMatrixOracle:
     def test_qmatrix_stack_of_coproducts_has_nullity_two(self, L):
         # the dense-matrix route to the same kernel: stack every coproduct
@@ -99,7 +149,7 @@ class TestStackedMatrixOracle:
                 continue
             row_index = {}
             for j, s in enumerate(basis):
-                for (u, w), c in L.coproduct(S, T, s).terms.items():
+                for (u, w), c in L.coproduct(S, T, s):
                     row_index.setdefault((u, w), [0] * len(basis))[j] = c
             rows.extend(row_index.values())
         ker = reference_kernel(rows, len(basis))
@@ -486,7 +536,7 @@ class TestPbw:
         def delta(S, T, s):
             return (((LinearOrder(reversed(s.restrict(S).seq)), s.restrict(T)), 1),)
 
-        twisted = HopfMonoid(L.species, L.product_terms, delta, name="twisted")
+        twisted = HopfMonoid(L.species, L.product, delta, name="twisted")
         with pytest.raises(NotCocommutative):
             pbw_series_check(twisted, 3)
 
@@ -537,15 +587,17 @@ class TestIntegerRows:
 
 
 def rows_from_public_maps(h, I, f=None) -> list:
-    """coproduct_rows rebuilt from the memoized QTensor/QVector maps."""
+    """coproduct_rows rebuilt through the linear extensions
+    `coproduct_vector` and `f(...)`, which sum the pairs in a QTensor or
+    QVector rather than in the row dicts."""
     basis = h.species.structures(I)
     rows: dict = {}
     for S, T in I.decompositions():
         if not (len(S) and len(T)):
             continue
         for j, s in enumerate(basis):
-            for (u, w), c in h.coproduct(S, T, s).terms.items():
-                for t, d in (f.on_basis(u).terms.items() if f else ((u, 1),)):
+            for (u, w), c in coproduct_vector(h, S, T, QVector.basis(s)).items():
+                for t, d in (f(QVector.basis(u)).items() if f else ((u, 1),)):
                     row = rows.setdefault((S.labels, t, w), {})
                     row[j] = row.get(j, 0) + c * d
     return list(rows.values())
@@ -572,7 +624,7 @@ class TestRowsFromPairs:
             src = f.source.species.structures(I)
             by_target: dict = {}
             for j, s in enumerate(src):
-                for t, c in f.on_basis(s).terms.items():
+                for t, c in f(QVector.basis(s)).items():
                     by_target.setdefault(t, {})[j] = c
             assert coproduct_rows(f.source, I, f) == public, n
             assert morphism_rows(f, I) == by_target, n
@@ -581,9 +633,9 @@ class TestRowsFromPairs:
         # a map may return one output more than once; the rows must hold
         # the sum, as the collected QTensor/QVector do
         def delta(S, T, s):
-            return L.coproduct_terms(S, T, s) * 2
+            return L.coproduct(S, T, s) * 2
 
-        twice = HopfMonoid(L.species, L.product_terms, delta)
+        twice = HopfMonoid(L.species, L.product, delta)
         f = HopfMorphism("twice", twice, E,
                          lambda s: ((SingletonMark(s.labels), 1),) * 3)
         I = labelset(3)
@@ -592,7 +644,21 @@ class TestRowsFromPairs:
         assert {v for row in coproduct_rows(twice, I, f) for v in row.values()} == {6}
         assert morphism_rows(f, I) == {
             t: {j: c for j in range(6)}
-            for t, c in f.on_basis(LinearOrder(("a", "b", "c"))).terms.items()}
+            for t, c in f(QVector.basis(LinearOrder(("a", "b", "c")))).items()}
+
+    def test_generator_maps_are_read_once(self, L, E):
+        # a map may yield its pairs; the one checked read keeps them for the
+        # caller instead of using them up (the rows once saw Delta = 0)
+        lazy = HopfMonoid(L.species,
+                          lambda S, T, x, y: iter(L.product(S, T, x, y)),
+                          lambda S, T, s: (pair for pair in L.coproduct(S, T, s)))
+        assert primitive_dims(lazy, 4) == primitive_dims(L, 4) == [0, 1, 1, 2, 6]
+        assert check_all(lazy, 3).to_json() == check_all(L, 3).to_json()
+        f = HopfMorphism("L->E", lazy, E,
+                         lambda s: (pair for pair in ((SingletonMark(s.labels), 1),)))
+        assert hker_dims(f, 4) == hker_dims(morphism_L_to_E(L, E), 4)
+        assert (check_morphism(f, 3).to_json()
+                == check_morphism(morphism_L_to_E(L, E), 3).to_json())
 
     def test_primitive_dims_build_no_tensor_and_no_memo(self, monkeypatch):
         built = []
@@ -605,61 +671,59 @@ class TestRowsFromPairs:
         monkeypatch.setattr(QTensor, "__init__", counting)
         h = make_Sigma()
         assert primitive_dims(h, 5) == [0, 1, 2, 6, 26, 150]
-        assert built == [] and h._delta_cache == {}
+        assert built == []
 
     def test_off_ambient_pair_is_refused_on_both_paths(self, L):
         a, b, c = LinearOrder("a"), LinearOrder("b"), LinearOrder(("a", "b"))
 
         def delta(S, T, s):
             return (((c, LinearOrder(tuple(T))), 1),) if len(S) == 1 else (
-                L.coproduct_terms(S, T, s))
+                L.coproduct(S, T, s))
 
-        bad = HopfMonoid(L.species, L.product_terms, delta)
+        bad = HopfMonoid(L.species, L.product, delta)
         S, T = FiniteSet("a"), FiniteSet("bc")
         s = LinearOrder(("a", "b", "c"))
         message = r"tensor term \(a\|b, b\|c\) off ambient \(\{a\}, \{b,c\}\)"
         with pytest.raises(ValueError, match=message):
             bad.coproduct(S, T, s)
         with pytest.raises(ValueError, match=message):
-            bad.coproduct_terms(S, T, s)
-        with pytest.raises(ValueError, match=message):
             coproduct_rows(bad, labelset(3))
 
         def mu(S, T, x, y):
             return ((a, 1),)
 
-        bad = HopfMonoid(L.species, mu, L.coproduct_terms)
+        bad = HopfMonoid(L.species, mu, L.coproduct)
         message = r"structure a not on ambient \{a,b\}"
         with pytest.raises(ValueError, match=message):
             bad.product(FiniteSet("a"), FiniteSet("b"), a, b)
         with pytest.raises(ValueError, match=message):
-            bad.product_terms(FiniteSet("a"), FiniteSet("b"), a, b)
+            product_vectors(bad, FiniteSet("a"), FiniteSet("b"),
+                            QVector.basis(a), QVector.basis(b))
 
         f = HopfMorphism("bad", L, L, lambda s: ((a, 1),))
         message = r"structure a not on ambient \{a,b\}"
         with pytest.raises(ValueError, match=message):
             f.on_basis(c)
         with pytest.raises(ValueError, match=message):
-            f.on_basis_terms(c)
-        with pytest.raises(ValueError, match=message):
             morphism_rows(f, labelset(2))
 
     def test_inexact_coefficient_is_refused_on_both_paths(self, L):
         def delta(S, T, s):
-            return tuple((key, 0.5) for key, _ in L.coproduct_terms(S, T, s))
+            return tuple((key, 0.5) for key, _ in L.coproduct(S, T, s))
 
-        bad = HopfMonoid(L.species, L.product_terms, delta)
+        bad = HopfMonoid(L.species, L.product, delta)
         S, T = FiniteSet("a"), FiniteSet("b")
         s = LinearOrder(("a", "b"))
-        for call in (bad.coproduct, bad.coproduct_terms):
-            with pytest.raises(TypeError, match="exact coefficient expected, got 0.5"):
-                call(S, T, s)
+        with pytest.raises(TypeError, match="exact coefficient expected, got 0.5"):
+            bad.coproduct(S, T, s)
+        with pytest.raises(TypeError, match="exact coefficient expected, got 0.5"):
+            coproduct_rows(bad, labelset(2))
 
     def test_empty_sides_are_the_unit_identifications(self, Sigma):
         I = FiniteSet("ab")
         s = Sigma.species.structures(I)[0]
         one = Sigma.one()
-        assert Sigma.coproduct_terms(EMPTY, I, s) == (((one, s), 1),)
-        assert Sigma.coproduct_terms(I, EMPTY, s) == (((s, one), 1),)
-        assert Sigma.product_terms(EMPTY, I, one, s) == ((s, 1),)
-        assert Sigma.product_terms(I, EMPTY, s, one) == ((s, 1),)
+        assert Sigma.coproduct(EMPTY, I, s) == (((one, s), 1),)
+        assert Sigma.coproduct(I, EMPTY, s) == (((s, one), 1),)
+        assert Sigma.product(EMPTY, I, one, s) == ((s, 1),)
+        assert Sigma.product(I, EMPTY, s, one) == ((s, 1),)

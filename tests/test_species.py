@@ -85,6 +85,12 @@ class TestStructures:
         (lambda I: SetComposition((("a", "b"), (), ("c",)), I), "empty block"),
         (lambda I: PalComposition((("a",), ("b", "c")), I),
          "block sizes (1, 2) are not palindromic"),
+        (lambda I: LinearOrder(("a", "b", "a"), I),
+         "linear order repeats a label: ('a', 'b', 'a')"),
+        (lambda I: LinearOrder(("a", "b|c"), I),
+         "label contains a separator character: 'b|c'"),
+        (lambda I: LinearOrder(("c", "z", "a"), I), "linear order c|z|a is not on {a,b,c}"),
+        (lambda I: LinearOrder(("c", "a"), I), "linear order c|a is not on {a,b,c}"),
     ])
     def test_building_on_a_label_set_refuses_with_its_message(self, build, message):
         with pytest.raises(ValueError) as err:
@@ -98,6 +104,9 @@ class TestStructures:
                   PalComposition((("a",), ("b",), ("c",)), I)):
             assert s.labels is I
             assert s == type(s)(s.blocks) and s.labels == type(s)(s.blocks).labels
+        s = LinearOrder(("c", "a", "b"), I)
+        assert s.labels is I
+        assert s == LinearOrder(s.seq) and s.labels == LinearOrder(s.seq).labels
 
     def test_composition_order_matters(self):
         assert SetComposition((("a",), ("b",))) != SetComposition((("b",), ("a",)))
@@ -350,11 +359,6 @@ class TestVectors:
                         "terms": [{"structure": "a|b", "coeff": "1/3"},
                                   {"structure": "b|a", "coeff": "-1"}]}
         json.dumps(data)
-
-    def test_tensor_swap(self):
-        x, y = LinearOrder("a"), LinearOrder("bc")
-        t = QTensor.basis(x, y, 2)
-        assert t.swap() == QTensor.basis(y, x, 2)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(ORDERS_ABC), EXACT), max_size=12),
