@@ -11,11 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .species import (EMPTY, FiniteSet, labelset, summed, tensor_text,
-                      terms_text)
+from .species import (ALPHABET, EMPTY, SIZE_CAP, FiniteSet, labelset, summed,
+                      tensor_text, terms_text)
 from .structures import HopfMonoid, HopfMorphism
 
-SHIFT_ALPHABET = "pqrstuvwx"
+# The fresh labels of `_bijection_pool`'s shift: SIZE_CAP letters from "p"
+# on ("pqrstuvwx" at the cap of 9), so they never meet labelset(SIZE_CAP).
+SHIFT_ALPHABET = ALPHABET[ALPHABET.index("p"):][:SIZE_CAP]
+if len(SHIFT_ALPHABET) < SIZE_CAP:
+    raise ValueError("no %d fresh labels for the shift bijection" % SIZE_CAP)
 
 
 @dataclass

@@ -18,10 +18,10 @@ from . import kernels as kernels_mod
 from . import seqtests as seq_mod
 from .exactalg import egf_from_counts, nonneg_prefix, ogf_from_counts
 from .reports import jsonable
-from .species import FiniteSet, LinearOrder, labelset, orbit_count
+from .species import SIZE_CAP, FiniteSet, LinearOrder, labelset, orbit_count
 from .structures import get_hopf, get_morphism, get_species, make_L
 
-HARD_MAX_N = 9
+HARD_MAX_N = SIZE_CAP
 HARD_MAX_ORDER = 32
 
 
@@ -403,3 +403,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -106,6 +106,10 @@ class FiniteSet:
 
 EMPTY = FiniteSet()
 
+# The largest label set a command builds; the CLI's cap, the window in which
+# PiS block sizes are closed and the shift's fresh labels derive from it.
+SIZE_CAP = 9
+
 
 def labelset(n: int) -> FiniteSet:
     """The canonical n-element label set {a, b, c, ...}."""
@@ -347,18 +351,24 @@ class PalComposition(SetComposition):
 
 
 class FunctionToK(Structure):
-    """A function from the label set to {1, ..., k}."""
+    """A function from the label set to {1, ..., k}; `on` as for
+    LinearOrder."""
 
     __slots__ = ("mapping", "k")
     kind = "function"
 
-    def __init__(self, mapping, k: int):
+    def __init__(self, mapping, k: int, on: FiniteSet | None = None):
         items = tuple(sorted(dict(mapping).items()))
         if any(not (1 <= v <= k) for _, v in items):
             raise ValueError("function value out of range 1..%d" % k)
         self.mapping = items
         self.k = k
-        self._finish(FiniteSet._fast(tuple(t for t, _ in items)))
+        labels = tuple(t for t, _ in items)
+        if on is None or on.labels != labels:
+            if on is not None:
+                raise ValueError("function %s is not on %r" % (self.text(), on))
+            on = FiniteSet(labels)
+        self._finish(on)
 
     def relabel(self, mapping):
         return FunctionToK({mapping[t]: v for t, v in self.mapping}, self.k)

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import itertools
 
-from .species import (EMPTY, Element, FiniteSet, FunctionToK, LinearOrder,
-                      PairStructure, PalComposition, QTensor, QVector,
-                      SetComposition, SetPartition, SingletonMark,
+from .species import (EMPTY, SIZE_CAP, Element, FiniteSet, FunctionToK,
+                      LinearOrder, PairStructure, PalComposition, QTensor,
+                      QVector, SetComposition, SetPartition, SingletonMark,
                       SpeciesSpec, Structure, check_coeff, hadamard)
 
 
@@ -186,14 +186,7 @@ def make_X() -> HopfMonoid:
     """The species of singletons. Not connected (empty set carries nothing);
     it exists as the primitive part of E and fails check_connected."""
     sp = SpeciesSpec("X", lambda I: [SingletonMark(I)] if len(I) == 1 else [])
-
-    def mu(S, T, x, y):
-        return ()
-
-    def delta(S, T, s):
-        return ()
-
-    return HopfMonoid(sp, mu, delta)
+    return HopfMonoid(sp, lambda S, T, x, y: (), lambda S, T, s: ())
 
 
 def make_L() -> HopfMonoid:
@@ -285,12 +278,12 @@ def closed_sizes(generators, max_size: int) -> frozenset:
     return frozenset(v for v in reach if v > 0)
 
 
-def make_PiS(allowed, max_size: int = 9) -> HopfMonoid:
+def make_PiS(allowed) -> HopfMonoid:
     """Quotient of Pi onto partitions with all block sizes in `allowed`.
 
-    `allowed` must be closed under addition within the working window, i.e.
-    be a numerical submonoid there; otherwise restriction-then-project is
-    not coassociative. Product is union followed by projection (which never
+    `allowed` must be closed under addition up to SIZE_CAP, i.e. be a
+    numerical submonoid there; otherwise restriction-then-project is not
+    coassociative. Product is union followed by projection (which never
     leaves the basis) and coproduct is restriction followed by projection.
     """
     allowed = frozenset(int(s) for s in allowed)
@@ -298,7 +291,7 @@ def make_PiS(allowed, max_size: int = 9) -> HopfMonoid:
         raise ValueError("allowed block sizes must be positive")
     for i in allowed:
         for j in allowed:
-            if i + j <= max_size and i + j not in allowed:
+            if i + j <= SIZE_CAP and i + j not in allowed:
                 raise ValueError(
                     "sizes %r are not closed under addition (%d+%d)" % (sorted(allowed), i, j))
     name = "PiS:" + ",".join(str(s) for s in sorted(allowed))
@@ -326,8 +319,8 @@ def make_PiS(allowed, max_size: int = 9) -> HopfMonoid:
     return HopfMonoid(sp, mu, delta)
 
 
-def make_Pi_even(max_size: int = 9) -> HopfMonoid:
-    return make_PiS(closed_sizes([2], max_size), max_size)
+def make_Pi_even() -> HopfMonoid:
+    return make_PiS(closed_sizes([2], SIZE_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +435,12 @@ def make_Pal() -> HopfMonoid:
 def make_Ek(k: int) -> HopfMonoid:
     """The k-th Cauchy power of E: basis the functions I -> {1..k};
     product glues graphs of functions with disjoint domains."""
-    if k < 0:
+    if not isinstance(k, int) or k < 0:
         raise ValueError("k must be a nonnegative integer")
 
     def enum(I):
-        toks = tuple(I)
-        if not toks:
-            return [FunctionToK({}, k)]
-        return [FunctionToK(dict(zip(toks, values)), k)
-                for values in itertools.product(range(1, k + 1), repeat=len(toks))]
+        return [FunctionToK(zip(I.labels, values), k, I)
+                for values in itertools.product(range(1, k + 1), repeat=len(I))]
 
     sp = SpeciesSpec("Ek:%d" % k, enum)
     function = intern_table(lambda mapping: FunctionToK(mapping, k))
@@ -522,108 +512,99 @@ def morphism_L_to_Sigma(L: HopfMonoid | None = None,
         (composition(tuple((t,) for t in s.seq)), 1),))
 
 
-def morphism_Ek_to_Ek1(k: int, source: HopfMonoid | None = None,
-                       target: HopfMonoid | None = None) -> HopfMorphism:
+def morphism_Ek_to_Ek1(k: int) -> HopfMorphism:
     """Postcompose with the inclusion {1..k} into {1..k+1} sending i to i."""
-    source = source or make_Ek(k)
-    target = target or make_Ek(k + 1)
     function = intern_table(lambda mapping: FunctionToK(mapping, k + 1))
-    return HopfMorphism("Ek:%d->Ek:%d" % (k, k + 1), source, target,
+    return HopfMorphism("Ek:%d->Ek:%d" % (k, k + 1), make_Ek(k), make_Ek(k + 1),
                         lambda s: ((function(s.mapping), 1),))
 
 
-def morphism_Pi_to_PiS(allowed, Pi: HopfMonoid | None = None,
-                       PiS: HopfMonoid | None = None) -> HopfMorphism:
+def morphism_Pi_to_PiS(allowed) -> HopfMorphism:
     """Project a partition onto the quotient basis, killing partitions with
     a block size outside `allowed`."""
-    Pi = Pi or make_Pi()
-    PiS = PiS or make_PiS(allowed)
+    PiS = make_PiS(allowed)
     allowed = frozenset(int(s) for s in allowed)
 
     def on_basis(s):
         return ((s, 1),) if all(len(b) in allowed for b in s.blocks) else ()
 
-    return HopfMorphism("Pi->%s" % PiS.name, Pi, PiS, on_basis)
+    return HopfMorphism("Pi->%s" % PiS.name, make_Pi(), PiS, on_basis)
 
 
 # ---------------------------------------------------------------------------
 # Identifier registry (CLI surface)
 # ---------------------------------------------------------------------------
 
-def _hadamard_factors(ident: str):
-    """The two factor identifiers of 'Hadamard(A,B)', split at the comma
-    outside any parentheses; None for any other identifier."""
-    if not (ident.startswith("Hadamard(") and ident.endswith(")")):
-        return None
-    inner = ident[len("Hadamard("):-1]
-    depth = 0
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return inner[:i], inner[i + 1:]
-    raise ValueError("malformed Hadamard identifier: %r" % ident)
+def _parse(ident: str):
+    """The one reading of an identifier, as (head, args). The families
+    'Hadamard(A,B)' (split at the comma outside parentheses), 'Ek:k' and
+    'PiS:g1,g2,...' (the block sizes the generators reach up to SIZE_CAP)
+    have their template as head, which no bare name can equal; any other
+    identifier is a bare name with no args."""
+    ident = ident.strip()
+    if ident.startswith("Hadamard(") and ident.endswith(")"):
+        inner, depth = ident[len("Hadamard("):-1], 0
+        for i, ch in enumerate(inner):
+            depth += (ch == "(") - (ch == ")")
+            if ch == "," and depth == 0:
+                return "Hadamard(A,B)", (inner[:i], inner[i + 1:])
+        raise ValueError("malformed Hadamard identifier: %r" % ident)
+    head, colon, arg = ident.partition(":")
+    if not colon or head not in ("Ek", "PiS"):
+        return ident, ()
+    try:
+        if head == "Ek":
+            return "Ek:k", (int(arg),)
+        gens = [int(v) for v in arg.split(",") if v]
+    except ValueError:
+        raise ValueError("bad identifier %r: %s" % (ident, "k must be an integer"
+                         if head == "Ek" else "generators must be integers")) from None
+    sizes = closed_sizes(gens, SIZE_CAP)
+    if not sizes:
+        raise ValueError("bad identifier %r: its generators reach no block"
+                         " size up to the cap %d" % (ident, SIZE_CAP))
+    return "PiS:g1,g2,...", (sizes,)
+
+
+# Constructors by head; a family's takes the args its identifier parses to.
+MONOIDS = {"E": make_E, "X": make_X, "L": make_L, "Pi": make_Pi,
+           "Sigma": make_Sigma, "Pal": make_Pal, "Ek:k": make_Ek,
+           "PiS:g1,g2,...": make_PiS,
+           "Hadamard(A,B)": lambda a, b: hadamard_hopf(get_hopf(a), get_hopf(b))}
+SPECIES_ONLY = {"PiPrime": make_PiPrime, "el": make_el}
+MORPHISMS = {("L", "E"): morphism_L_to_E, ("E", "Pi"): morphism_E_to_Pi,
+             ("L", "Sigma"): morphism_L_to_Sigma}
 
 
 def get_species(ident: str) -> SpeciesSpec:
-    ident = ident.strip()
-    factors = _hadamard_factors(ident)
-    if factors:
-        return hadamard(*(get_species(part) for part in factors))
-    if ident == "PiPrime":
-        return make_PiPrime()
-    if ident == "el":
-        return make_el()
+    head, args = _parse(ident)
+    if head == "Hadamard(A,B)":
+        return hadamard(*map(get_species, args))
+    if head in SPECIES_ONLY:
+        return SPECIES_ONLY[head]()
     return get_hopf(ident).species
 
 
 def get_hopf(ident: str) -> HopfMonoid:
-    ident = ident.strip()
-    factors = _hadamard_factors(ident)
-    if factors:
-        return hadamard_hopf(*(get_hopf(part) for part in factors))
-    if ident == "E":
-        return make_E()
-    if ident == "X":
-        return make_X()
-    if ident == "L":
-        return make_L()
-    if ident == "Pi":
-        return make_Pi()
-    if ident == "Sigma":
-        return make_Sigma()
-    if ident == "Pal":
-        return make_Pal()
-    if ident.startswith("Ek:"):
-        return make_Ek(int(ident[3:]))
-    if ident.startswith("PiS:"):
-        gens = [int(v) for v in ident[4:].split(",") if v]
-        return make_PiS(closed_sizes(gens, 9))
-    if ident in ("PiPrime", "el"):
-        raise ValueError("%s is a species without a Hopf monoid structure" % ident)
-    raise ValueError("unknown species identifier: %r" % ident)
+    head, args = _parse(ident)
+    if head in SPECIES_ONLY:
+        raise ValueError("%s is a species without a Hopf monoid structure" % head)
+    if head not in MONOIDS:
+        raise ValueError("unknown species identifier: %r" % head)
+    return MONOIDS[head](*args)
 
 
 def get_morphism(ident: str) -> HopfMorphism:
     ident = ident.strip()
     if "->" not in ident:
         raise ValueError("morphism identifier must look like 'L->E': %r" % ident)
-    src, dst = (part.strip() for part in ident.split("->", 1))
-    if (src, dst) == ("L", "E"):
-        return morphism_L_to_E()
-    if (src, dst) == ("E", "Pi"):
-        return morphism_E_to_Pi()
-    if (src, dst) == ("L", "Sigma"):
-        return morphism_L_to_Sigma()
-    if src.startswith("Ek:") and dst.startswith("Ek:"):
-        k, k1 = int(src[3:]), int(dst[3:])
-        if k1 != k + 1:
+    (src, src_args), (dst, dst_args) = map(_parse, ident.split("->", 1))
+    if (src, dst) in MORPHISMS:
+        return MORPHISMS[src, dst]()
+    if (src, dst) == ("Ek:k", "Ek:k"):
+        if dst_args[0] != src_args[0] + 1:
             raise ValueError("only the inclusion Ek:k->Ek:k+1 is available")
-        return morphism_Ek_to_Ek1(k)
-    if src == "Pi" and dst.startswith("PiS:"):
-        gens = [int(v) for v in dst[4:].split(",") if v]
-        sizes = closed_sizes(gens, 9)
-        return morphism_Pi_to_PiS(sizes, PiS=make_PiS(sizes))
+        return morphism_Ek_to_Ek1(*src_args)
+    if (src, dst) == ("Pi", "PiS:g1,g2,..."):
+        return morphism_Pi_to_PiS(*dst_args)
     raise ValueError("unknown morphism identifier: %r" % ident)

@@ -1,20 +1,27 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from conftest import mutate_coproduct, mutate_product
-from hopfspecies.axioms import (SHIFT_ALPHABET, check_all, check_cocommutative,
+from hopfspecies import cli
+from hopfspecies.axioms import (SHIFT_ALPHABET, _bijection_pool, check_all,
+                                check_cocommutative,
                                 check_commutative, check_comonoid,
                                 check_compat, check_connected, check_monoid,
                                 check_morphism, check_naturality,
                                 is_linearized)
-from hopfspecies.species import (FiniteSet, FunctionToK, LinearOrder,
-                                 PalComposition, QTensor, QVector,
-                                 SetComposition, SetPartition, SingletonMark)
+from hopfspecies.species import (SIZE_CAP, FiniteSet, FunctionToK,
+                                 LinearOrder, PalComposition, QTensor,
+                                 QVector, SetComposition, SetPartition,
+                                 SingletonMark, labelset)
 from hopfspecies.structures import (HopfMonoid, HopfMorphism, get_hopf,
-                                    make_Sigma, morphism_L_to_Sigma)
+                                    get_species, make_Sigma,
+                                    morphism_L_to_Sigma)
 
 REPORTS = Path(__file__).resolve().parent / "data" / "axiom_reports.json"
 
@@ -276,6 +283,38 @@ class TestNaturalityAlongGenerators:
         rep = check_all(bad, 3)
         assert self.axioms(rep) == {"mu-naturality"}
         assert all("'a': 'p'" in v.context for v in rep.violations)
+
+
+class TestSizeCap:
+    """The CLI's cap, the PiS closure window and the shift's fresh labels
+    all derive from species.SIZE_CAP."""
+
+    def test_derived_from_the_cap(self):
+        assert cli.HARD_MAX_N == SIZE_CAP
+        # recorded naturality violations print the shift onto these labels,
+        # "pqrstuvwx" at the cap of 9
+        assert SHIFT_ALPHABET == "pqrstuvwxyz"[:SIZE_CAP]
+        I = labelset(SIZE_CAP)
+        shift = _bijection_pool(I)[-1]
+        assert sorted(shift) == list(I.labels)
+        assert len(set(shift.values())) == SIZE_CAP
+        assert set(shift.values()).isdisjoint(I.labels)
+        assert get_species("PiS:1").name == "PiS:" + ",".join(
+            str(v) for v in range(1, SIZE_CAP + 1))
+
+    def test_a_cap_without_fresh_labels_fails_at_import(self):
+        # reloading axioms under a cap of 12 needs 12 letters from "p" on
+        code = ("import importlib, hopfspecies.species as s, hopfspecies.axioms as a\n"
+                "s.SIZE_CAP = 12\n"
+                "importlib.reload(a)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "ValueError: no 12 fresh labels for the shift bijection" in proc.stderr
 
 
 def counted(h, calls: Counter, tag: str) -> HopfMonoid:

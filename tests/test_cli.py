@@ -14,6 +14,7 @@ from hopfspecies.species import QVector, labelset
 from hopfspecies.structures import get_hopf
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(capsys, *argv):
@@ -242,6 +243,19 @@ class TestAxiomsAndMorphisms:
         code, _, err = invoke(capsys, "axioms", "--species", "Nope")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, named", [
+        (("species-dims", "--species", "PiS:10"), "'PiS:10'"),
+        (("axioms", "--species", "Ek:x"), "'Ek:x'"),
+        (("species-dims", "--species", "Ek:"), "'Ek:'"),
+        (("axioms", "--species", "PiS:2,x"), "'PiS:2,x'"),
+        (("morphism-check", "--morphism", "Pi->PiS:10"), "'PiS:10'"),
+    ])
+    def test_malformed_parameter_names_the_identifier(self, capsys, argv, named):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: bad identifier %s: " % named)
+        assert "invalid literal" not in err
+
 
 class TestKernelCommands:
     def test_primitives(self, capsys):
@@ -450,6 +464,22 @@ class TestTracerCountsKernelCoproducts:
 class TestUsage:
     def test_no_command(self, capsys):
         assert run([]) == 2
+
+    @pytest.mark.parametrize("argv, want", [
+        (("axioms", "--species", "Sigma", "--max-n", "2"), 0),
+        (("series-div", "--numer", "1,0", "--denom", "1,1"), 1),
+        (("axioms", "--species", "Nope"), 2),
+    ])
+    def test_module_entry_point(self, capsys, argv, want):
+        # python -m hopfspecies.cli runs the CLI from a checkout
+        code, out, err = invoke(capsys, *argv)
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "hopfspecies.cli"] + list(argv),
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, code) == (want, want)
+        assert (proc.stdout, proc.stderr) == (out, err)
 
     def test_bad_flag(self, capsys):
         assert run(["seq-tests", "--nope"]) == 2

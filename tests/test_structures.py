@@ -7,7 +7,8 @@ from math import comb, factorial, prod
 import pytest
 
 from hopfspecies.axioms import (check_all, check_cocommutative,
-                                check_commutative, check_connected)
+                                check_commutative, check_connected,
+                                check_morphism)
 from hopfspecies import species
 from hopfspecies.exactalg import TruncatedSeries
 from hopfspecies.kernels import primitive_dims
@@ -15,9 +16,11 @@ from hopfspecies.species import (EMPTY, FiniteSet, FunctionToK, LinearOrder,
                                  PairStructure, PalComposition,
                                  SetComposition, SetPartition, SingletonMark,
                                  SpeciesSpec, egf, labelset, ogf, orbit_count)
-from hopfspecies.structures import (block_partitions, closed_sizes, get_hopf,
-                                    get_morphism, get_species, hadamard_hopf,
-                                    make_Ek, make_Pal, make_PiS, make_Sigma,
+from hopfspecies.structures import (MONOIDS, MORPHISMS, SPECIES_ONLY,
+                                    _parse, block_partitions, closed_sizes,
+                                    get_hopf, get_morphism, get_species,
+                                    hadamard_hopf, make_Ek, make_Pal,
+                                    make_PiS, make_Sigma,
                                     morphism_Ek_to_Ek1, morphism_E_to_Pi,
                                     morphism_L_to_E, morphism_L_to_Sigma,
                                     morphism_Pi_to_PiS, pal_words)
@@ -280,6 +283,22 @@ class TestBlockPartitions:
         for ident in ("Pi", "PiS:2", "PiPrime", "Sigma", "Pal", "L"):
             assert all(s.labels is I for s in get_species(ident).structures(I))
 
+    def test_functions_share_the_enumerated_label_set(self, monkeypatch):
+        calls = Counter()
+        check = species.check_label
+
+        def counting(tok):
+            calls[n] += 1
+            return check(tok)
+
+        E2 = get_species("Ek:2")
+        monkeypatch.setattr(species, "check_label", counting)
+        for n in range(6):
+            I = labelset(n)
+            calls[n] = 0
+            assert all(s.labels is I for s in E2.structures(I))
+            assert calls[n] == 0, n
+
     def test_linear_orders_check_no_label_again(self, monkeypatch):
         # the n! orders of a checked label set are built on it: no label is
         # checked again (n * n! calls when each order built its own set)
@@ -443,6 +462,19 @@ class TestCauchyPowers:
                          FunctionToK({"a": 2}, 2), FunctionToK({"b": 1}, 2))
         assert out == ((FunctionToK({"a": 2, "b": 1}, 2), 1),)
 
+    def test_function_labels_are_checked(self):
+        with pytest.raises(ValueError, match="separator character: 'a,b'"):
+            FunctionToK({"a,b": 1}, 1)
+        with pytest.raises(ValueError, match="nonempty ASCII token: ''"):
+            FunctionToK({"": 1}, 1)
+        with pytest.raises(ValueError, match="function a→1 is not on {a,b}"):
+            FunctionToK({"a": 1}, 1, FiniteSet("ab"))
+
+    def test_k_must_be_a_nonnegative_integer(self):
+        for k in (2.5, -1, "2"):
+            with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+                make_Ek(k)
+
     def test_element_species_dims(self, el):
         assert el.dims(6) == [0, 1, 2, 3, 4, 5, 6]
 
@@ -517,7 +549,71 @@ class TestMorphisms:
         assert f.on_basis(kept) == ((kept, 1),)
 
 
+# Every identifier the registry ships, with its built name and dims(4): the
+# bare names of the tables and samples of each family. A name added to a
+# table is tested here once its expected values are added.
+FAMILY_SAMPLES = {"Ek:k": ("Ek:0", "Ek:3"),
+                  "PiS:g1,g2,...": ("PiS:2", "PiS:2,3"),
+                  "Hadamard(A,B)": ("Hadamard(L,Hadamard(Pi,E))",)}
+REGISTRY_CASES = {
+    "E": ("E", [1, 1, 1, 1, 1]),
+    "X": ("X", [0, 1, 0, 0, 0]),
+    "L": ("L", [1, 1, 2, 6, 24]),
+    "Pi": ("Pi", [1, 1, 2, 5, 15]),
+    "Sigma": ("Sigma", [1, 1, 3, 13, 75]),
+    "Pal": ("Pal", [1, 1, 3, 7, 43]),
+    "PiPrime": ("PiPrime", [1, 1, 1, 4, 5]),
+    "el": ("el", [0, 1, 2, 3, 4]),
+    "Ek:0": ("Ek:0", [1, 0, 0, 0, 0]),
+    "Ek:3": ("Ek:3", [1, 3, 9, 27, 81]),
+    "PiS:2": ("PiS:2,4,6,8", [1, 0, 1, 0, 4]),
+    "PiS:2,3": ("PiS:2,3,4,5,6,7,8,9", [1, 0, 1, 1, 4]),
+    "Hadamard(L,Hadamard(Pi,E))": ("Hadamard(L,Hadamard(Pi,E))",
+                                   [1, 1, 4, 30, 360]),
+}
+MORPHISM_SAMPLES = {("Ek:k", "Ek:k"): ("Ek:0->Ek:1", "Ek:2->Ek:3"),
+                    ("Pi", "PiS:g1,g2,..."): ("Pi->PiS:2", "Pi->PiS:2,3")}
+MORPHISM_NAMES = {"Pi->PiS:2": "Pi->PiS:2,4,6,8",
+                  "Pi->PiS:2,3": "Pi->PiS:2,3,4,5,6,7,8,9"}
+
+
+def registry_identifiers():
+    bare = [head for head in list(MONOIDS) + list(SPECIES_ONLY)
+            if head not in FAMILY_SAMPLES]
+    return bare + [ident for samples in FAMILY_SAMPLES.values()
+                   for ident in samples]
+
+
 class TestRegistry:
+    @pytest.mark.parametrize("ident", registry_identifiers())
+    def test_registry_identifier(self, ident):
+        name, dims = REGISTRY_CASES[ident]
+        sp = get_species(ident)
+        assert (sp.name, sp.dims(4)) == (name, dims)
+        if ident in SPECIES_ONLY:
+            with pytest.raises(ValueError, match="without a Hopf monoid"):
+                get_hopf(ident)
+        else:
+            assert get_hopf(ident).name == name
+
+    def test_every_family_has_samples(self):
+        # a head that is not a bare name is a family template
+        for head in list(MONOIDS) + list(SPECIES_ONLY):
+            assert head in FAMILY_SAMPLES or _parse(head) == (head, ()), head
+        for head, samples in FAMILY_SAMPLES.items():
+            assert all(_parse(ident)[0] == head for ident in samples)
+        for heads, samples in MORPHISM_SAMPLES.items():
+            assert all(tuple(_parse(side)[0] for side in ident.split("->"))
+                       == heads for ident in samples)
+
+    @pytest.mark.parametrize("ident", ["%s->%s" % pair for pair in MORPHISMS]
+                             + [ident for samples in MORPHISM_SAMPLES.values()
+                                for ident in samples])
+    def test_registry_morphism(self, ident):
+        f = get_morphism(ident)
+        assert f.name == MORPHISM_NAMES.get(ident, ident)
+        assert check_morphism(f, 3).ok
+
     def test_species_identifiers(self):
         assert get_species("E").dims(3) == [1, 1, 1, 1]
         assert get_species("PiS:2").dims(4) == [1, 0, 1, 0, 4]
