@@ -4,6 +4,10 @@ Subcommands run the library's tests and computations and print either an
 aligned text report or JSON. Exit code 0 means every verdict passed, 1 means
 some verdict failed, 2 means a usage or input error. Output is deterministic:
 the library sorts everything and rationals print as exact fractions.
+
+Only the enumeration layers (`species`, `structures`) load with this module;
+each command imports the rest of what it runs, so a dimension table never
+compiles the axiom battery, the kernels or the sequence gates.
 """
 
 from __future__ import annotations
@@ -13,11 +17,6 @@ import json
 import os
 import sys
 
-from . import axioms as axioms_mod
-from . import kernels as kernels_mod
-from . import seqtests as seq_mod
-from .exactalg import egf_from_counts, nonneg_prefix, ogf_from_counts
-from .reports import jsonable
 from .species import SIZE_CAP, FiniteSet, LinearOrder, labelset, orbit_count
 from .structures import get_hopf, get_morphism, get_species, make_L
 
@@ -59,7 +58,8 @@ def _series_order(order: int | None, *lengths: int) -> int | None:
     division is quadratic in ever longer Fractions."""
     if order is not None:
         return _cap_order(order)
-    window = seq_mod.series_window(None, *lengths)
+    from .seqtests import series_window
+    window = series_window(None, *lengths)
     if window > HARD_MAX_ORDER:
         raise UsageError("the default window 0..%d exceeds the order cap %d;"
                          " pass --order N with N <= %d"
@@ -85,6 +85,7 @@ def _emit(report: dict, fmt: str, lines) -> None:
     """Print the JSON report or the text lines. Commands that print vectors
     render those lines only in text mode; JSON mode never prints them."""
     if fmt == "json":
+        from .reports import jsonable
         print(json.dumps(jsonable(report), sort_keys=True, indent=2))
     else:
         for line in lines:
@@ -100,6 +101,7 @@ def _verdict_exit(ok: bool) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_seq_tests(args) -> int:
+    from . import seqtests as seq_mod
     with open(args.input) as fh:
         seq = seq_mod.DimSequence.from_json(json.load(fh))
     order = _series_order(args.order, len(seq.a))
@@ -128,10 +130,15 @@ def cmd_seq_tests(args) -> int:
             return seq_mod.supermult_test(seq)
         if name == "support":
             return seq_mod.support_test(seq)
-        if name.startswith("ek:"):
-            return seq_mod.ek_test(seq, int(name[3:]), order)
-        if name.startswith("growth:"):
-            return seq_mod.growth_test(seq, int(name[7:]))
+        if name.startswith(("ek:", "growth:")):
+            head, _, arg = name.partition(":")
+            try:
+                k = int(arg)
+            except ValueError:
+                raise ValueError("bad test %r: K must be an integer" % name) from None
+            if head == "ek":
+                return seq_mod.ek_test(seq, k, order)
+            return seq_mod.growth_test(seq, k)
         raise UsageError("unknown test name: %r" % name)
 
     reports = [run_one(name) for name in wanted]
@@ -145,9 +152,11 @@ def cmd_seq_tests(args) -> int:
 
 
 def cmd_series_div(args) -> int:
+    from .exactalg import egf_from_counts, nonneg_prefix, ogf_from_counts
+    from .seqtests import series_window
     numer = _parse_ints(args.numer)
     denom = _parse_ints(args.denom)
-    order = seq_mod.series_window(
+    order = series_window(
         _series_order(args.order, len(numer), len(denom)), len(numer), len(denom))
     build = egf_from_counts if args.kind == "egf" else ogf_from_counts
     quot = build(numer, order) / build(denom, order)
@@ -181,6 +190,7 @@ def cmd_species_dims(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    from . import axioms as axioms_mod
     nmax = _cap_n(args.max_n)
     h = get_hopf(args.species)
     rep = axioms_mod.check_all(h, nmax)
@@ -191,6 +201,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_morphism_check(args) -> int:
+    from . import axioms as axioms_mod
     nmax = _cap_n(args.max_n)
     f = get_morphism(args.morphism)
     rep = axioms_mod.check_morphism(f, nmax)
@@ -201,6 +212,7 @@ def cmd_morphism_check(args) -> int:
 
 
 def cmd_primitives(args) -> int:
+    from . import kernels as kernels_mod
     nmax = _cap_n(args.max_n)
     h = get_hopf(args.species)
     dims = kernels_mod.primitive_dims(h, nmax)
@@ -220,6 +232,7 @@ def cmd_primitives(args) -> int:
 
 
 def cmd_lie_basis(args) -> int:
+    from . import kernels as kernels_mod
     labels = _parse_labels(args.labels)
     _cap_n(len(labels))
     ell0 = LinearOrder(_parse_labels(args.ell0)) if args.ell0 else LinearOrder(sorted(labels))
@@ -243,6 +256,7 @@ def cmd_lie_basis(args) -> int:
 
 
 def cmd_hker_basis(args) -> int:
+    from . import kernels as kernels_mod
     ell0 = LinearOrder(_parse_labels(args.ell0))
     _cap_n(len(ell0.seq))
     if args.ell:
@@ -266,6 +280,7 @@ def cmd_hker_basis(args) -> int:
 
 
 def cmd_hker_dims(args) -> int:
+    from . import kernels as kernels_mod
     nmax = _cap_n(args.max_n)
     f = get_morphism(args.morphism)
     dims = kernels_mod.hker_dims(f, nmax)
@@ -277,6 +292,7 @@ def cmd_hker_dims(args) -> int:
 
 
 def cmd_lagrange(args) -> int:
+    from . import kernels as kernels_mod
     nmax = _cap_n(args.max_n)
     if bool(args.sub) == bool(args.quotient):
         raise UsageError("exactly one of --sub or --quotient is required")
@@ -298,6 +314,7 @@ def cmd_lagrange(args) -> int:
 
 
 def cmd_pbw_check(args) -> int:
+    from . import kernels as kernels_mod
     nmax = _cap_n(args.max_n)
     h = get_hopf(args.species)
     rep = kernels_mod.pbw_series_check(h, nmax)
@@ -392,7 +409,12 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
-    except kernels_mod.LagrangeFactorizationError as exc:
+    except AssertionError as exc:
+        # a failed factorization (from `lagrange`) is a verdict; kernels is
+        # imported here only to recognize it, not by every command
+        from .kernels import LagrangeFactorizationError
+        if not isinstance(exc, LagrangeFactorizationError):
+            raise
         print("FAIL: %s" % exc, file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, OSError, KeyError,

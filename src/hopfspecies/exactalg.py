@@ -4,7 +4,9 @@ Coefficients are exact: int or fractions.Fraction, never floating point.
 Series coefficients are Fractions, since their arithmetic divides. A
 TruncatedSeries stores coefficients 0..N for a fixed truncation order N and
 binary operations truncate to the smaller order, which is the usual
-semantics for formal power series prefixes.
+semantics for formal power series prefixes. The generating series of a
+species (`egf`, `ogf`, `tgf`, `cycle_index`) are computed here from its
+structures.
 
 The linear algebra is one sparse echelon engine (`Echelon`), used by the
 kernel computations elsewhere. It eliminates integer rows by integer
@@ -16,7 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
-from .reports import FAIL, PASS, TestReport, qstr
+from .reports import FAIL, PASS, TestReport
+from .species import (FiniteSet, NotLinearized, SpeciesSpec, labelset,
+                      orbit_count, qstr)
 
 Q = Fraction
 
@@ -363,6 +367,82 @@ class CycleIndexPoly:
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
+
+
+# ---------------------------------------------------------------------------
+# Generating series of a species
+# ---------------------------------------------------------------------------
+
+def egf(sp: SpeciesSpec, order: int) -> TruncatedSeries:
+    return egf_from_counts(sp.dims(order))
+
+
+def ogf(sp: SpeciesSpec, order: int) -> TruncatedSeries:
+    return ogf_from_counts(sp.dims(order))
+
+
+def tgf(sp: SpeciesSpec, order: int) -> TruncatedSeries:
+    return ogf_from_counts([orbit_count(sp, n) for n in range(order + 1)])
+
+
+def integer_partitions(n: int, largest: int | None = None):
+    """Partitions of n as weakly decreasing tuples."""
+    if largest is None:
+        largest = n
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in integer_partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _perm_of_type(I: FiniteSet, lam) -> dict:
+    """A permutation of I whose cycle type is the partition `lam`."""
+    toks = tuple(I)
+    sigma = {}
+    pos = 0
+    for part in lam:
+        cyc = toks[pos: pos + part]
+        for i, t in enumerate(cyc):
+            sigma[t] = cyc[(i + 1) % part]
+        pos += part
+    return sigma
+
+
+def _cycle_type_counts(lam, n: int) -> tuple:
+    expts = [0] * n
+    for part in lam:
+        expts[part - 1] += 1
+    return tuple(expts)
+
+
+def _z_lambda(lam) -> int:
+    z = 1
+    mult = {}
+    for part in lam:
+        mult[part] = mult.get(part, 0) + 1
+    for part, m in mult.items():
+        z *= part ** m * factorial(m)
+    return z
+
+
+def cycle_index(sp: SpeciesSpec, order: int) -> CycleIndexPoly:
+    """Z = sum_n (1/n!) sum_{sigma in S_n} fix(sigma) x^{cycletype(sigma)},
+    computed one conjugacy class at a time."""
+    if not sp.linearized:
+        raise NotLinearized("cycle index needs a linearized species")
+    terms: dict = {}
+    for n in range(order + 1):
+        I = labelset(n)
+        structs = sp.structures(I)
+        for lam in integer_partitions(n):
+            sigma = _perm_of_type(I, lam)
+            fix = sum(1 for s in structs if s.relabel(sigma) == s)
+            if fix:
+                e = _cycle_type_counts(lam, n) if n else ()
+                terms[e] = terms.get(e, Q(0)) + Q(fix, _z_lambda(lam))
+    return CycleIndexPoly(terms, order)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import functools
 import itertools
 from math import comb
 
-from .axioms import check_cocommutative
 from .exactalg import Echelon, egf_from_counts
 from .reports import FAIL, PASS, TestReport
 from .species import FiniteSet, LinearOrder, QVector, labelset
@@ -98,12 +97,11 @@ def _kernel_space(basis, ambient, rows) -> SubspaceBasis:
     """
     n = len(basis)
     ech = Echelon()
-    seen = set()
-    for row in rows:
-        frozen = frozenset(row.items())
-        if frozen in seen:
-            continue
-        seen.add(frozen)
+    distinct = {frozenset(row.items()): row for row in rows}
+    # shortest rows first, stably, so the order stays deterministic: short
+    # pivot rows keep the fill of every later reduction small, and the
+    # kernel's reduced basis does not depend on the order
+    for row in sorted(distinct.values(), key=len):
         ech.add({n - 1 - j: c for j, c in row.items()})
     kernel = [{n - 1 - j: c for j, c in vec.items()}
               for vec in reversed(ech.kernel(n))]
@@ -459,6 +457,9 @@ def dual_factorization_check(f: HopfMorphism, nmax: int) -> TestReport:
 # ---------------------------------------------------------------------------
 
 def _require_cocommutative(h: HopfMonoid, nmax: int):
+    # the axiom battery is loaded by the two checks that need it, not by
+    # every command that computes a kernel
+    from .axioms import check_cocommutative
     rep = check_cocommutative(h, min(nmax, 4))
     if not rep.ok:
         raise NotCocommutative(rep.summary())

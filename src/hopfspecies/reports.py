@@ -5,16 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .species import qstr
+
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
-
-
-def qstr(x) -> str:
-    """Render an exact number as 'p' or 'p/q'. Never a decimal."""
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return "%d/%d" % (x.numerator, x.denominator)
-    return str(int(x)) if isinstance(x, (int, Fraction)) else str(x)
 
 
 def jsonable(value):

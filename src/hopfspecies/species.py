@@ -9,11 +9,7 @@ every enumeration, vector and matrix in the package is canonically sorted.
 from __future__ import annotations
 
 import itertools
-from math import factorial
-
-from .exactalg import (CycleIndexPoly, Q, TruncatedSeries, egf_from_counts,
-                       ogf_from_counts)
-from .reports import qstr
+from fractions import Fraction
 
 SEPARATOR_CHARS = frozenset(".|,:;()[]{}<>=→ \t\r\n")
 
@@ -532,78 +528,6 @@ def _orbits_by_relabeling(structs: tuple, I: FiniteSet) -> int:
     return count
 
 
-def egf(sp: SpeciesSpec, order: int) -> TruncatedSeries:
-    return egf_from_counts(sp.dims(order))
-
-
-def ogf(sp: SpeciesSpec, order: int) -> TruncatedSeries:
-    return ogf_from_counts(sp.dims(order))
-
-
-def tgf(sp: SpeciesSpec, order: int) -> TruncatedSeries:
-    return ogf_from_counts([orbit_count(sp, n) for n in range(order + 1)])
-
-
-def integer_partitions(n: int, largest: int | None = None):
-    """Partitions of n as weakly decreasing tuples."""
-    if largest is None:
-        largest = n
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest), 0, -1):
-        for rest in integer_partitions(n - part, part):
-            yield (part,) + rest
-
-
-def _perm_of_type(I: FiniteSet, lam) -> dict:
-    """A permutation of I whose cycle type is the partition `lam`."""
-    toks = tuple(I)
-    sigma = {}
-    pos = 0
-    for part in lam:
-        cyc = toks[pos: pos + part]
-        for i, t in enumerate(cyc):
-            sigma[t] = cyc[(i + 1) % part]
-        pos += part
-    return sigma
-
-
-def _cycle_type_counts(lam, n: int) -> tuple:
-    expts = [0] * n
-    for part in lam:
-        expts[part - 1] += 1
-    return tuple(expts)
-
-
-def _z_lambda(lam) -> int:
-    z = 1
-    mult = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
-        z *= part ** m * factorial(m)
-    return z
-
-
-def cycle_index(sp: SpeciesSpec, order: int) -> CycleIndexPoly:
-    """Z = sum_n (1/n!) sum_{sigma in S_n} fix(sigma) x^{cycletype(sigma)},
-    computed one conjugacy class at a time."""
-    if not sp.linearized:
-        raise NotLinearized("cycle index needs a linearized species")
-    terms: dict = {}
-    for n in range(order + 1):
-        I = labelset(n)
-        structs = sp.structures(I)
-        for lam in integer_partitions(n):
-            sigma = _perm_of_type(I, lam)
-            fix = sum(1 for s in structs if s.relabel(sigma) == s)
-            if fix:
-                e = _cycle_type_counts(lam, n) if n else ()
-                terms[e] = terms.get(e, Q(0)) + Q(fix, _z_lambda(lam))
-    return CycleIndexPoly(terms, order)
-
-
 def hadamard(a: SpeciesSpec, b: SpeciesSpec) -> SpeciesSpec:
     """Structures are pairs on the same label set; dimensions multiply."""
 
@@ -617,6 +541,13 @@ def hadamard(a: SpeciesSpec, b: SpeciesSpec) -> SpeciesSpec:
 # ---------------------------------------------------------------------------
 # Vectors and tensors over a fixed label set
 # ---------------------------------------------------------------------------
+
+def qstr(x) -> str:
+    """Render an exact number as 'p' or 'p/q'. Never a decimal."""
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return "%d/%d" % (x.numerator, x.denominator)
+    return str(int(x)) if isinstance(x, (int, Fraction)) else str(x)
+
 
 def terms_text(items, key_text) -> str:
     """Print sorted (key, coeff) pairs as a signed sum, '0' when empty."""
@@ -634,7 +565,7 @@ def tensor_text(key) -> str:
 
 def check_coeff(c):
     """Refuse a coefficient that is not an exact int or Fraction."""
-    if not isinstance(c, (int, Q)):
+    if not isinstance(c, (int, Fraction)):
         raise TypeError("exact coefficient expected, got %r" % (c,))
 
 

@@ -552,13 +552,22 @@ def _parse(ident: str):
     head, colon, arg = ident.partition(":")
     if not colon or head not in ("Ek", "PiS"):
         return ident, ()
+    if head == "Ek":
+        try:
+            k = int(arg)
+        except ValueError:
+            raise ValueError("bad identifier %r: k must be an integer" % ident) from None
+        if k < 0:
+            raise ValueError("bad identifier %r: k must be nonnegative" % ident)
+        return "Ek:k", (k,)
     try:
-        if head == "Ek":
-            return "Ek:k", (int(arg),)
         gens = [int(v) for v in arg.split(",") if v]
     except ValueError:
-        raise ValueError("bad identifier %r: %s" % (ident, "k must be an integer"
-                         if head == "Ek" else "generators must be integers")) from None
+        raise ValueError("bad identifier %r: generators must be integers"
+                         % ident) from None
+    if not gens or min(gens) <= 0:
+        raise ValueError("bad identifier %r: generators must be positive integers"
+                         % ident)
     sizes = closed_sizes(gens, SIZE_CAP)
     if not sizes:
         raise ValueError("bad identifier %r: its generators reach no block"

@@ -9,7 +9,7 @@ from math import comb, factorial
 
 from conftest import mutate_coproduct, mutate_product
 from hopfspecies.axioms import check_all
-from hopfspecies.exactalg import TruncatedSeries, egf_from_counts
+from hopfspecies.exactalg import TruncatedSeries, egf, egf_from_counts, tgf
 from hopfspecies.kernels import (CyclicOrder, SubspaceBasis, cyclic_orders,
                                  derangements, dual_factorization_check,
                                  hker_basis_derangement, hker_dims,
@@ -24,7 +24,7 @@ from hopfspecies.seqtests import (DimSequence, e_test, ek_limit_test, l_test,
 from hopfspecies.species import (FiniteSet, FunctionToK, LinearOrder,
                                  PalComposition, QTensor, QVector,
                                  SetComposition, SetPartition, SingletonMark,
-                                 egf, labelset, orbit_count, tgf)
+                                 labelset, orbit_count)
 from hopfspecies.structures import (morphism_E_to_Pi, morphism_L_to_E,
                                     morphism_L_to_Sigma, product_vectors)
 

@@ -65,6 +65,14 @@ class TestSeqTests:
                               "--tests", "nope")
         assert code == 2 and "unknown test" in err
 
+    @pytest.mark.parametrize("test", ["ek:x", "growth:x", "ek:", "growth:1.5"])
+    def test_malformed_test_parameter_names_the_test(self, capsys, tmp_path, test):
+        path = write_seq(tmp_path, "bell", [1, 1, 2, 5, 15, 52])
+        code, out, err = invoke(capsys, "seq-tests", "--input", path,
+                                "--tests", "etest," + test)
+        assert (code, out) == (2, "")
+        assert err == "input error: bad test %r: K must be an integer\n" % test
+
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "seq-tests", "--input", "/nonexistent.json")
         assert code == 2
@@ -249,6 +257,11 @@ class TestAxiomsAndMorphisms:
         (("species-dims", "--species", "Ek:"), "'Ek:'"),
         (("axioms", "--species", "PiS:2,x"), "'PiS:2,x'"),
         (("morphism-check", "--morphism", "Pi->PiS:10"), "'PiS:10'"),
+        (("species-dims", "--species", "Ek:-1"), "'Ek:-1'"),
+        (("species-dims", "--species", "PiS:"), "'PiS:'"),
+        (("axioms", "--species", "PiS:0"), "'PiS:0'"),
+        (("species-dims", "--species", "PiS:-2"), "'PiS:-2'"),
+        (("morphism-check", "--morphism", "Ek:-1->Ek:0"), "'Ek:-1'"),
     ])
     def test_malformed_parameter_names_the_identifier(self, capsys, argv, named):
         code, out, err = invoke(capsys, *argv)
@@ -322,6 +335,26 @@ class TestKernelCommands:
         code, out, _ = invoke(capsys, "pbw-check", "--species", "Sigma",
                               "--max-n", "4")
         assert code == 0
+
+    def test_failed_factorization_is_a_fail_verdict(self, capsys, monkeypatch):
+        import hopfspecies.kernels as kernels
+
+        def broken(f, nmax):
+            raise kernels.LagrangeFactorizationError("dim h[2] = 2 but 3")
+
+        monkeypatch.setattr(kernels, "lagrange_quotient_dims", broken)
+        code, out, err = invoke(capsys, "lagrange", "--sub", "E->Pi")
+        assert (code, out, err) == (1, "", "FAIL: dim h[2] = 2 but 3\n")
+
+    def test_other_assertion_errors_propagate(self, monkeypatch):
+        import hopfspecies.kernels as kernels
+
+        def broken(f, nmax):
+            raise AssertionError("not a verdict")
+
+        monkeypatch.setattr(kernels, "lagrange_quotient_dims", broken)
+        with pytest.raises(AssertionError, match="not a verdict"):
+            run(["lagrange", "--sub", "E->Pi"])
 
 
 class TestDeterminism:
@@ -461,25 +494,74 @@ class TestTracerCountsKernelCoproducts:
         assert calls == counts.get("structures.coproduct.miss", 0) > 0
 
 
+def fresh_env():
+    """The environment of a fresh process that imports the package from this
+    checkout and writes no bytecode cache."""
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=os.pathsep.join(
+                    [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert run([]) == 2
 
+    # every subcommand once, so that a command whose layers are imported
+    # on demand cannot miss one of them unnoticed
     @pytest.mark.parametrize("argv, want", [
         (("axioms", "--species", "Sigma", "--max-n", "2"), 0),
         (("series-div", "--numer", "1,0", "--denom", "1,1"), 1),
         (("axioms", "--species", "Nope"), 2),
+        (("seq-tests", "--input", "{seq}"), 0),
+        (("species-dims", "--species", "Pal", "--max-n", "3", "--types"), 0),
+        (("--format", "json", "species-dims", "--species", "E", "--max-n", "2"), 0),
+        (("morphism-check", "--morphism", "L->E", "--max-n", "2"), 0),
+        (("primitives", "--species", "L", "--max-n", "3", "--show-basis"), 0),
+        (("lie-basis", "--labels", "a,b,c"), 0),
+        (("hker-basis", "--ell0", "a,b,c"), 0),
+        (("hker-dims", "--morphism", "L->E", "--max-n", "3"), 0),
+        (("lagrange", "--sub", "E->Pi", "--max-n", "3"), 0),
+        (("lagrange", "--quotient", "L->E", "--max-n", "3"), 0),
+        (("pbw-check", "--species", "Sigma", "--max-n", "3"), 0),
     ])
-    def test_module_entry_point(self, capsys, argv, want):
+    def test_module_entry_point(self, capsys, tmp_path, argv, want):
         # python -m hopfspecies.cli runs the CLI from a checkout
+        seq = write_seq(tmp_path, "bell", [1, 1, 2, 5, 15, 52],
+                        abar=[1, 1, 2, 3, 5, 7])
+        argv = [arg.replace("{seq}", seq) for arg in argv]
         code, out, err = invoke(capsys, *argv)
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-                   PYTHONPATH=os.pathsep.join(
-                       [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run([sys.executable, "-m", "hopfspecies.cli"] + list(argv),
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = subprocess.run([sys.executable, "-m", "hopfspecies.cli"] + argv,
+                              capture_output=True, text=True, env=fresh_env(),
+                              timeout=60)
         assert (proc.returncode, code) == (want, want)
         assert (proc.stdout, proc.stderr) == (out, err)
 
     def test_bad_flag(self, capsys):
         assert run(["seq-tests", "--nope"]) == 2
+
+
+class TestLoadsOnlyTheLayersItRuns:
+    """A fresh process compiles every module it imports from source when no
+    bytecode cache is written, so a command imports only the layers it runs:
+    a dimension table never loads the series, reports, axiom battery,
+    kernels or sequence gates, and a kernel command never the gates."""
+
+    PROBE = ("import json, sys\n"
+             "from hopfspecies import cli\n"
+             "code = cli.run(sys.argv[1:])\n"
+             "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n")
+
+    @pytest.mark.parametrize("argv, absent", [
+        (("species-dims", "--species", "Pal", "--max-n", "4", "--types"),
+         ["exactalg", "reports", "axioms", "seqtests", "kernels"]),
+        (("primitives", "--species", "Sigma", "--max-n", "3", "--show-basis"),
+         ["seqtests"]),
+    ])
+    def test_command_imports_only_its_layers(self, argv, absent):
+        proc = subprocess.run([sys.executable, "-c", self.PROBE] + list(argv),
+                              capture_output=True, text=True, env=fresh_env(),
+                              timeout=60)
+        code, modules = json.loads(proc.stderr.splitlines()[-1])
+        assert code == 0
+        assert [m for m in absent if "hopfspecies." + m in modules] == []
+        assert "hopfspecies.cli" in modules

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_kernel, reference_rref
+from hopfspecies import kernels as kernels_mod
 from hopfspecies.axioms import check_all, check_morphism
 from hopfspecies.exactalg import Echelon, TruncatedSeries, egf_from_counts
 from hopfspecies.kernels import (CyclicOrder, NotADerangement,
@@ -172,6 +173,25 @@ class TestStackedMatrixOracle:
         stored = [tuple(Q(row.get(j, 0), row[c]) for j in range(n))
                   for c, row in sorted(space._ech.pivots.items())]
         assert stored == reference_rref(reference_kernel(rows, n), n)[0]
+
+    def test_rows_are_eliminated_shortest_first(self, monkeypatch):
+        # short pivot rows keep the fill of every later reduction small (Pi
+        # at n = 7 stores 17,707 entries in arrival order, 3,338 sorted);
+        # rows of equal length keep their arrival order, repeats go in once
+        fed = []
+
+        class Recording(Echelon):
+            def add(self, row):
+                fed.append(row)
+                return super().add(row)
+
+        monkeypatch.setattr(kernels_mod, "Echelon", Recording)
+        rows = [{0: 1, 1: 1, 2: 1}, {2: 1}, {0: 1, 1: 1, 2: 1}, {0: 2, 1: -2},
+                {1: 3}]
+        space = _kernel_space(tuple(range(3)), EMPTY, rows)
+        # columns go in reversed, j -> 2 - j
+        assert fed == [{0: 1}, {1: 3}, {2: 2, 1: -2}, {2: 1, 1: 1, 0: 1}]
+        assert space.dim == 0
 
 
 class TestSpaceCaches:

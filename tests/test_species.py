@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfspecies.exactalg import CycleIndexPoly
+from hopfspecies.exactalg import (CycleIndexPoly, cycle_index, egf,
+                                  integer_partitions, ogf, tgf)
 from hopfspecies.species import (EMPTY, Element, FiniteSet, FunctionToK,
                                  LinearOrder, NotLinearized,
                                  PalComposition, QTensor, QVector,
                                  SetComposition, SetPartition, SingletonMark,
-                                 SpeciesSpec,
-                                 cycle_index, egf, hadamard, integer_partitions,
-                                 labelset, ogf, orbit_count, tgf)
+                                 SpeciesSpec, hadamard, labelset,
+                                 orbit_count)
 
 
 class TestFiniteSet:

@@ -10,12 +10,12 @@ from hopfspecies.axioms import (check_all, check_cocommutative,
                                 check_commutative, check_connected,
                                 check_morphism)
 from hopfspecies import species
-from hopfspecies.exactalg import TruncatedSeries
+from hopfspecies.exactalg import TruncatedSeries, egf, ogf
 from hopfspecies.kernels import primitive_dims
 from hopfspecies.species import (EMPTY, FiniteSet, FunctionToK, LinearOrder,
                                  PairStructure, PalComposition,
                                  SetComposition, SetPartition, SingletonMark,
-                                 SpeciesSpec, egf, labelset, ogf, orbit_count)
+                                 SpeciesSpec, labelset, orbit_count)
 from hopfspecies.structures import (MONOIDS, MORPHISMS, SPECIES_ONLY,
                                     _parse, block_partitions, closed_sizes,
                                     get_hopf, get_morphism, get_species,
