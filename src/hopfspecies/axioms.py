@@ -147,12 +147,17 @@ def check_comonoid(h: HopfMonoid, nmax: int) -> AxiomReport:
         for R, S, T in I.triple_decompositions():
             RS, ST = R.union(S), S.union(T)
             for s in h.species.structures(I):
-                lhs = summed(((u1, u2, w), c1 * c2)
-                             for (u, w), c1 in delta(RS, T, s)
-                             for (u1, u2), c2 in delta(R, S, u))
-                rhs = summed(((u, w1, w2), c1 * c2)
-                             for (u, w), c1 in delta(R, ST, s)
-                             for (w1, w2), c2 in delta(S, T, w))
+                lhs = [((u1, u2, w), c1 * c2)
+                       for (u, w), c1 in delta(RS, T, s)
+                       for (u1, u2), c2 in delta(R, S, u)]
+                rhs = [((u, w1, w2), c1 * c2)
+                       for (u, w), c1 in delta(R, ST, s)
+                       for (w1, w2), c2 in delta(S, T, w)]
+                # two single equal terms with a nonzero coefficient agree
+                # as sums; only the other cases need the summed dicts
+                if len(lhs) == len(rhs) == 1 and lhs == rhs and lhs[0][1]:
+                    continue
+                lhs, rhs = summed(lhs), summed(rhs)
                 if lhs != rhs:
                     rep.record("coassociativity", n,
                                "R=%r S=%r T=%r s=%s" % (R, S, T, s.text()),

@@ -85,8 +85,8 @@ def _emit(report: dict, fmt: str, lines) -> None:
     """Print the JSON report or the text lines. Commands that print vectors
     render those lines only in text mode; JSON mode never prints them."""
     if fmt == "json":
-        from .reports import jsonable
-        print(json.dumps(jsonable(report), sort_keys=True, indent=2))
+        from .reports import json_text
+        print(json_text(report))
     else:
         for line in lines:
             print(line)

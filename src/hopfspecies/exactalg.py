@@ -10,7 +10,8 @@ structures.
 
 The linear algebra is one sparse echelon engine (`Echelon`), used by the
 kernel computations elsewhere. It eliminates integer rows by integer
-cross-multiplication; Fractions appear only when rref()/kernel() divide.
+cross-multiplication; Fractions appear only where rref()/kernel() divide by
+a pivot entry other than 1. A reduced row with unit pivot stays integral.
 """
 
 from __future__ import annotations
@@ -545,8 +546,9 @@ class Echelon:
 
         Back-substitution stays fraction-free: each stored pivot row is
         reduced against the already reduced integer rows of the later pivot
-        columns by cross-multiplication and gcd-normalized; only the
-        returned entries are Fractions, one division by the pivot each.
+        columns by cross-multiplication and gcd-normalized. A row whose
+        pivot entry is then 1 is returned as ints; only the entries of a
+        row with another pivot entry are Fractions, one division each.
         """
         reduced = {}
         out = {}
@@ -567,7 +569,9 @@ class Echelon:
                         acc.pop(k, None)
             acc = reduced[c] = _row_gcd_normalize(acc)
             lead = acc[c]
-            out[c] = {k: Fraction(v, lead) for k, v in acc.items()}
+            # a copy: acc may be the stored pivot row itself
+            out[c] = (dict(acc) if lead == 1
+                      else {k: Fraction(v, lead) for k, v in acc.items()})
         return out
 
     def kernel(self, ncols: int) -> list:
@@ -576,7 +580,7 @@ class Echelon:
         1 at its free column, minus that column's rref entry at each pivot.
         """
         rref = self.rref()
-        basis = {f: {f: Q(1)} for f in range(ncols) if f not in rref}
+        basis = {f: {f: 1} for f in range(ncols) if f not in rref}
         for c, row in rref.items():
             for f, v in row.items():
                 # an rref row is zero at every other pivot column

@@ -131,8 +131,10 @@ def coproduct_rows(h: HopfMonoid, I: FiniteSet,
     """Sparse rows of the stacked maps Delta_{S,T} over S, T nonempty, or of
     (f x id) o Delta_{S,T} when a morphism f out of h is given; columns
     index the sorted basis of h[I]. The rows are read off the maps'
-    (output, coefficient) pairs; nothing is memoized, since each (S, s) is
-    asked for once."""
+    (output, coefficient) pairs. No map result is memoized, since each
+    (S, s) is asked for once; one S is held across every structure of a
+    decomposition, so the block cuts memoized on it (`split_blocks`) are
+    shared by all of them."""
     basis = h.species.structures(I)
     rows: dict = {}
     for S, T in I.decompositions():

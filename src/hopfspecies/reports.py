@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as quote
 
 from .species import qstr
 
@@ -12,22 +13,77 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-def jsonable(value):
-    """Recursively convert a witness payload to JSON-safe values.
+def _scalar(value):
+    """The JSON-safe form of a value that is not a list, tuple or dict.
 
-    Fractions become 'p/q' strings so no precision is lost; ints stay ints.
+    Fractions become 'p/q' strings so no precision is lost; ints, bools and
+    None stay as they are; anything else becomes its str.
     """
     if isinstance(value, Fraction):
         return qstr(value)
-    if isinstance(value, bool) or value is None:
+    if value is None or isinstance(value, int):
         return value
-    if isinstance(value, int):
-        return value
+    return str(value)
+
+
+def jsonable(value):
+    """Recursively convert a witness payload to JSON-safe values: lists and
+    tuples to lists, dict keys to their str, every other value by `_scalar`."""
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    return str(value)
+    return _scalar(value)
+
+
+def json_text(value) -> str:
+    """The text of json.dumps(jsonable(value), sort_keys=True, indent=2),
+    written in one walk over `value` with no converted copy in between."""
+    out = []
+    _write(value, out.append, "\n")
+    return "".join(out)
+
+
+def _write(value, put, nl: str) -> None:
+    """Append the JSON text of `value`, whose lines after the first are
+    indented as `nl` says, in pieces through `put`."""
+    if type(value) is str:
+        put(quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        items = {str(k): v for k, v in value.items()}
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(items):
+            put(sep + quote(key) + ": ")
+            _write(items[key], put, inner)
+            sep = "," + inner
+        put(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write(item, put, inner)
+            sep = "," + inner
+        put(nl + "]")
+    else:
+        value = _scalar(value)
+        if value is None:
+            put("null")
+        elif value is True:
+            put("true")
+        elif value is False:
+            put("false")
+        elif isinstance(value, int):
+            put(int.__repr__(value))
+        else:
+            put(quote(value))
 
 
 @dataclass

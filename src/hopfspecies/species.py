@@ -30,9 +30,14 @@ def check_label(tok: str) -> str:
 
 class FiniteSet:
     """A finite set of labels, kept sorted; the sorted order doubles as the
-    default reference linear order used by the kernel constructions."""
+    default reference linear order used by the kernel constructions.
 
-    __slots__ = ("labels",)
+    `cuts`, unset until `structures.split_blocks` first cuts blocks at this
+    set, memoizes each block's (inside, outside) pair. An entry depends only
+    on the labels and the block, so it lives exactly as long as the set and
+    never answers for another one."""
+
+    __slots__ = ("labels", "cuts")
 
     def __init__(self, labels=()):
         labels = tuple(sorted(map(check_label, labels)))

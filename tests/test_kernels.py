@@ -591,8 +591,8 @@ class TestIntegerRows:
             assert self.all_int(space._ech.pivots.values())
 
     def test_generated_check_reduces_only_ints(self, pi_to_e, monkeypatch):
-        # the Lie-kernel vectors hold Fractions (rref divides by the
-        # pivot); their products are scaled to integer rows on entry
+        # the Lie-kernel vectors may hold Fractions (rref divides by a
+        # non-unit pivot); their products are scaled to integer rows on entry
         reduce = Echelon.reduce
         returned = []
 

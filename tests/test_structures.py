@@ -5,6 +5,8 @@ from fractions import Fraction as Q
 from math import comb, factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfspecies.axioms import (check_all, check_cocommutative,
                                 check_commutative, check_connected,
@@ -23,7 +25,8 @@ from hopfspecies.structures import (MONOIDS, MORPHISMS, SPECIES_ONLY,
                                     make_PiS, make_Sigma,
                                     morphism_Ek_to_Ek1, morphism_E_to_Pi,
                                     morphism_L_to_E, morphism_L_to_Sigma,
-                                    morphism_Pi_to_PiS, pal_words)
+                                    morphism_Pi_to_PiS, pal_words,
+                                    split_blocks)
 
 
 class TestExponentialMonoid:
@@ -383,6 +386,62 @@ class TestInterning:
                         repeats += z in seen
                         assert seen.setdefault(z, z) is z
         assert repeats > 0
+
+
+def naive_split(blocks, labels) -> tuple:
+    """split_blocks by a fresh filter of every block, with no memo."""
+    inside = [tuple(t for t in b if t in labels) for b in blocks]
+    outside = [tuple(t for t in b if t not in labels) for b in blocks]
+    return (tuple(b for b in inside if b), tuple(b for b in outside if b))
+
+
+LABELS = "abcdefg"
+label_subsets = st.lists(st.sampled_from(LABELS), unique=True).map(sorted)
+block_words = st.lists(st.lists(st.sampled_from(LABELS), min_size=1,
+                                unique=True).map(lambda b: tuple(sorted(b))),
+                       max_size=5).map(tuple)
+
+
+class TestSplitBlocks:
+    """split_blocks memoizes each block's cut in the label set it cuts at;
+    a cut must never answer for a set with other labels."""
+
+    @given(label_subsets, label_subsets,
+           st.lists(st.tuples(block_words, st.integers(0, 2)), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_a_fresh_filter(self, first, second, calls):
+        # two sets with different labels, and a second set object with the
+        # labels of the first, asked in an arbitrary interleaving
+        sets = [FiniteSet(first), FiniteSet(second), FiniteSet(first)]
+        for blocks, which in calls:
+            S = sets[which]
+            want = naive_split(blocks, set(S.labels))
+            assert split_blocks(blocks, S) == want
+
+    def test_one_block_cut_at_different_sets(self):
+        block = ("a", "b", "c")
+        for _ in range(2):
+            for labels, want in (("a", ((("a",),), (("b", "c"),))),
+                                 ("ab", ((("a", "b"),), (("c",),))),
+                                 ("abc", ((("a", "b", "c"),), ())),
+                                 ("d", ((), (("a", "b", "c"),)))):
+                assert split_blocks((block,), FiniteSet(labels)) == want
+
+    def test_cuts_live_on_the_set(self):
+        S, twin = FiniteSet("ac"), FiniteSet("ac")
+        assert not hasattr(S, "cuts")
+        split_blocks((("a", "b"), ("c", "d")), S)
+        assert S.cuts == {("a", "b"): (("a",), ("b",)),
+                          ("c", "d"): (("c",), ("d",))}
+        assert not hasattr(twin, "cuts") and twin == S
+
+    def test_coproducts_of_one_decomposition_share_the_cuts(self, Sigma):
+        I = labelset(4)
+        S, T = FiniteSet("ab"), FiniteSet("cd")
+        for s in Sigma.species.structures(I):
+            Sigma.coproduct(S, T, s)
+        # 15 distinct blocks occur in the set compositions of four labels
+        assert len(S.cuts) == 15
 
 
 class TestCompositions:
