@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .species import (ALPHABET, EMPTY, SIZE_CAP, FiniteSet, labelset, summed,
-                      tensor_text, terms_text)
+from .species import (ALPHABET, EMPTY, SIZE_CAP, FiniteSet, Structure,
+                      labelset, summed, tensor_text, terms_text)
 from .structures import HopfMonoid, HopfMorphism
 
 # The fresh labels of `_bijection_pool`'s shift: SIZE_CAP letters from "p"
@@ -48,6 +48,26 @@ class AxiomReport:
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.ok else "fail"
+
+    def compare(self, axiom, size, context, lhs, rhs, shown=None):
+        """Record a violation unless the (key, coefficient) sequences lhs
+        and rhs sum alike. Equal sequences pass at once, so both sides are
+        built as one sequence type; only differing ones are summed. The
+        context, a format string and the objects it prints (structures by
+        their text), and `shown`, printed in place of lhs, are read only
+        for a violation."""
+        if lhs == rhs:
+            return
+        left, right = summed(lhs), summed(rhs)
+        if left != right:
+            fmt, *objs = context
+            self.record(axiom, size, fmt % tuple(
+                o.text() if isinstance(o, Structure) else o for o in objs),
+                left if shown is None else summed(shown), right)
+
     def record(self, axiom, size, context, left, right):
         """Record a violation. A side given as a coefficient dict prints as
         a signed sum of structures, or of tensors where its keys are tuples."""
@@ -78,7 +98,8 @@ class AxiomReport:
 
 
 def _sets(nmax: int):
-    return [labelset(n) for n in range(nmax + 1)]
+    """Each size n up to nmax with its canonical label set."""
+    return [(n, labelset(n)) for n in range(nmax + 1)]
 
 
 def _memo(h: HopfMonoid):
@@ -107,28 +128,21 @@ def check_monoid(h: HopfMonoid, nmax: int) -> AxiomReport:
     """Associativity over all triple decompositions, and the unit laws."""
     rep = AxiomReport(h.name, list(range(nmax + 1)))
     mu, _ = _memo(h)
-    for I in _sets(nmax):
-        n = len(I)
+    for n, I in _sets(nmax):
         for s in h.species.structures(I):
-            for axiom, got in (("left-unit", summed(mu(EMPTY, I, h.one(), s))),
-                               ("right-unit", summed(mu(I, EMPTY, s, h.one())))):
-                if got != {s: 1}:
-                    rep.record(axiom, n, s.text(), got, {s: 1})
+            rep.compare("left-unit", n, ("%s", s), mu(EMPTY, I, h.one(), s), ((s, 1),))
+            rep.compare("right-unit", n, ("%s", s), mu(I, EMPTY, s, h.one()), ((s, 1),))
         for R, S, T in I.triple_decompositions():
             RS, ST = R.union(S), S.union(T)
             for x in h.species.structures(R):
                 for y in h.species.structures(S):
                     xy = mu(R, S, x, y)
                     for z in h.species.structures(T):
-                        lhs = summed((s, c * d) for w, c in xy
-                                     for s, d in mu(RS, T, w, z))
-                        rhs = summed((s, c * d) for w, c in mu(S, T, y, z)
-                                     for s, d in mu(R, ST, x, w))
-                        if lhs != rhs:
-                            rep.record("associativity", n,
-                                       "R=%r S=%r T=%r x=%s y=%s z=%s"
-                                       % (R, S, T, x.text(), y.text(), z.text()),
-                                       lhs, rhs)
+                        rep.compare("associativity", n,
+                                    ("R=%r S=%r T=%r x=%s y=%s z=%s", R, S, T, x, y, z),
+                                    [(s, c * d) for w, c in xy for s, d in mu(RS, T, w, z)],
+                                    [(s, c * d) for w, c in mu(S, T, y, z)
+                                     for s, d in mu(R, ST, x, w)])
     return rep
 
 
@@ -136,32 +150,20 @@ def check_comonoid(h: HopfMonoid, nmax: int) -> AxiomReport:
     """Coassociativity over all triple decompositions, and the counit laws."""
     rep = AxiomReport(h.name, list(range(nmax + 1)))
     _, delta = _memo(h)
-    for I in _sets(nmax):
-        n = len(I)
+    for n, I in _sets(nmax):
         for s in h.species.structures(I):
-            for axiom, got, want in (
-                    ("left-counit", summed(delta(EMPTY, I, s)), {(h.one(), s): 1}),
-                    ("right-counit", summed(delta(I, EMPTY, s)), {(s, h.one()): 1})):
-                if got != want:
-                    rep.record(axiom, n, s.text(), got, want)
+            rep.compare("left-counit", n, ("%s", s), delta(EMPTY, I, s),
+                        (((h.one(), s), 1),))
+            rep.compare("right-counit", n, ("%s", s), delta(I, EMPTY, s),
+                        (((s, h.one()), 1),))
         for R, S, T in I.triple_decompositions():
             RS, ST = R.union(S), S.union(T)
             for s in h.species.structures(I):
-                lhs = [((u1, u2, w), c1 * c2)
-                       for (u, w), c1 in delta(RS, T, s)
-                       for (u1, u2), c2 in delta(R, S, u)]
-                rhs = [((u, w1, w2), c1 * c2)
-                       for (u, w), c1 in delta(R, ST, s)
-                       for (w1, w2), c2 in delta(S, T, w)]
-                # two single equal terms with a nonzero coefficient agree
-                # as sums; only the other cases need the summed dicts
-                if len(lhs) == len(rhs) == 1 and lhs == rhs and lhs[0][1]:
-                    continue
-                lhs, rhs = summed(lhs), summed(rhs)
-                if lhs != rhs:
-                    rep.record("coassociativity", n,
-                               "R=%r S=%r T=%r s=%s" % (R, S, T, s.text()),
-                               lhs, rhs)
+                rep.compare("coassociativity", n, ("R=%r S=%r T=%r s=%s", R, S, T, s),
+                            [((u1, u2, w), c1 * c2) for (u, w), c1 in delta(RS, T, s)
+                             for (u1, u2), c2 in delta(R, S, u)],
+                            [((u, w1, w2), c1 * c2) for (u, w), c1 in delta(R, ST, s)
+                             for (w1, w2), c2 in delta(S, T, w)])
     return rep
 
 
@@ -170,17 +172,13 @@ def check_compat(h: HopfMonoid, nmax: int) -> AxiomReport:
     product/coproduct exchange law over the four intersections."""
     rep = AxiomReport(h.name, list(range(nmax + 1)))
     mu, delta = _memo(h)
-    for I in _sets(nmax):
-        n = len(I)
+    for n, I in _sets(nmax):
         for S, T in I.decompositions():
             for x in h.species.structures(S):
                 for y in h.species.structures(T):
-                    back = summed((k, c * d) for z, c in mu(S, T, x, y)
-                                  for k, d in delta(S, T, z))
-                    if back != {(x, y): 1}:
-                        rep.record("delta-mu-identity", n,
-                                   "S=%r T=%r x=%s y=%s" % (S, T, x.text(), y.text()),
-                                   back, {(x, y): 1})
+                    rep.compare("delta-mu-identity", n, ("S=%r T=%r x=%s y=%s", S, T, x, y),
+                                [(k, c * d) for z, c in mu(S, T, x, y)
+                                 for k, d in delta(S, T, z)], [((x, y), 1)])
         for A, B in I.decompositions():
             for S, T in I.decompositions():
                 AS, AT = A.restrict(S), A.restrict(T)
@@ -189,17 +187,13 @@ def check_compat(h: HopfMonoid, nmax: int) -> AxiomReport:
                     dx = delta(AS, AT, x)
                     for y in h.species.structures(B):
                         dy = delta(BS, BT, y)
-                        lhs = summed((k, c * d) for z, c in mu(A, B, x, y)
-                                     for k, d in delta(S, T, z))
-                        rhs = summed(((s1, s2), c1 * c2 * d1 * d2)
-                                     for (x1, x2), c1 in dx
-                                     for (y1, y2), c2 in dy
-                                     for s1, d1 in mu(AS, BS, x1, y1)
-                                     for s2, d2 in mu(AT, BT, x2, y2))
-                        if lhs != rhs:
-                            rep.record("exchange", n,
-                                       "A=%r B=%r S=%r T=%r x=%s y=%s"
-                                       % (A, B, S, T, x.text(), y.text()), lhs, rhs)
+                        rep.compare("exchange", n,
+                                    ("A=%r B=%r S=%r T=%r x=%s y=%s", A, B, S, T, x, y),
+                                    [(k, c * d) for z, c in mu(A, B, x, y)
+                                     for k, d in delta(S, T, z)],
+                                    [((s1, s2), c1 * c2 * d1 * d2) for (x1, x2), c1 in dx
+                                     for (y1, y2), c2 in dy for s1, d1 in mu(AS, BS, x1, y1)
+                                     for s2, d2 in mu(AT, BT, x2, y2)])
     return rep
 
 
@@ -224,12 +218,11 @@ def _bijection_pool(I: FiniteSet):
 
 
 def check_naturality(h: HopfMonoid, nmax: int) -> AxiomReport:
-    """Structure maps commute with relabeling along bijections, checked
-    along the generators of `_bijection_pool`."""
+    """Structure maps commute with relabeling along the generators of
+    `_bijection_pool`; a violation shows the value before relabeling."""
     rep = AxiomReport(h.name, list(range(nmax + 1)))
     mu, delta = _memo(h)
-    for I in _sets(nmax):
-        n = len(I)
+    for n, I in _sets(nmax):
         for sigma in _bijection_pool(I):
             rel: dict = {}
 
@@ -245,21 +238,17 @@ def check_naturality(h: HopfMonoid, nmax: int) -> AxiomReport:
                 for x in h.species.structures(S):
                     sx = relab(x)
                     for y in h.species.structures(T):
-                        moved = summed((relab(z), c) for z, c in mu(S, T, x, y))
-                        rhs = summed(mu(sS, sT, sx, relab(y)))
-                        if moved != rhs:
-                            rep.record("mu-naturality", n,
-                                       "S=%r T=%r sigma=%r x=%s y=%s"
-                                       % (S, T, sigma, x.text(), y.text()),
-                                       summed(mu(S, T, x, y)), rhs)
+                        xy = mu(S, T, x, y)
+                        rep.compare("mu-naturality", n,
+                                    ("S=%r T=%r sigma=%r x=%s y=%s", S, T, sigma, x, y),
+                                    tuple([(relab(z), c) for z, c in xy]),
+                                    mu(sS, sT, sx, relab(y)), shown=xy)
                 for s in h.species.structures(I):
-                    moved = summed(((relab(u), relab(w)), c)
-                                   for (u, w), c in delta(S, T, s))
-                    rhs = summed(delta(sS, sT, relab(s)))
-                    if moved != rhs:
-                        rep.record("delta-naturality", n,
-                                   "S=%r T=%r sigma=%r s=%s" % (S, T, sigma, s.text()),
-                                   summed(delta(S, T, s)), rhs)
+                    st = delta(S, T, s)
+                    rep.compare("delta-naturality", n,
+                                ("S=%r T=%r sigma=%r s=%s", S, T, sigma, s),
+                                tuple([((relab(u), relab(w)), c) for (u, w), c in st]),
+                                delta(sS, sT, relab(s)), shown=st)
     return rep
 
 
@@ -276,8 +265,7 @@ def is_linearized(h: HopfMonoid, nmax: int) -> AxiomReport:
     """Products are single basis elements with coefficient 1; coproducts are
     single basis tensors with coefficient 1, or zero."""
     rep = AxiomReport(h.name, list(range(nmax + 1)))
-    for I in _sets(nmax):
-        n = len(I)
+    for n, I in _sets(nmax):
         for S, T in I.decompositions():
             for x in h.species.structures(S):
                 for y in h.species.structures(T):
@@ -298,29 +286,24 @@ def is_linearized(h: HopfMonoid, nmax: int) -> AxiomReport:
 def check_cocommutative(h: HopfMonoid, nmax: int) -> AxiomReport:
     rep = AxiomReport(h.name, list(range(nmax + 1)))
     _, delta = _memo(h)
-    for I in _sets(nmax):
+    for n, I in _sets(nmax):
         for S, T in I.decompositions():
             for s in h.species.structures(I):
-                lhs = summed(((y, x), c) for (x, y), c in delta(S, T, s))
-                rhs = summed(delta(T, S, s))
-                if lhs != rhs:
-                    rep.record("cocommutativity", len(I),
-                               "S=%r T=%r s=%s" % (S, T, s.text()), lhs, rhs)
+                rep.compare("cocommutativity", n, ("S=%r T=%r s=%s", S, T, s),
+                            tuple([((y, x), c) for (x, y), c in delta(S, T, s)]),
+                            delta(T, S, s))
     return rep
 
 
 def check_commutative(h: HopfMonoid, nmax: int) -> AxiomReport:
     rep = AxiomReport(h.name, list(range(nmax + 1)))
     mu, _ = _memo(h)
-    for I in _sets(nmax):
+    for n, I in _sets(nmax):
         for S, T in I.decompositions():
             for x in h.species.structures(S):
                 for y in h.species.structures(T):
-                    lhs, rhs = summed(mu(S, T, x, y)), summed(mu(T, S, y, x))
-                    if lhs != rhs:
-                        rep.record("commutativity", len(I),
-                                   "S=%r T=%r x=%s y=%s" % (S, T, x.text(), y.text()),
-                                   lhs, rhs)
+                    rep.compare("commutativity", n, ("S=%r T=%r x=%s y=%s", S, T, x, y),
+                                mu(S, T, x, y), mu(T, S, y, x))
     return rep
 
 
@@ -329,40 +312,29 @@ def check_morphism(f: HopfMorphism, nmax: int) -> AxiomReport:
     rep = AxiomReport(f.name, list(range(nmax + 1)))
     h, k = f.source, f.target
     kmu, kdelta = _memo(k)
-    unit = summed(f.on_basis(h.one()))
-    if unit != {k.one(): 1}:
-        rep.record("unit-preservation", 0, "empty set", unit, {k.one(): 1})
-    for I in _sets(nmax):
-        n = len(I)
+    rep.compare("unit-preservation", 0, ("empty set",), f.on_basis(h.one()),
+                ((k.one(), 1),))
+    for n, I in _sets(nmax):
         for S, T in I.decompositions():
             for x in h.species.structures(S):
                 fx = f.on_basis(x)
                 for y in h.species.structures(T):
-                    lhs = summed((t, c * d) for z, c in h.product(S, T, x, y)
-                                 for t, d in f.on_basis(z))
-                    rhs = summed((t, c1 * c2 * d) for x1, c1 in fx
-                                 for y1, c2 in f.on_basis(y)
-                                 for t, d in kmu(S, T, x1, y1))
-                    if lhs != rhs:
-                        rep.record("f-mu", n, "S=%r T=%r x=%s y=%s"
-                                   % (S, T, x.text(), y.text()), lhs, rhs)
+                    rep.compare("f-mu", n, ("S=%r T=%r x=%s y=%s", S, T, x, y),
+                                [(t, c * d) for z, c in h.product(S, T, x, y)
+                                 for t, d in f.on_basis(z)],
+                                [(t, c1 * c2 * d) for x1, c1 in fx
+                                 for y1, c2 in f.on_basis(y) for t, d in kmu(S, T, x1, y1)])
             for s in h.species.structures(I):
-                lhs = summed(((s1, s2), c * c1 * c2)
-                             for (u, w), c in h.coproduct(S, T, s)
-                             for s1, c1 in f.on_basis(u)
-                             for s2, c2 in f.on_basis(w))
-                rhs = summed((key, c * d) for t, c in f.on_basis(s)
-                             for key, d in kdelta(S, T, t))
-                if lhs != rhs:
-                    rep.record("f-delta", n, "S=%r T=%r s=%s" % (S, T, s.text()),
-                               lhs, rhs)
+                rep.compare("f-delta", n, ("S=%r T=%r s=%s", S, T, s),
+                            [((s1, s2), c * c1 * c2) for (u, w), c in h.coproduct(S, T, s)
+                             for s1, c1 in f.on_basis(u) for s2, c2 in f.on_basis(w)],
+                            [(key, c * d) for t, c in f.on_basis(s)
+                             for key, d in kdelta(S, T, t)])
         for sigma in _bijection_pool(I):
             for s in h.species.structures(I):
-                lhs = summed((t.relabel(sigma), c) for t, c in f.on_basis(s))
-                rhs = summed(f.on_basis(s.relabel(sigma)))
-                if lhs != rhs:
-                    rep.record("f-naturality", n, "sigma=%r s=%s" % (sigma, s.text()),
-                               lhs, rhs)
+                rep.compare("f-naturality", n, ("sigma=%r s=%s", sigma, s),
+                            tuple([(t.relabel(sigma), c) for t, c in f.on_basis(s)]),
+                            f.on_basis(s.relabel(sigma)))
     return rep
 
 

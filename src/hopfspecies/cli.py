@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .species import SIZE_CAP, FiniteSet, LinearOrder, labelset, orbit_count
 from .structures import get_hopf, get_morphism, get_species, make_L
@@ -96,6 +97,14 @@ def _verdict_exit(ok: bool) -> int:
     return 0 if ok else 1
 
 
+def _emit_verdict(tool: str, rep, fmt: str) -> int:
+    """Print a command whose one report is its verdict: the report as JSON,
+    or its summary line; exit 0 on pass, 1 on fail."""
+    _emit({"tool": tool, "verdict": rep.verdict, "details": [rep.to_json()]},
+          fmt, [rep.summary()])
+    return _verdict_exit(rep.ok)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -114,32 +123,27 @@ def cmd_seq_tests(args) -> int:
         if seq.abar is not None:
             wanted.append("ordtype")
 
+    # each test by name; the names ending in ":" take an integer K after it
+    tests = {"etest": seq_mod.e_test, "ltest": seq_mod.l_test,
+             "ordexp": partial(seq_mod.ord_exp_test, order=order),
+             "ordtype": partial(seq_mod.ord_type_test, order=order),
+             "eklimit": seq_mod.ek_limit_test, "supermult": seq_mod.supermult_test,
+             "support": seq_mod.support_test,
+             "ek:": partial(seq_mod.ek_test, order=order), "growth:": seq_mod.growth_test}
+
     def run_one(name: str):
         name = name.strip()
-        if name == "etest":
-            return seq_mod.e_test(seq)
-        if name == "ltest":
-            return seq_mod.l_test(seq)
-        if name == "ordexp":
-            return seq_mod.ord_exp_test(seq, order)
-        if name == "ordtype":
-            return seq_mod.ord_type_test(seq, order)
-        if name == "eklimit":
-            return seq_mod.ek_limit_test(seq)
-        if name == "supermult":
-            return seq_mod.supermult_test(seq)
-        if name == "support":
-            return seq_mod.support_test(seq)
-        if name.startswith(("ek:", "growth:")):
-            head, _, arg = name.partition(":")
-            try:
-                k = int(arg)
-            except ValueError:
-                raise ValueError("bad test %r: K must be an integer" % name) from None
-            if head == "ek":
-                return seq_mod.ek_test(seq, k, order)
-            return seq_mod.growth_test(seq, k)
-        raise UsageError("unknown test name: %r" % name)
+        head, colon, arg = name.partition(":")
+        test = tests.get(head + colon)
+        if test is None:
+            raise UsageError("unknown test name: %r" % name)
+        if not colon:
+            return test(seq)
+        try:
+            k = int(arg)
+        except ValueError:
+            raise ValueError("bad test %r: K must be an integer" % name) from None
+        return test(seq, k)
 
     reports = [run_one(name) for name in wanted]
     ok = all(r.verdict != "fail" for r in reports)
@@ -192,23 +196,15 @@ def cmd_species_dims(args) -> int:
 def cmd_axioms(args) -> int:
     from . import axioms as axioms_mod
     nmax = _cap_n(args.max_n)
-    h = get_hopf(args.species)
-    rep = axioms_mod.check_all(h, nmax)
-    payload = {"tool": "axioms", "verdict": "pass" if rep.ok else "fail",
-               "details": [rep.to_json()]}
-    _emit(payload, args.format, [rep.summary()])
-    return _verdict_exit(rep.ok)
+    rep = axioms_mod.check_all(get_hopf(args.species), nmax)
+    return _emit_verdict("axioms", rep, args.format)
 
 
 def cmd_morphism_check(args) -> int:
     from . import axioms as axioms_mod
     nmax = _cap_n(args.max_n)
-    f = get_morphism(args.morphism)
-    rep = axioms_mod.check_morphism(f, nmax)
-    payload = {"tool": "morphism-check", "verdict": "pass" if rep.ok else "fail",
-               "details": [rep.to_json()]}
-    _emit(payload, args.format, [rep.summary()])
-    return _verdict_exit(rep.ok)
+    rep = axioms_mod.check_morphism(get_morphism(args.morphism), nmax)
+    return _emit_verdict("morphism-check", rep, args.format)
 
 
 def cmd_primitives(args) -> int:
@@ -305,23 +301,15 @@ def cmd_lagrange(args) -> int:
               ["factorization holds for %s; q = %s"
                % (f.name, ",".join(str(v) for v in q))])
         return 0
-    f = get_morphism(args.quotient)
-    rep = kernels_mod.dual_factorization_check(f, nmax)
-    payload = {"tool": "lagrange", "verdict": rep.verdict,
-               "details": [rep.to_json()]}
-    _emit(payload, args.format, [rep.summary()])
-    return _verdict_exit(rep.ok)
+    rep = kernels_mod.dual_factorization_check(get_morphism(args.quotient), nmax)
+    return _emit_verdict("lagrange", rep, args.format)
 
 
 def cmd_pbw_check(args) -> int:
     from . import kernels as kernels_mod
     nmax = _cap_n(args.max_n)
-    h = get_hopf(args.species)
-    rep = kernels_mod.pbw_series_check(h, nmax)
-    payload = {"tool": "pbw-check", "verdict": rep.verdict,
-               "details": [rep.to_json()]}
-    _emit(payload, args.format, [rep.summary()])
-    return _verdict_exit(rep.ok)
+    rep = kernels_mod.pbw_series_check(get_hopf(args.species), nmax)
+    return _emit_verdict("pbw-check", rep, args.format)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 from .reports import FAIL, PASS, TestReport
-from .species import (FiniteSet, NotLinearized, SpeciesSpec, labelset,
-                      orbit_count, qstr)
+from .species import FiniteSet, SpeciesSpec, labelset, orbit_count, qstr
 
 Q = Fraction
 
@@ -431,8 +430,6 @@ def _z_lambda(lam) -> int:
 def cycle_index(sp: SpeciesSpec, order: int) -> CycleIndexPoly:
     """Z = sum_n (1/n!) sum_{sigma in S_n} fix(sigma) x^{cycletype(sigma)},
     computed one conjugacy class at a time."""
-    if not sp.linearized:
-        raise NotLinearized("cycle index needs a linearized species")
     terms: dict = {}
     for n in range(order + 1):
         I = labelset(n)

@@ -16,10 +16,6 @@ SEPARATOR_CHARS = frozenset(".|,:;()[]{}<>=→ \t\r\n")
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
-class NotLinearized(TypeError):
-    """Operation needs a species whose basis is permuted by relabeling."""
-
-
 def check_label(tok: str) -> str:
     if not isinstance(tok, str) or not tok or not tok.isascii():
         raise ValueError("label must be a nonempty ASCII token: %r" % (tok,))
@@ -453,9 +449,11 @@ class SpeciesSpec:
     """
 
     def __init__(self, name: str, enumerator, linearized: bool = True):
+        # every species is a set species whose structures relabel
+        # themselves; `linearized` is ignored, kept only because the
+        # benchmark tracer (perfbench/tracer.py) passes it through
         self.name = name
         self._enumerator = enumerator
-        self.linearized = linearized
         self._cache: dict = {}
         self._counts: dict = {}  # structures per label set, from a pass
 
@@ -539,8 +537,7 @@ def hadamard(a: SpeciesSpec, b: SpeciesSpec) -> SpeciesSpec:
     def enumerate_pairs(I):
         return [PairStructure(x, y) for x in a.structures(I) for y in b.structures(I)]
 
-    return SpeciesSpec("Hadamard(%s,%s)" % (a.name, b.name), enumerate_pairs,
-                       linearized=a.linearized and b.linearized)
+    return SpeciesSpec("Hadamard(%s,%s)" % (a.name, b.name), enumerate_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -666,11 +663,6 @@ class QVector(_Combination):
     @classmethod
     def zero(cls, ambient: FiniteSet) -> "QVector":
         return cls(ambient)
-
-    def relabel(self, mapping: dict) -> "QVector":
-        new_ambient = FiniteSet(mapping[t] for t in self.ambient)
-        return QVector(new_ambient,
-                       {s.relabel(mapping): c for s, c in self.terms.items()})
 
     def coordinates(self, basis_index: dict) -> dict:
         """Sparse coordinate row {index: coeff} for a fixed basis ordering."""

@@ -407,15 +407,6 @@ def pal_split(F: PalComposition):
     return F.blocks[:half], center, F.blocks[r - half:]
 
 
-def pal_admissible(F: PalComposition, S) -> bool:
-    S = set(S)
-    r = len(F.blocks)
-    return all(
-        sum(1 for t in F.blocks[i] if t in S)
-        == sum(1 for t in F.blocks[r - 1 - i] if t in S)
-        for i in range(r))
-
-
 def make_Pal() -> HopfMonoid:
     def enum(I):
         for blocks in pal_words(I.labels):
@@ -434,9 +425,13 @@ def make_Pal() -> HopfMonoid:
         return ((pal(blocks), 1),)
 
     def delta(S, T, s):
-        if not pal_admissible(s, S):
-            return ()
+        # zero unless each block B_i and its mirror B_{r-1-i} meet S in
+        # equally many labels, as read off the cuts split_blocks leaves on S
         left, right = split_blocks(s.blocks, S)
+        blocks, cuts = s.blocks, S.cuts
+        for b, mirror in zip(blocks[:len(blocks) // 2], reversed(blocks)):
+            if len(cuts[b][0]) != len(cuts[mirror][0]):
+                return ()
         return (((pal(left), pal(right)), 1),)
 
     return HopfMonoid(sp, mu, delta)

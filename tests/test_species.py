@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from hopfspecies.exactalg import (CycleIndexPoly, cycle_index, egf,
                                   integer_partitions, ogf, tgf)
 from hopfspecies.species import (EMPTY, Element, FiniteSet, FunctionToK,
-                                 LinearOrder, NotLinearized,
-                                 PalComposition, QTensor, QVector,
+                                 LinearOrder, PalComposition, QTensor, QVector,
                                  SetComposition, SetPartition, SingletonMark,
-                                 SpeciesSpec, hadamard, labelset,
-                                 orbit_count)
+                                 hadamard, labelset, orbit_count)
 
 
 class TestFiniteSet:
@@ -291,11 +289,6 @@ class TestCycleIndex:
     def test_singleton_species(self, X):
         z = cycle_index(X.species, 3)
         assert z.terms == {(1,): Q(1)}
-
-    def test_not_linearized_rejected(self):
-        fake = SpeciesSpec("fake", lambda I: [], linearized=False)
-        with pytest.raises(NotLinearized):
-            cycle_index(fake, 2)
 
     def test_burnside_oracle_agreement_more(self, L, Pi):
         for sp in (L.species, Pi.species):
