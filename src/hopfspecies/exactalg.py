@@ -17,6 +17,7 @@ a pivot entry other than 1. A reduced row with unit pivot stays integral.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import comb, factorial, gcd, lcm
 
 from .reports import FAIL, PASS, TestReport
@@ -502,20 +503,36 @@ class Echelon:
         private, so it is updated in place; it is scaled by the pivot entry
         (integer cross-multiplication, fraction-free) only when that entry
         is not 1, which gcd normalization makes the common case.
+
+        The leading column comes off a heap of the row's columns, not from
+        a scan with min(row) at each step: a fill-in column is pushed when
+        it enters the row, and a popped column the row no longer holds has
+        cancelled and is skipped. Each step is the same subtraction, in the
+        same order, as eliminating at min(row).
         """
         row = _integer_row({c: v for c, v in row.items() if v})
         pivots = self.pivots
-        while row:
-            c = min(row)
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            f = row.get(c)
+            if f is None:
+                continue
             prow = pivots.get(c)
             if prow is None:
                 return row
-            f, p = row[c], prow[c]
+            p = prow[c]
             if p != 1:
                 row = {cc: v * p for cc, v in row.items()}
             for cc, v in prow.items():
-                # f and v are nonzero, so a zero result means cc was in row
-                nv = row.get(cc, 0) - f * v
+                nv = row.get(cc)
+                if nv is None:
+                    row[cc] = -f * v
+                    heappush(heap, cc)
+                    continue
+                # f and v are nonzero, so a zero result means cc cancelled
+                nv -= f * v
                 if nv:
                     row[cc] = nv
                 else:

@@ -134,18 +134,33 @@ def coproduct_rows(h: HopfMonoid, I: FiniteSet,
     (output, coefficient) pairs. No map result is memoized, since each
     (S, s) is asked for once; one S is held across every structure of a
     decomposition, so the block cuts memoized on it (`split_blocks`) are
-    shared by all of them."""
+    shared by all of them.
+
+    The rows of one decomposition are keyed by the output pair: Delta's own
+    (u, w), or (f(u), w). Rows come decomposition by decomposition, each
+    block in the order its keys first appear."""
     basis = h.species.structures(I)
-    rows: dict = {}
+    coproduct = h.coproduct
+    rows: list = []
     for S, T in I.decompositions():
-        if not len(S) or not len(T):
+        if not S.labels or not T.labels:
             continue
+        block: dict = {}
         for j, s in enumerate(basis):
-            for (u, w), c in h.coproduct(S, T, s):
-                for t, d in (f.on_basis(u) if f else ((u, 1),)):
-                    row = rows.setdefault((S.labels, t, w), {})
+            for key, c in coproduct(S, T, s):
+                if f is None:
+                    row = block.get(key)
+                    if row is None:
+                        block[key] = {j: c}
+                    else:
+                        row[j] = row.get(j, 0) + c
+                    continue
+                u, w = key
+                for t, d in f.on_basis(u):
+                    row = block.setdefault((t, w), {})
                     row[j] = row.get(j, 0) + c * d
-    return list(rows.values())
+        rows += block.values()
+    return rows
 
 
 @_cached

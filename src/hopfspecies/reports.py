@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quote
 
@@ -86,21 +85,35 @@ def _write(value, put, nl: str) -> None:
             put(quote(value))
 
 
-@dataclass
 class TestReport:
     """Outcome of one necessary-condition test.
 
     A fail verdict always carries the first violated index and exact witness
     values; `details` holds test-specific payload (instantiated inequalities,
     quotient series, ...) and `warnings` non-fatal observations.
+
+    A plain class, not a dataclass: importing `dataclasses` would load
+    `inspect` and its dependencies into every kernel command.
     """
 
-    name: str
-    verdict: str
-    first_violation: int | None = None
-    witness: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
+    def __init__(self, name: str, verdict: str, first_violation: int | None = None,
+                 witness: dict | None = None, details: dict | None = None,
+                 warnings: list | None = None):
+        self.name = name
+        self.verdict = verdict
+        self.first_violation = first_violation
+        self.witness = {} if witness is None else witness
+        self.details = {} if details is None else details
+        self.warnings = [] if warnings is None else warnings
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        # the fields in __init__'s order, as a dataclass prints them
+        return "TestReport(%s)" % ", ".join("%s=%r" % kv for kv in vars(self).items())
 
     @property
     def ok(self) -> bool:

@@ -9,7 +9,7 @@ nothing. Verdicts carry the first violated index and exact witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import gcd
 
 from .exactalg import (TruncatedSeries, binomial_transform, egf_from_counts,
@@ -88,8 +88,10 @@ def _quotient_gate(name: str, num: TruncatedSeries, den: TruncatedSeries,
     if warn_non_integer:
         warnings = ["coefficient of x^%d is %s, not an integer" % (i, c)
                     for i, c in enumerate(quot.coeffs) if c.denominator != 1][:1]
-    return replace(nonneg_prefix(quot), name=name, warnings=warnings,
-                   details={"quotient": quot.to_json(), **(details or {})})
+    prefix = nonneg_prefix(quot)
+    return TestReport(name, prefix.verdict, prefix.first_violation,
+                      prefix.witness, {"quotient": quot.to_json(), **(details or {})},
+                      warnings)
 
 
 def quotient_nonneg_test(numer: DimSequence, denom: DimSequence, kind: str,

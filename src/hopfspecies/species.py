@@ -644,7 +644,8 @@ class QVector(_Combination):
 
     @staticmethod
     def check_key(ambient: FiniteSet, s: Structure) -> None:
-        if s._labels != ambient:
+        # the labels tuples compare in C; FiniteSet.__eq__ would not
+        if s._labels.labels != ambient.labels:
             raise ValueError("structure %r not on ambient %r" % (s, ambient))
 
     @staticmethod
@@ -694,7 +695,7 @@ class QTensor(_Combination):
     @staticmethod
     def check_key(left: FiniteSet, right: FiniteSet, key: tuple) -> None:
         x, y = key
-        if x._labels != left or y._labels != right:
+        if x._labels.labels != left.labels or y._labels.labels != right.labels:
             raise ValueError("tensor term (%r, %r) off ambient (%r, %r)"
                              % (x, y, left, right))
 

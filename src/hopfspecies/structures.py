@@ -14,9 +14,10 @@ Every structure map, and every canonical morphism, is a closure that
 returns a tuple of (output, coefficient) pairs: `((out, 1),)` for the
 monoids built here, `()` for zero. An output of Delta is a pair
 (structure on S, structure on T). The outputs are interned: each map
-computes the canonical key of an output (blocks, sequence, mapping, label
-set or component pair) and fetches the one instance its `intern_table`
-holds for that key, so each distinct output is built and validated once.
+computes the canonical key of an output (blocks, sequence, mapping, sorted
+labels tuple or component pair) and fetches the one instance its
+`intern_table` holds for that key, so each distinct output is built and
+validated once.
 """
 
 from __future__ import annotations
@@ -29,19 +30,28 @@ from .species import (EMPTY, SIZE_CAP, Element, FiniteSet, FunctionToK,
                       SpeciesSpec, Structure, check_coeff, hadamard)
 
 
+class _InternTable(dict):
+    """Canonical key -> the one structure built for it; a missing key is
+    built on the spot and stored only once its build has returned."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        got = self[key] = self.build(key)
+        return got
+
+
 def intern_table(build):
     """A lookup from canonical keys to structures. The first request for a
     key runs `build(key)`, the ordinary validating constructor; every later
-    one returns that same instance. Each monoid's structure maps (and each
-    morphism) hold their own table, so it lives exactly as long as they do."""
-    table = {}
-
-    def get(key):
-        got = table.get(key)
-        if got is None:
-            got = table[key] = build(key)
-        return got
-    return get
+    one returns that same instance. The lookup is the table's own bound
+    `__getitem__`, so a hit runs no Python code: only a miss calls
+    `__missing__`. Each monoid's structure maps (and each morphism) hold
+    their own table, so it lives exactly as long as they do."""
+    return _InternTable(build).__getitem__
 
 
 def split_blocks(blocks, S: FiniteSet) -> tuple:
@@ -99,9 +109,9 @@ class HopfMonoid:
     def product(self, S: FiniteSet, T: FiniteSet, x: Structure,
                 y: Structure) -> tuple:
         """mu_{S,T}(x . y) as checked (structure on S u T, coefficient) pairs."""
-        if len(S) == 0:
+        if not S.labels:
             return ((y, 1),)
-        if len(T) == 0:
+        if not T.labels:
             return ((x, 1),)
         terms = tuple(self._mu(S, T, x, y))
         ambient = S.union(T)
@@ -112,9 +122,9 @@ class HopfMonoid:
 
     def coproduct(self, S: FiniteSet, T: FiniteSet, s: Structure) -> tuple:
         """Delta_{S,T}(s) as checked ((u on S, w on T), coefficient) pairs."""
-        if len(S) == 0:
+        if not S.labels:
             return (((self.one(), s), 1),)
-        if len(T) == 0:
+        if not T.labels:
             return (((s, self.one()), 1),)
         terms = tuple(self._delta(S, T, s))
         for key, c in terms:
@@ -168,7 +178,7 @@ class HopfMorphism:
         terms = tuple(self._on_basis(s))
         for t, c in terms:
             check_coeff(c)
-            QVector.check_key(s.labels, t)
+            QVector.check_key(s._labels, t)
         return terms
 
     def __call__(self, v: QVector) -> QVector:
@@ -188,10 +198,10 @@ def make_E() -> HopfMonoid:
     mark = intern_table(SingletonMark)
 
     def mu(S, T, x, y):
-        return ((mark(S.union(T)), 1),)
+        return ((mark(S.union(T).labels), 1),)
 
     def delta(S, T, s):
-        return (((mark(S), mark(T)), 1),)
+        return (((mark(S.labels), mark(T.labels)), 1),)
 
     return HopfMonoid(sp, mu, delta)
 
@@ -499,7 +509,7 @@ def morphism_L_to_E(L: HopfMonoid | None = None, E: HopfMonoid | None = None) ->
     L = L or make_L()
     E = E or make_E()
     mark = intern_table(SingletonMark)
-    return HopfMorphism("L->E", L, E, lambda s: ((mark(s.labels), 1),))
+    return HopfMorphism("L->E", L, E, lambda s: ((mark(s.labels.labels), 1),))
 
 
 def morphism_E_to_Pi(E: HopfMonoid | None = None, Pi: HopfMonoid | None = None) -> HopfMorphism:

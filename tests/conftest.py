@@ -2,10 +2,45 @@ from fractions import Fraction
 
 import pytest
 
+from hopfspecies.exactalg import _integer_row, _row_gcd_normalize
 from hopfspecies.structures import (HopfMonoid, hadamard_hopf, make_E, make_Ek,
                                     make_el, make_L, make_Pal, make_Pi,
                                     make_Pi_even, make_PiPrime, make_Sigma,
                                     make_X)
+
+
+def reference_reduce(pivots, row):
+    """Echelon.reduce as a plain loop that finds each leading column with
+    min(row): the same fraction-free steps, in the order the heap in
+    Echelon.reduce must reproduce, over the stored pivot rows `pivots`."""
+    row = _integer_row({c: v for c, v in row.items() if v})
+    while row:
+        c = min(row)
+        prow = pivots.get(c)
+        if prow is None:
+            return row
+        f, p = row[c], prow[c]
+        if p != 1:
+            row = {cc: v * p for cc, v in row.items()}
+        for cc, v in prow.items():
+            nv = row.get(cc, 0) - f * v
+            if nv:
+                row[cc] = nv
+            else:
+                del row[cc]
+    return row
+
+
+def reference_add(pivots, row):
+    """Echelon.add over `pivots` with reference_reduce; True if it stored
+    a new pivot row."""
+    row = reference_reduce(pivots, row)
+    if not row:
+        return False
+    row = _row_gcd_normalize(row)
+    pivots[min(row)] = row
+    return True
+
 
 def reference_rref(rows, ncols):
     """Naive dense Gauss-Jordan elimination over Fraction, independent of

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_kernel, reference_rref
+from conftest import (reference_add, reference_kernel, reference_reduce,
+                      reference_rref)
 from hopfspecies.exactalg import (BadConstantTerm, CycleIndexPoly, Echelon,
                                   TruncatedSeries, ZeroConstantTerm,
                                   binomial_transform, egf_from_counts,
@@ -245,6 +246,15 @@ matrix_and_vector = st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.lists(entries, min_size=n, max_size=n)))
 
 
+# sparse systems of up to 14 rows over 1..30 columns, each row holding at
+# most k entries for a drawn k: small k gives sparse rows, k near the column
+# count dense ones whose elimination fills in heavily; zero entries included
+coefficients = st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=4)
+sparse_systems = st.integers(1, 30).flatmap(lambda n: st.integers(1, n).flatmap(
+    lambda k: st.lists(st.dictionaries(st.integers(0, n - 1), coefficients,
+                                       max_size=k), max_size=14)))
+
+
 class TestQMatrix:
     """Echelon on dense rational matrices given as row lists, checked
     against the naive Gauss-Jordan reference in conftest."""
@@ -367,6 +377,30 @@ class TestEchelon:
         row = {0: 2, 1: 1, 3: 1}
         assert ech.reduce(row) == {2: -15, 3: 3}   # 3*(row - 2*p0) + 3*p1
         assert row == {0: 2, 1: 1, 3: 1}
+
+    @given(sparse_systems)
+    @settings(max_examples=150, deadline=None)
+    def test_heap_order_matches_the_min_loop(self, rows):
+        # the heap only finds the leading column; every reduced row, with
+        # its entries in the same order, and every stored pivot row must be
+        # what the min(row) loop of conftest gives
+        ech, pivots = Echelon(), {}
+        for row in rows:
+            got = ech.reduce(row)
+            assert list(got.items()) == list(reference_reduce(pivots, row).items())
+            assert ech.add(row) == reference_add(pivots, row)
+            assert ([(c, list(p.items())) for c, p in ech.pivots.items()]
+                    == [(c, list(p.items())) for c, p in pivots.items()])
+
+    def test_cancelled_column_that_fills_in_again(self):
+        # column 2 cancels at the first step and is filled in at the second,
+        # so the heap holds it twice; it leads once, where min(row) has it
+        ech = Echelon()
+        ech.add({0: 1, 2: 1, 3: 1})
+        ech.add({1: 1, 2: -1})
+        row = {0: 1, 1: 1, 2: 1}
+        assert list(ech.reduce(row).items()) == [(3, -1), (2, 1)]
+        assert ech.reduce(row) == reference_reduce(ech.pivots, row)
 
     def test_from_echelon_form_keeps_rows(self):
         ech = Echelon.from_echelon_form([{0: Q(1), 2: Q(-1, 2)}, {1: Q(2, 3)}])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_kernel, reference_rref
+from conftest import reference_add, reference_kernel, reference_rref
 from hopfspecies import kernels as kernels_mod
 from hopfspecies.axioms import check_all, check_morphism
 from hopfspecies.exactalg import Echelon, TruncatedSeries, egf_from_counts
@@ -606,6 +606,24 @@ class TestIntegerRows:
         assert returned and self.all_int(returned)
 
 
+class TestEliminationPin:
+    def test_sigma_at_five(self, Sigma):
+        # the rows of primitive_space(Sigma, {a..e}) in _kernel_space's
+        # order; the heap-ordered engine stores exactly the pivots of the
+        # min(row) loop in conftest
+        I = labelset(5)
+        n = len(Sigma.species.structures(I))
+        distinct = {frozenset(row.items()): row for row in coproduct_rows(Sigma, I)}
+        assert len(distinct) == 765
+        ech, pivots = Echelon(), {}
+        for row in sorted(distinct.values(), key=len):
+            row = {n - 1 - j: c for j, c in row.items()}
+            assert ech.add(row) == reference_add(pivots, row)
+        assert ech.rank == 391 == n - 150
+        assert sum(map(len, ech.pivots.values())) == 3169
+        assert ech.pivots == pivots
+
+
 def rows_from_public_maps(h, I, f=None) -> list:
     """coproduct_rows rebuilt through the linear extensions
     `coproduct_vector` and `f(...)`, which sum the pairs in a QTensor or
@@ -692,6 +710,31 @@ class TestRowsFromPairs:
         h = make_Sigma()
         assert primitive_dims(h, 5) == [0, 1, 2, 6, 26, 150]
         assert built == []
+
+    def test_outputs_on_equal_label_sets_pass_on_every_path(self, L):
+        # the checks compare label tuples: an output whose label set is a
+        # distinct FiniteSet object with the same labels lives where it must
+        def mu(S, T, x, y):
+            return ((LinearOrder(x.seq + y.seq, FiniteSet(S.union(T).labels)), 1),)
+
+        def delta(S, T, s):
+            return tuple(((LinearOrder(u.seq, FiniteSet(S.labels)),
+                           LinearOrder(w.seq, FiniteSet(T.labels))), c)
+                         for (u, w), c in L.coproduct(S, T, s))
+
+        copy = HopfMonoid(L.species, mu, delta)
+        S, T = FiniteSet("ac"), FiniteSet("b")
+        s = LinearOrder(("b", "a", "c"))
+        ((u, w), c), = copy.coproduct(S, T, s)
+        assert (u.labels, w.labels) == (S, T) and u.labels is not S
+        assert ((u, w), c) == L.coproduct(S, T, s)[0]
+        (z, c), = copy.product(S, T, LinearOrder(("c", "a")), LinearOrder("b"))
+        assert z == LinearOrder(("c", "a", "b"))
+        f = HopfMorphism("copy", L, L,
+                         lambda s: ((LinearOrder(s.seq, FiniteSet(s.labels.labels)), 1),))
+        (t, c), = f.on_basis(s)
+        assert t == s and t.labels == s.labels and t.labels is not s.labels
+        assert primitive_dims(copy, 4) == primitive_dims(L, 4)
 
     def test_off_ambient_pair_is_refused_on_both_paths(self, L):
         a, b, c = LinearOrder("a"), LinearOrder("b"), LinearOrder(("a", "b"))

@@ -21,8 +21,8 @@ from hopfspecies.species import (EMPTY, FiniteSet, FunctionToK, LinearOrder,
 from hopfspecies.structures import (MONOIDS, MORPHISMS, SPECIES_ONLY,
                                     _parse, block_partitions, closed_sizes,
                                     get_hopf, get_morphism, get_species,
-                                    hadamard_hopf, make_Ek, make_Pal,
-                                    make_PiS, make_Sigma,
+                                    hadamard_hopf, intern_table, make_Ek,
+                                    make_Pal, make_PiS, make_Sigma,
                                     morphism_Ek_to_Ek1, morphism_E_to_Pi,
                                     morphism_L_to_E, morphism_L_to_Sigma,
                                     morphism_Pi_to_PiS, pal_words,
@@ -234,6 +234,12 @@ class TestPrimitiveDimsOracle:
         counts = [CLOSED_FORM_DIMS[ident](n) for n in range(6)]
         assert primitive_dims(h, 5) == log_egf_counts(counts)
 
+    def test_sigma_at_six(self):
+        # 8,311 distinct rows over 4,683 columns: the size where the heap
+        # order of Echelon.reduce does the most work
+        counts = [fubini(n) for n in range(7)]
+        assert primitive_dims(make_Sigma(), 6) == log_egf_counts(counts)
+
 
 class TestBlockPartitions:
     def test_each_partition_once(self):
@@ -347,6 +353,37 @@ class TestCountingWithoutStoring:
 
 
 class TestInterning:
+    def test_table_builds_each_key_once(self):
+        built = []
+
+        def build(key):
+            built.append(key)
+            return SetComposition(key)
+
+        get = intern_table(build)
+        first = get((("a",), ("b",)))
+        assert get((("a",), ("b",))) is first
+        assert get(tuple([("a",), ("b",)])) is first
+        assert get((("b",), ("a",))) is not first
+        assert built == [(("a",), ("b",)), (("b",), ("a",))]
+
+    def test_failed_build_stores_nothing(self):
+        # the first build of the key raises; the next request builds again
+        built = []
+
+        def build(key):
+            built.append(key)
+            if len(built) == 1:
+                raise ValueError("first build fails")
+            return SetComposition(key)
+
+        get = intern_table(build)
+        with pytest.raises(ValueError, match="first build fails"):
+            get((("a",),))
+        got = get((("a",),))
+        assert got == SetComposition((("a",),)) and get((("a",),)) is got
+        assert len(built) == 2
+
     def test_sigma_maps_build_each_structure_once(self, monkeypatch):
         # once the basis is enumerated, Delta builds each distinct output
         # once: 540 constructions, where building two per call makes 34,728
@@ -365,8 +402,8 @@ class TestInterning:
         assert set(built.values()) == {1}
         assert len(built) < 1200
 
-    @pytest.mark.parametrize("ident", ["Sigma", "Pi", "Pal", "L", "Ek:2", "PiS:2",
-                                       "Hadamard(Pi,L)"])
+    @pytest.mark.parametrize("ident", ["E", "Sigma", "Pi", "Pal", "L", "Ek:2",
+                                       "PiS:2", "Hadamard(Pi,L)"])
     def test_equal_outputs_are_one_object(self, ident):
         h = get_hopf(ident)
         I = labelset(4)
