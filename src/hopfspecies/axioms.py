@@ -125,13 +125,12 @@ def _memo(h: HopfMonoid):
 
 
 def check_monoid(h: HopfMonoid, nmax: int) -> AxiomReport:
-    """Associativity over all triple decompositions, and the unit laws."""
+    """Associativity over all triple decompositions. The unit laws are not
+    compared: `HopfMonoid.product` gives them itself, returning the other
+    factor whenever one side is empty, so no monoid can break them."""
     rep = AxiomReport(h.name, list(range(nmax + 1)))
     mu, _ = _memo(h)
     for n, I in _sets(nmax):
-        for s in h.species.structures(I):
-            rep.compare("left-unit", n, ("%s", s), mu(EMPTY, I, h.one(), s), ((s, 1),))
-            rep.compare("right-unit", n, ("%s", s), mu(I, EMPTY, s, h.one()), ((s, 1),))
         for R, S, T in I.triple_decompositions():
             RS, ST = R.union(S), S.union(T)
             for x in h.species.structures(R):
@@ -147,15 +146,13 @@ def check_monoid(h: HopfMonoid, nmax: int) -> AxiomReport:
 
 
 def check_comonoid(h: HopfMonoid, nmax: int) -> AxiomReport:
-    """Coassociativity over all triple decompositions, and the counit laws."""
+    """Coassociativity over all triple decompositions. The counit laws are
+    not compared: `HopfMonoid.coproduct` gives them itself, returning
+    (1 . s) or (s . 1) whenever one side is empty, so no monoid can break
+    them."""
     rep = AxiomReport(h.name, list(range(nmax + 1)))
     _, delta = _memo(h)
     for n, I in _sets(nmax):
-        for s in h.species.structures(I):
-            rep.compare("left-counit", n, ("%s", s), delta(EMPTY, I, s),
-                        (((h.one(), s), 1),))
-            rep.compare("right-counit", n, ("%s", s), delta(I, EMPTY, s),
-                        (((s, h.one()), 1),))
         for R, S, T in I.triple_decompositions():
             RS, ST = R.union(S), S.union(T)
             for s in h.species.structures(I):

@@ -18,7 +18,7 @@ import functools
 import itertools
 from math import comb
 
-from .exactalg import Echelon, egf_from_counts
+from .echelon import Echelon
 from .reports import FAIL, PASS, TestReport
 from .species import FiniteSet, LinearOrder, QVector, labelset
 from .structures import (HopfMonoid, HopfMorphism, block_partitions,
@@ -89,6 +89,12 @@ class SubspaceBasis:
 def _kernel_space(basis, ambient, rows) -> SubspaceBasis:
     """Eliminate the stacked sparse rows once and read off their kernel.
 
+    Repeated rows go in once. Each row is keyed by the hash of its items,
+    computed on the spot, so no copy of a row is kept. A row is skipped
+    only when it equals the row stored under its key; a different row with
+    the same hash moves on to the next free key, so every repeat finds its
+    first copy and no distinct row is lost.
+
     The rows go in with columns reversed (j -> n-1-j). Each vector that
     Echelon.kernel then returns is 1 at its own free column, zero at every
     other free column, and supported on later columns of the original order:
@@ -97,7 +103,15 @@ def _kernel_space(basis, ambient, rows) -> SubspaceBasis:
     """
     n = len(basis)
     ech = Echelon()
-    distinct = {frozenset(row.items()): row for row in rows}
+    distinct: dict = {}
+    for row in rows:
+        key = hash(frozenset(row.items()))
+        got = distinct.get(key)
+        while got is not None and got != row:
+            key += 1
+            got = distinct.get(key)
+        if got is None:
+            distinct[key] = row
     # shortest rows first, stably, so the order stays deterministic: short
     # pivot rows keep the fill of every later reduction small, and the
     # kernel's reduced basis does not depend on the order
@@ -136,14 +150,27 @@ def coproduct_rows(h: HopfMonoid, I: FiniteSet,
     decomposition, so the block cuts memoized on it (`split_blocks`) are
     shared by all of them.
 
+    Without f, a monoid declared cocommutative gives only the
+    decompositions (S, T) whose S comes before T in the subset order of
+    `I.decompositions()` (smaller, or as large and holding the first label
+    of I). Delta_{T,S} is the twist of Delta_{S,T}, so the block of (T, S)
+    repeats that of (S, T), row for row, and the earlier of the two is
+    kept: the distinct rows then come in the order they first came among
+    all decompositions, and elimination takes the same steps. The
+    Hopf-kernel rows (f x id) o Delta_{T,S} are other constraints, so with
+    f every decomposition is built.
+
     The rows of one decomposition are keyed by the output pair: Delta's own
     (u, w), or (f(u), w). Rows come decomposition by decomposition, each
     block in the order its keys first appear."""
     basis = h.species.structures(I)
     coproduct = h.coproduct
+    skip_mirrors = f is None and h.cocommutative
     rows: list = []
     for S, T in I.decompositions():
         if not S.labels or not T.labels:
+            continue
+        if skip_mirrors and (len(S), S.labels) > (len(T), T.labels):
             continue
         block: dict = {}
         for j, s in enumerate(basis):
@@ -485,6 +512,8 @@ def _require_cocommutative(h: HopfMonoid, nmax: int):
 def pbw_series_check(h: HopfMonoid, nmax: int) -> TestReport:
     """exp of the primitive-dimension exponential series must equal the
     exponential series of a cocommutative connected Hopf monoid."""
+    # the series layer is loaded here only, not by every kernel command
+    from .exactalg import egf_from_counts
     _require_cocommutative(h, nmax)
     pdims = primitive_dims(h, nmax)
     lhs = egf_from_counts(pdims).exp()

@@ -90,7 +90,14 @@ class HopfMonoid:
     its own memo for the length of one check. The block-restricting
     coproducts memoize only the cut of each block, per label set S, on S
     (see `split_blocks`).
+
+    `cocommutative` is a declaration, never inferred: a constructor sets it
+    after building a monoid whose Delta_{T,S} is the twist of Delta_{S,T},
+    and the primitive rows then skip the mirrored decompositions. A monoid
+    built directly keeps the class default, False, and every decomposition.
     """
+
+    cocommutative = False
 
     def __init__(self, species: SpeciesSpec, mu, delta, name: str | None = None):
         self.species = species
@@ -134,6 +141,12 @@ class HopfMonoid:
 
     def __repr__(self):
         return "HopfMonoid(%s)" % self.name
+
+
+def _declared_cocommutative(h: HopfMonoid) -> HopfMonoid:
+    """h, declared cocommutative."""
+    h.cocommutative = True
+    return h
 
 
 def product_vectors(h: HopfMonoid, S, T, xv: QVector, yv: QVector) -> QVector:
@@ -203,7 +216,7 @@ def make_E() -> HopfMonoid:
     def delta(S, T, s):
         return (((mark(S.labels), mark(T.labels)), 1),)
 
-    return HopfMonoid(sp, mu, delta)
+    return _declared_cocommutative(HopfMonoid(sp, mu, delta))
 
 
 def make_X() -> HopfMonoid:
@@ -226,7 +239,7 @@ def make_L() -> HopfMonoid:
         return (((order(tuple(filter(inside, s.seq))),
                   order(tuple(itertools.filterfalse(inside, s.seq)))), 1),)
 
-    return HopfMonoid(sp, mu, delta)
+    return _declared_cocommutative(HopfMonoid(sp, mu, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +287,7 @@ def make_Pi() -> HopfMonoid:
         return (((partition(tuple(sorted(left))),
                   partition(tuple(sorted(right)))), 1),)
 
-    return HopfMonoid(sp, mu, delta)
+    return _declared_cocommutative(HopfMonoid(sp, mu, delta))
 
 
 def make_PiPrime() -> SpeciesSpec:
@@ -340,7 +353,7 @@ def make_PiS(allowed) -> HopfMonoid:
             return (((partition(left), partition(right)), 1),)
         return ()
 
-    return HopfMonoid(sp, mu, delta)
+    return _declared_cocommutative(HopfMonoid(sp, mu, delta))
 
 
 def make_Pi_even() -> HopfMonoid:
@@ -368,7 +381,7 @@ def make_Sigma() -> HopfMonoid:
         left, right = split_blocks(s.blocks, S)
         return (((composition(left), composition(right)), 1),)
 
-    return HopfMonoid(sp, mu, delta)
+    return _declared_cocommutative(HopfMonoid(sp, mu, delta))
 
 
 def pal_words(labels: tuple):
@@ -444,7 +457,7 @@ def make_Pal() -> HopfMonoid:
                 return ()
         return (((pal(left), pal(right)), 1),)
 
-    return HopfMonoid(sp, mu, delta)
+    return _declared_cocommutative(HopfMonoid(sp, mu, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +485,7 @@ def make_Ek(k: int) -> HopfMonoid:
         return (((function(tuple(m for m in s.mapping if m[0] in keep)),
                   function(tuple(m for m in s.mapping if m[0] not in keep))), 1),)
 
-    return HopfMonoid(sp, mu, delta)
+    return _declared_cocommutative(HopfMonoid(sp, mu, delta))
 
 
 def make_el() -> SpeciesSpec:
@@ -482,7 +495,8 @@ def make_el() -> SpeciesSpec:
 
 
 def hadamard_hopf(a: HopfMonoid, b: HopfMonoid) -> HopfMonoid:
-    """Componentwise structure maps on pair structures."""
+    """Componentwise structure maps on pair structures; declared
+    cocommutative when both factors are."""
     sp = hadamard(a.species, b.species)
     pair = intern_table(lambda key: PairStructure(*key))
 
@@ -497,7 +511,9 @@ def hadamard_hopf(a: HopfMonoid, b: HopfMonoid) -> HopfMonoid:
         return tuple(((pair((x1, x2)), pair((y1, y2))), c1 * c2)
                      for (x1, y1), c1 in u for (x2, y2), c2 in v)
 
-    return HopfMonoid(sp, mu, delta, name="Hadamard(%s,%s)" % (a.name, b.name))
+    h = HopfMonoid(sp, mu, delta, name="Hadamard(%s,%s)" % (a.name, b.name))
+    h.cocommutative = a.cocommutative and b.cocommutative
+    return h
 
 
 # ---------------------------------------------------------------------------

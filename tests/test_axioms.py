@@ -358,7 +358,7 @@ class TestBatteryMemo:
         attributes = set(vars(h))
         assert check_all(h, 4).ok
         assert h.space_cache == {} and set(vars(h)) == attributes == {
-            "species", "name", "_mu", "_delta", "space_cache"}
+            "species", "name", "_mu", "_delta", "space_cache", "cocommutative"}
 
 
 def halved(pairs) -> tuple:

@@ -544,7 +544,8 @@ class TestLoadsOnlyTheLayersItRuns:
     """A fresh process compiles every module it imports from source when no
     bytecode cache is written, so a command imports only the layers it runs:
     a dimension table never loads the series, reports, axiom battery,
-    kernels or sequence gates, and a kernel command never the gates, nor
+    kernels or sequence gates, and a kernel command never the gates or
+    the series layer `exactalg`, nor (in JSON or in `hker-dims`)
     `dataclasses` and the `inspect` it brings in."""
 
     PROBE = ("import json, sys\n"
@@ -557,12 +558,12 @@ class TestLoadsOnlyTheLayersItRuns:
          ["hopfspecies.exactalg", "hopfspecies.reports", "hopfspecies.axioms",
           "hopfspecies.seqtests", "hopfspecies.kernels"]),
         (("primitives", "--species", "Sigma", "--max-n", "3", "--show-basis"),
-         ["hopfspecies.seqtests"]),
+         ["hopfspecies.seqtests", "hopfspecies.exactalg"]),
         (("--format", "json", "primitives", "--species", "Sigma", "--max-n", "3",
           "--show-basis"),
-         ["hopfspecies.seqtests", "dataclasses", "inspect"]),
+         ["hopfspecies.seqtests", "hopfspecies.exactalg", "dataclasses", "inspect"]),
         (("hker-dims", "--morphism", "L->E", "--max-n", "3"),
-         ["hopfspecies.seqtests", "dataclasses", "inspect"]),
+         ["hopfspecies.seqtests", "hopfspecies.exactalg", "dataclasses", "inspect"]),
     ])
     def test_command_imports_only_its_layers(self, argv, absent):
         proc = subprocess.run([sys.executable, "-c", self.PROBE] + list(argv),

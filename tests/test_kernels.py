@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_add, reference_kernel, reference_rref
+from conftest import (mutate_coproduct, mutate_product, reference_add,
+                      reference_kernel, reference_rref)
 from hopfspecies import kernels as kernels_mod
-from hopfspecies.axioms import check_all, check_morphism
+from hopfspecies.axioms import check_all, check_cocommutative, check_morphism
 from hopfspecies.exactalg import Echelon, TruncatedSeries, egf_from_counts
 from hopfspecies.kernels import (CyclicOrder, NotADerangement,
                                  NotCocommutative,
@@ -27,6 +28,7 @@ from hopfspecies.species import (EMPTY, FiniteSet, LinearOrder, QTensor,
                                  labelset)
 from hopfspecies.structures import (HopfMonoid, HopfMorphism, closed_sizes,
                                     coproduct_vector, get_hopf, get_morphism,
+                                    hadamard_hopf,
                                     iterated_product,
                                     make_E, make_L, make_Sigma,
                                     morphism_E_to_Pi, morphism_L_to_E,
@@ -624,14 +626,17 @@ class TestEliminationPin:
         assert ech.pivots == pivots
 
 
-def rows_from_public_maps(h, I, f=None) -> list:
+def rows_from_public_maps(h, I, f=None, skip_mirrors=False) -> list:
     """coproduct_rows rebuilt through the linear extensions
     `coproduct_vector` and `f(...)`, which sum the pairs in a QTensor or
-    QVector rather than in the row dicts."""
+    QVector rather than in the row dicts. With `skip_mirrors`, only the
+    decompositions whose S comes before T in subset order are built."""
     basis = h.species.structures(I)
     rows: dict = {}
     for S, T in I.decompositions():
         if not (len(S) and len(T)):
+            continue
+        if skip_mirrors and (len(S), S.labels) > (len(T), T.labels):
             continue
         for j, s in enumerate(basis):
             for (u, w), c in coproduct_vector(h, S, T, QVector.basis(s)).items():
@@ -648,10 +653,13 @@ class TestRowsFromPairs:
     @pytest.mark.parametrize("ident", ["E", "L", "Pi", "PiS:2", "Sigma", "Pal",
                                        "Ek:2", "Hadamard(Pi,L)"])
     def test_coproduct_rows_match_public_coproduct(self, ident):
+        # every shipped monoid is declared cocommutative, so its primitive
+        # rows skip the mirrored decompositions
         h = get_hopf(ident)
         for n in range(5):
             I = labelset(n)
-            assert coproduct_rows(h, I) == rows_from_public_maps(h, I), n
+            assert coproduct_rows(h, I) == rows_from_public_maps(
+                h, I, skip_mirrors=h.cocommutative), n
 
     @pytest.mark.parametrize("ident", ["L->E", "E->Pi", "L->Sigma", "Pi->PiS:2"])
     def test_hker_rows_match_public_maps(self, ident):
@@ -790,3 +798,81 @@ class TestRowsFromPairs:
         assert Sigma.coproduct(I, EMPTY, s) == (((s, one), 1),)
         assert Sigma.product(EMPTY, I, one, s) == ((s, 1),)
         assert Sigma.product(I, EMPTY, s, one) == ((s, 1),)
+
+
+DECLARED = ["E", "L", "Pi", "PiS:2", "Sigma", "Pal", "Ek:2", "Hadamard(L,Pi)"]
+
+
+def distinct_in_order(rows) -> list:
+    """The distinct rows, each as a frozenset of its items, in the order of
+    first appearance."""
+    return list(dict.fromkeys(frozenset(row.items()) for row in rows))
+
+
+def twisted_L(L):
+    """L with an order-reversing coproduct: a Hopf monoid built directly,
+    so undeclared, and not cocommutative from size 3 on."""
+    def delta(S, T, s):
+        return (((LinearOrder(reversed(s.restrict(S).seq)), s.restrict(T)), 1),)
+
+    return HopfMonoid(L.species, L.product, delta, name="twisted")
+
+
+class TestCocommutativeDeclaration:
+    """The primitive rows skip the mirrored decompositions only for a monoid
+    its constructor declares cocommutative; the declaration must hold, and
+    the skipped rows must change no kernel."""
+
+    @pytest.mark.parametrize("ident", DECLARED)
+    def test_declared_monoids_are_cocommutative(self, ident):
+        h = get_hopf(ident)
+        assert h.cocommutative is True
+        assert check_cocommutative(h, 4).ok
+
+    def test_monoids_built_directly_are_undeclared(self, L, Sigma, X):
+        a, b = FiniteSet("a"), FiniteSet("b")
+        x, y = Sigma.species.structures(a)[0], Sigma.species.structures(b)[0]
+        s = Sigma.species.structures(a.union(b))[0]
+        mutants = [mutate_product(Sigma, (x, y), QVector(a.union(b), [(s, 2)])),
+                   mutate_coproduct(Sigma, s, ("a",), QTensor(a, b, [])),
+                   twisted_L(L), X, hadamard_hopf(L, twisted_L(L))]
+        assert [m.cocommutative for m in mutants] == [False] * 5
+        assert hadamard_hopf(L, Sigma).cocommutative is True
+
+    def test_twisted_mutant_keeps_every_decomposition(self, L):
+        twisted = twisted_L(L)
+        assert not check_cocommutative(twisted, 3).ok
+        for n in range(5):
+            I = labelset(n)
+            rows = rows_from_public_maps(twisted, I)
+            assert coproduct_rows(twisted, I) == rows, n
+            if n:
+                m = len(twisted.species.structures(I))
+                pivots = sorted(primitive_space(twisted, I)._ech.pivots.items())
+                stored = [tuple(Q(row.get(j, 0), row[c]) for j in range(m))
+                          for c, row in pivots]
+                dense = [[row.get(j, 0) for j in range(m)] for row in rows]
+                assert stored == reference_rref(reference_kernel(dense, m), m)[0], n
+
+    # Hadamard(L,Pi) has 6,240 structures at n = 5, where the two rrefs
+    # alone take 10 s, so it stops at n = 4
+    @pytest.mark.parametrize("ident, nmax", [(ident, 5) for ident in DECLARED[:-1]]
+                             + [(DECLARED[-1], 4)])
+    def test_mirrored_rows_span_the_full_rows(self, ident, nmax):
+        h = get_hopf(ident)
+        for n in range(1, nmax + 1):
+            I = labelset(n)
+            mirrored = coproduct_rows(h, I)
+            full = rows_from_public_maps(h, I)
+            assert len(full) == 2 * len(mirrored), n
+            kept = {frozenset(row.items()) for row in mirrored}
+            assert all(frozenset(row.items()) in kept for row in full), n
+            # the distinct rows come in the order of their first appearance
+            # among all decompositions, so elimination takes the same steps
+            assert distinct_in_order(mirrored) == distinct_in_order(full), n
+            echelons = [Echelon(), Echelon()]
+            for ech, rows in zip(echelons, (mirrored, full)):
+                for row in rows:
+                    ech.add(row)
+            assert echelons[0].rank == echelons[1].rank, n
+            assert echelons[0].rref() == echelons[1].rref(), n
