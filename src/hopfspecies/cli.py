@@ -18,7 +18,8 @@ import os
 import sys
 from functools import partial
 
-from .species import SIZE_CAP, FiniteSet, LinearOrder, labelset, orbit_count
+from .species import (SIZE_CAP, FiniteSet, LinearOrder, labelset, orbit_count,
+                      terms_text)
 from .structures import get_hopf, get_morphism, get_species, make_L
 
 HARD_MAX_N = SIZE_CAP
@@ -83,8 +84,9 @@ def _parse_labels(text: str) -> list:
 
 
 def _emit(report: dict, fmt: str, lines) -> None:
-    """Print the JSON report or the text lines. Commands that print vectors
-    render those lines only in text mode; JSON mode never prints them."""
+    """Print the JSON report or the text lines, which may be a generator
+    rendered as it is printed. Commands that print vectors render those
+    lines only in text mode; JSON mode never prints them."""
     if fmt == "json":
         from .reports import json_text
         print(json_text(report))
@@ -207,23 +209,52 @@ def cmd_morphism_check(args) -> int:
     return _emit_verdict("morphism-check", rep, args.format)
 
 
+def _basis_lines(head: str, spaces):
+    """`head`, then the text lines of each size's primitive basis, one size
+    at a time: each row is printed from its columns by `terms_text`, as
+    `%r` of its QVector would print it, with each structure's text made
+    once."""
+    yield head
+    for n, space in enumerate(spaces, 1):
+        yield "n = %d:" % n
+        rows = space.rows()
+        if rows:
+            name = space.names().__getitem__
+            for row in rows:
+                yield "  " + terms_text(row, name)
+
+
+def _basis_json(space) -> list:
+    """The basis of `space` as `QVector.to_json` gives it: one dict per
+    vector, sharing one ambient list, and a TermList for its terms, which
+    quotes each structure's text once."""
+    from .reports import TermList, quote
+    rows = space.rows()
+    if not rows:
+        return []
+    ambient = list(space.ambient)
+    quoted = [quote(t) for t in space.names()]
+    return [{"ambient": ambient, "terms": TermList(row, quoted)}
+            for row in rows]
+
+
 def cmd_primitives(args) -> int:
     from . import kernels as kernels_mod
     nmax = _cap_n(args.max_n)
     h = get_hopf(args.species)
     dims = kernels_mod.primitive_dims(h, nmax)
-    text = args.format == "text"
-    lines = ["primitive dimensions of %s: %s" % (h.name, dims)]
+    spaces = (kernels_mod.primitive_space(h, labelset(n))
+              for n in range(1, (nmax if args.show_basis else 0) + 1))
+    if args.format == "text":
+        # the basis lines are rendered as _emit prints them
+        _emit(None, "text", _basis_lines(
+            "primitive dimensions of %s: %s" % (h.name, dims), spaces))
+        return 0
     details = [{"species": h.name, "primitive_dims": dims}]
-    if args.show_basis:
-        for n in range(1, nmax + 1):
-            vecs = kernels_mod.primitive_space(h, labelset(n)).vectors()
-            details.append({"n": n, "basis": [v.to_json() for v in vecs]})
-            if text:
-                lines.append("n = %d:" % n)
-                lines.extend("  %r" % v for v in vecs)
-    payload = {"tool": "primitives", "verdict": "pass", "details": details}
-    _emit(payload, args.format, lines)
+    details += [{"n": n, "basis": _basis_json(space)}
+                for n, space in enumerate(spaces, 1)]
+    _emit({"tool": "primitives", "verdict": "pass", "details": details},
+          "json", ())
     return 0
 
 

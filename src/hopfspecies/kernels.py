@@ -20,7 +20,7 @@ from math import comb
 
 from .echelon import Echelon
 from .reports import FAIL, PASS, TestReport
-from .species import FiniteSet, LinearOrder, QVector, labelset
+from .species import FiniteSet, LinearOrder, QVector, check_coeff, labelset
 from .structures import (HopfMonoid, HopfMorphism, block_partitions,
                          iterated_product, make_L, product_vectors)
 
@@ -75,12 +75,39 @@ class SubspaceBasis:
         return (self.dim == other.dim
                 and all(other._ech.contains(row) for row in self._ech.pivots.values()))
 
+    def rows(self) -> list:
+        """The canonical reduced echelon basis in pivot order, each row a
+        list of (column, coefficient) pairs sorted by column. `coords` is
+        sorted, so column order is structure order, the order of
+        `QVector.items()`. Each coefficient is checked to be exact and
+        nonzero: TypeError or ValueError otherwise."""
+        rref = self._ech.rref()
+        out = []
+        for c in sorted(rref):
+            row = sorted(rref[c].items())
+            for _, v in row:
+                if type(v) is not int or not v:
+                    check_coeff(v)
+                    if not v:
+                        raise ValueError("reduced row %d holds a zero" % c)
+            out.append(row)
+        return out
+
+    def names(self) -> list:
+        """The text() of each coordinate structure, indexed by column; each
+        structure is checked once to lie on the ambient."""
+        ambient = self.ambient
+        out = []
+        for s in self.coords:
+            QVector.check_key(ambient, s)
+            out.append(s.text())
+        return out
+
     def vectors(self) -> list:
         """The canonical reduced echelon basis as QVectors."""
-        rref = self._ech.rref()
-        return [QVector(self.ambient,
-                        {self.coords[j]: v for j, v in rref[c].items()})
-                for c in sorted(rref)]
+        coords = self.coords
+        return [QVector(self.ambient, {coords[j]: v for j, v in row})
+                for row in self.rows()]
 
     def __repr__(self):
         return "SubspaceBasis(dim=%d of %d)" % (self.dim, len(self.coords))

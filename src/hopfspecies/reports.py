@@ -35,9 +35,39 @@ def jsonable(value):
     return _scalar(value)
 
 
+class TermList:
+    """The terms of one vector, written by `json_text` as the list
+    [{"coeff": qstr(c), "structure": name}, ...] that `QVector.to_json`
+    gives, with no dict built per term.
+
+    `items` are (column, coefficient) pairs in the order to print, and
+    `quoted_names[column]` is the name of that column already JSON-quoted,
+    so a name shared by many vectors is quoted once."""
+
+    __slots__ = ("items", "quoted_names")
+
+    def __init__(self, items, quoted_names):
+        self.items = items
+        self.quoted_names = quoted_names
+
+    def write(self, put, nl: str) -> None:
+        if not self.items:
+            put("[]")
+            return
+        inner = nl + "  "
+        head = inner + "{" + inner + '  "coeff": "'
+        mid = '",' + inner + '  "structure": '
+        tail = inner + "}"
+        names = self.quoted_names
+        put("[" + ",".join([head + (str(c) if type(c) is int else qstr(c))
+                            + mid + names[j] + tail for j, c in self.items])
+            + nl + "]")
+
+
 def json_text(value) -> str:
     """The text of json.dumps(jsonable(value), sort_keys=True, indent=2),
-    written in one walk over `value` with no converted copy in between."""
+    written in one walk over `value` with no converted copy in between; a
+    `TermList` is written as the list of dicts it stands for."""
     out = []
     _write(value, out.append, "\n")
     return "".join(out)
@@ -48,6 +78,8 @@ def _write(value, put, nl: str) -> None:
     indented as `nl` says, in pieces through `put`."""
     if type(value) is str:
         put(quote(value))
+    elif type(value) is TermList:
+        value.write(put, nl)
     elif isinstance(value, dict):
         if not value:
             put("{}")

@@ -122,9 +122,12 @@ class HopfMonoid:
             return ((x, 1),)
         terms = tuple(self._mu(S, T, x, y))
         ambient = S.union(T)
+        labels = ambient.labels
         for z, c in terms:
-            check_coeff(c)
-            QVector.check_key(ambient, z)
+            # the common case inline; the checks run only to raise
+            if type(c) is not int or z._labels.labels != labels:
+                check_coeff(c)
+                QVector.check_key(ambient, z)
         return terms
 
     def coproduct(self, S: FiniteSet, T: FiniteSet, s: Structure) -> tuple:
@@ -134,9 +137,14 @@ class HopfMonoid:
         if not T.labels:
             return (((s, self.one()), 1),)
         terms = tuple(self._delta(S, T, s))
+        left, right = S.labels, T.labels
         for key, c in terms:
-            check_coeff(c)
-            QTensor.check_key(S, T, key)
+            # the common case inline; the checks run only to raise
+            if not (type(c) is int and type(key) is tuple and len(key) == 2
+                    and key[0]._labels.labels == left
+                    and key[1]._labels.labels == right):
+                check_coeff(c)
+                QTensor.check_key(S, T, key)
         return terms
 
     def __repr__(self):
@@ -189,9 +197,12 @@ class HopfMorphism:
     def on_basis(self, s: Structure) -> tuple:
         """f(s) as checked (structure on the labels of s, coefficient) pairs."""
         terms = tuple(self._on_basis(s))
+        labels = s._labels.labels
         for t, c in terms:
-            check_coeff(c)
-            QVector.check_key(s._labels, t)
+            # the common case inline; the checks run only to raise
+            if type(c) is not int or t._labels.labels != labels:
+                check_coeff(c)
+                QVector.check_key(s._labels, t)
         return terms
 
     def __call__(self, v: QVector) -> QVector:

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from hopfspecies import reports
 from hopfspecies.cli import run
-from hopfspecies.kernels import primitive_space
+from hopfspecies.kernels import primitive_dims, primitive_space
+from hopfspecies.reports import json_text
 from hopfspecies.species import QVector, labelset
 from hopfspecies.structures import get_hopf
 
@@ -396,6 +398,54 @@ class TestTextOnlyInTextMode:
             expected.append("n = %d:" % n)
             expected += ["  %r" % v for v in primitive_space(h, labelset(n)).vectors()]
         assert code == 0 and out == "\n".join(expected) + "\n"
+
+
+class TestPrimitiveBasisMatchesVectors:
+    """`primitives --show-basis` prints each basis from the echelon rows;
+    its stdout, in text and in JSON, equals what the QVectors of
+    `SubspaceBasis.vectors()` print through `%r` and `QVector.to_json`."""
+
+    CASES = ([("Sigma", n) for n in range(6)]
+             + [(name, 4) for name in ("Pi", "Pal", "L", "E", "Ek:0", "Ek:2",
+                                       "PiS:2", "Hadamard(L,Pi)")])
+
+    @staticmethod
+    def vector_path(species, nmax, fmt):
+        h = get_hopf(species)
+        dims = primitive_dims(h, nmax)
+        bases = [primitive_space(h, labelset(n)).vectors()
+                 for n in range(1, nmax + 1)]
+        if fmt == "text":
+            lines = ["primitive dimensions of %s: %s" % (h.name, dims)]
+            for n, vecs in enumerate(bases, 1):
+                lines.append("n = %d:" % n)
+                lines.extend("  %r" % v for v in vecs)
+            return "\n".join(lines) + "\n"
+        details = [{"species": h.name, "primitive_dims": dims}]
+        details += [{"n": n, "basis": [v.to_json() for v in vecs]}
+                    for n, vecs in enumerate(bases, 1)]
+        return json_text({"tool": "primitives", "verdict": "pass",
+                          "details": details}) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("species, nmax", CASES)
+    def test_stdout_equals_vector_rendering(self, capsys, species, nmax, fmt):
+        code, out, err = invoke(capsys, "--format", fmt, "primitives",
+                                "--species", species, "--max-n", str(nmax),
+                                "--show-basis")
+        assert (code, err) == (0, "")
+        assert out == self.vector_path(species, nmax, fmt)
+
+    def test_text_mode_builds_no_json(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a JSON payload was built in text mode")
+
+        monkeypatch.setattr(QVector, "to_json", refuse)
+        monkeypatch.setattr(reports, "json_text", refuse)
+        monkeypatch.setattr(reports.TermList, "__init__", refuse)
+        code, out, _ = invoke(capsys, "primitives", "--species", "Sigma",
+                              "--max-n", "4", "--show-basis")
+        assert code == 0 and out == self.vector_path("Sigma", 4, "text")
 
 
 def _perfbench_workloads():

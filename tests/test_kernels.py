@@ -608,6 +608,57 @@ class TestIntegerRows:
         assert returned and self.all_int(returned)
 
 
+class TestBasisRows:
+    """`SubspaceBasis.rows()` is the one reader of the reduced basis and
+    `names()` names each coordinate once; together they give what the
+    QVectors of `vectors()` hold."""
+
+    @pytest.mark.parametrize("ident", ["Sigma", "Pi", "Pal", "L", "Ek:2",
+                                       "PiS:2", "Hadamard(L,Pi)"])
+    def test_rows_and_names_give_the_vectors(self, ident):
+        h = get_hopf(ident)
+        for n in range(1, 5):
+            space = primitive_space(h, labelset(n))
+            names = space.names()
+            rows = space.rows()
+            vecs = space.vectors()
+            assert len(rows) == len(vecs) == space.dim
+            assert names == [s.text() for s in space.coords]
+            for row, v in zip(rows, vecs):
+                assert [j for j, _ in row] == sorted(j for j, _ in row)
+                assert [(names[j], c) for j, c in row] == [
+                    (s.text(), c) for s, c in v.items()]
+
+    @staticmethod
+    def by_hand(rref):
+        class Fixed(Echelon):
+            def rref(self):
+                return rref
+        I = FiniteSet("ab")
+        coords = (LinearOrder(("a", "b")), LinearOrder(("b", "a")))
+        return SubspaceBasis(I, coords, Fixed())
+
+    def test_inexact_coefficient_is_refused(self):
+        space = self.by_hand({0: {0: 1, 1: 0.5}})
+        with pytest.raises(TypeError, match="exact coefficient expected, got 0.5"):
+            space.rows()
+        with pytest.raises(TypeError, match="exact coefficient expected, got 0.5"):
+            space.vectors()
+
+    def test_zero_coefficient_is_refused(self):
+        with pytest.raises(ValueError, match="reduced row 0 holds a zero"):
+            self.by_hand({0: {0: 1, 1: Q(0)}}).rows()
+
+    def test_fraction_coefficients_pass(self):
+        assert self.by_hand({0: {1: Q(-1, 2), 0: 1}}).rows() == [[(0, 1), (1, Q(-1, 2))]]
+
+    def test_off_ambient_coordinate_is_refused_by_names(self):
+        space = SubspaceBasis(FiniteSet("ab"), (LinearOrder(("a", "b")),
+                                                LinearOrder("a")))
+        with pytest.raises(ValueError, match=r"structure a not on ambient \{a,b\}"):
+            space.names()
+
+
 class TestEliminationPin:
     def test_sigma_at_five(self, Sigma):
         # the rows of primitive_space(Sigma, {a..e}) in _kernel_space's
@@ -789,6 +840,46 @@ class TestRowsFromPairs:
             bad.coproduct(S, T, s)
         with pytest.raises(TypeError, match="exact coefficient expected, got 0.5"):
             coproduct_rows(bad, labelset(2))
+
+    def test_inexact_coefficient_is_refused_by_product_and_morphism(self, L):
+        a, b = LinearOrder("a"), LinearOrder("b")
+
+        def mu(S, T, x, y):
+            return tuple((z, 0.5) for z, _ in L.product(S, T, x, y))
+
+        bad = HopfMonoid(L.species, mu, L.coproduct)
+        with pytest.raises(TypeError, match="exact coefficient expected, got 0.5"):
+            bad.product(FiniteSet("a"), FiniteSet("b"), a, b)
+        f = HopfMorphism("half", L, L, lambda s: ((s, 0.5),))
+        with pytest.raises(TypeError, match="exact coefficient expected, got 0.5"):
+            f.on_basis(a)
+
+    def test_bool_and_fraction_coefficients_are_accepted(self, L):
+        a, b = LinearOrder("a"), LinearOrder("b")
+        S, T = FiniteSet("a"), FiniteSet("b")
+        s = LinearOrder(("a", "b"))
+        for coeff in (True, Q(1, 2), Q(4, 2)):
+            def mu(S, T, x, y):
+                return tuple((z, coeff) for z, _ in L.product(S, T, x, y))
+
+            def delta(S, T, s):
+                return tuple((key, coeff) for key, _ in L.coproduct(S, T, s))
+
+            h = HopfMonoid(L.species, mu, delta)
+            assert h.product(S, T, a, b) == ((s, coeff),)
+            assert h.coproduct(S, T, s) == (((a, b), coeff),)
+            f = HopfMorphism("scaled", L, L, lambda s: ((s, coeff),))
+            assert f.on_basis(s) == ((s, coeff),)
+
+    def test_malformed_coproduct_key_is_refused_as_before(self, L):
+        a, b = LinearOrder("a"), LinearOrder("b")
+
+        def delta(S, T, s):
+            return (((a, b, a), 1),)
+
+        bad = HopfMonoid(L.species, L.product, delta)
+        with pytest.raises(ValueError, match=r"too many values to unpack"):
+            bad.coproduct(FiniteSet("a"), FiniteSet("b"), LinearOrder(("a", "b")))
 
     def test_empty_sides_are_the_unit_identifications(self, Sigma):
         I = FiniteSet("ab")

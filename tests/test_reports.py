@@ -1,12 +1,13 @@
 import json
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfspecies import reports
-from hopfspecies.reports import json_text, jsonable
-from hopfspecies.species import FiniteSet, SetComposition
+from hopfspecies.reports import TermList, json_text, jsonable, quote
+from hopfspecies.species import FiniteSet, SetComposition, qstr
 
 
 def oracle(value) -> str:
@@ -67,3 +68,43 @@ class TestJsonText:
         value = {"details": [report.to_json(), report], "structure": s,
                  "ambient": FiniteSet("abc")}
         assert json_text(value) == oracle(value)
+
+
+def nest(value, depth):
+    """`value` held `depth` containers deep, dicts and lists alternating."""
+    for d in range(depth):
+        value = {"terms": value, "n": d} if d % 2 == 0 else [value, d]
+    return value
+
+
+class TestTermList:
+    """A TermList is written as the dict list QVector.to_json gives for the
+    same terms, at every indentation depth."""
+
+    NAMES = ["a|b", 'q"uote', "back\\slash", "\u00e9t\u00e9", "tab\tnew\nline", ""]
+
+    def dict_list(self, items):
+        return [{"coeff": qstr(c), "structure": self.NAMES[j]} for j, c in items]
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("items", [
+        [],
+        [(0, 1)],
+        [(0, 1), (1, -1), (2, 12), (3, -340282366920938463463374607431768211457)],
+        [(1, Q(1, 2)), (2, Q(-7, 3)), (4, Q(6, 3)), (5, Q(-4, 2))],
+        [(0, -2), (2, Q(5, 4)), (3, 1), (4, True), (5, Q(-1, 9))],
+    ])
+    def test_same_bytes_as_the_dict_list(self, depth, items):
+        quoted = [quote(t) for t in self.NAMES]
+        terms = TermList(items, quoted)
+        dicts = self.dict_list(items)
+        assert json_text(nest(terms, depth)) == json_text(nest(dicts, depth))
+        assert json_text(nest(dicts, depth)) == oracle(nest(dicts, depth))
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.one_of(st.integers(), fractions)),
+                    max_size=6), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_any_terms(self, items, depth):
+        quoted = [quote(t) for t in self.NAMES]
+        assert (json_text(nest(TermList(items, quoted), depth))
+                == oracle(nest(self.dict_list(items), depth)))
