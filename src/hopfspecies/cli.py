@@ -178,8 +178,11 @@ def cmd_series_div(args) -> int:
 def cmd_species_dims(args) -> int:
     nmax = _cap_n(args.max_n)
     sp = get_species(args.species)
-    # orbit_count makes the one pass per size; dimension reads its count
-    types = [orbit_count(sp, n) for n in range(nmax + 1)] if args.types else []
+    # orbit_count makes the one pass per size; dimension reads its count.
+    # The largest size goes first, so a size it refuses stops the command
+    # before any other size is counted.
+    types = ([orbit_count(sp, n) for n in range(nmax, -1, -1)][::-1]
+             if args.types else [])
     dims = [sp.dimension(n) for n in range(nmax + 1)]
     rows = ["%-3s %10s%s" % ("n", "dim", "   orbits" if args.types else "")]
     for n in range(nmax + 1):

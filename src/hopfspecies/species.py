@@ -233,13 +233,10 @@ def _canon_blocks(blocks, on: FiniteSet | None = None) -> tuple:
     label met a second time, is refused at the first block that shows it.
 
     With `on`, the blocks must cover on's labels exactly; a label outside
-    it, or one it has that no block holds, is refused. Blocks whose labels,
-    sorted, equal on.labels pass at once: on's labels are distinct and were
-    checked when on was built, so these blocks are disjoint and valid."""
+    it, or one it has that no block holds, is refused. The constructors
+    make these checks on a label set in their own frame first, and come
+    here only when one fails, for its message."""
     out = tuple([tuple(sorted(b)) for b in blocks])
-    if (on is not None and all(out)
-            and tuple(sorted(itertools.chain.from_iterable(out))) == on.labels):
-        return out
     seen = set()
     for i, b in enumerate(out):
         if not b:
@@ -253,8 +250,9 @@ def _canon_blocks(blocks, on: FiniteSet | None = None) -> tuple:
         outside = seen.difference(on.labels)
         if outside:
             raise ValueError("label %r is not in %r" % (min(outside), on))
-        raise ValueError("blocks miss label %r of %r"
-                         % (min(set(on.labels) - seen), on))
+        missing = set(on.labels) - seen
+        if missing:
+            raise ValueError("blocks miss label %r of %r" % (min(missing), on))
     return out
 
 
@@ -267,14 +265,6 @@ def _first_repeat(blocks, b):
         seen.add(t)
 
 
-def _covered(blocks, on: FiniteSet | None) -> FiniteSet:
-    """The label set of blocks checked by _canon_blocks: `on` itself, shared,
-    or else a new FiniteSet, which checks every label."""
-    if on is not None:
-        return on
-    return FiniteSet(itertools.chain.from_iterable(blocks))
-
-
 class SetPartition(Structure):
     """A set partition; `on`, if given, is the label set the blocks must
     cover exactly, as for an enumerator building on a checked set."""
@@ -283,8 +273,19 @@ class SetPartition(Structure):
     kind = "partition"
 
     def __init__(self, blocks, on: FiniteSet | None = None):
+        if on is not None:
+            # the checks of _canon_blocks on a label set, in this frame;
+            # on any failure that path runs and raises its message
+            blocks = tuple(map(tuple, map(sorted, blocks)))
+            if (all(blocks) and tuple(sorted(
+                    itertools.chain.from_iterable(blocks))) == on.labels):
+                self.blocks = blocks = tuple(sorted(blocks))
+                self._labels = on
+                self._key = key = (self.kind, blocks)
+                self._hash = hash(key)
+                return
         self.blocks = tuple(sorted(_canon_blocks(blocks, on)))
-        self._finish(_covered(self.blocks, on))
+        self._finish(FiniteSet(itertools.chain.from_iterable(self.blocks)))
 
     def relabel(self, mapping):
         return SetPartition(tuple(mapping[t] for t in b) for b in self.blocks)
@@ -307,11 +308,25 @@ class SetComposition(Structure):
 
     __slots__ = ("blocks",)
     kind = "composition"
+    palindromic = False  # whether the block-size word must be a palindrome
 
     def __init__(self, blocks, on: FiniteSet | None = None):
+        if on is not None:
+            # every check of the path below, on a label set, in this frame;
+            # on any failure that path runs and raises its message
+            blocks = tuple(map(tuple, map(sorted, blocks)))
+            if (all(blocks) and tuple(sorted(
+                    itertools.chain.from_iterable(blocks))) == on.labels
+                    and (not self.palindromic
+                         or (w := tuple(map(len, blocks))) == w[::-1])):
+                self.blocks = blocks
+                self._labels = on
+                self._key = key = (self.kind, blocks)
+                self._hash = hash(key)
+                return
         self.blocks = _canon_blocks(blocks, on)
         self._check_blocks()
-        self._finish(_covered(self.blocks, on))
+        self._finish(FiniteSet(itertools.chain.from_iterable(self.blocks)))
 
     def _check_blocks(self):
         pass
@@ -329,7 +344,7 @@ class SetComposition(Structure):
         return "|".join("".join(b) for b in self.blocks) if self.blocks else "()"
 
     def orbit_key(self):
-        return ("composition", self.size_word())
+        return ("composition", tuple(map(len, self.blocks)))
 
 
 class PalComposition(SetComposition):
@@ -337,6 +352,7 @@ class PalComposition(SetComposition):
 
     __slots__ = ()
     kind = "pal"
+    palindromic = True
 
     def _check_blocks(self):
         w = self.size_word()
@@ -344,7 +360,7 @@ class PalComposition(SetComposition):
             raise ValueError("block sizes %r are not palindromic" % (w,))
 
     def orbit_key(self):
-        return ("pal", self.size_word())
+        return ("pal", tuple(map(len, self.blocks)))
 
 
 class FunctionToK(Structure):
@@ -448,6 +464,10 @@ class SpeciesSpec:
     functoriality holds by construction.
     """
 
+    # a declaration, never inferred: False when the structures carry no
+    # orbit key, so orbit counting goes to relabeling without a pass
+    orbit_keyed = True
+
     def __init__(self, name: str, enumerator, linearized: bool = True):
         # every species is a set species whose structures relabel
         # themselves; `linearized` is ignored, kept only because the
@@ -503,26 +523,26 @@ def orbit_count(sp: SpeciesSpec, n: int) -> int:
     One `stream` pass collects the structures' orbit keys, a complete
     invariant; the pass also leaves the dimension behind. A kind without
     one falls back to the stored structures and enumerates orbits by
-    applying all n! relabelings (desk scale, n <= 8).
+    applying all n! relabelings (desk scale, n <= 8, refused above that
+    before any structure is built when the species declares no keys).
     """
     I = labelset(n)
-    keys = set()
-    for s in sp.stream(I):
-        key = s.orbit_key()
-        if key is None:
-            return _orbits_by_relabeling(sp.structures(I), I)
-        keys.add(key)
-    return len(keys)
+    if sp.orbit_keyed:
+        keys = {s.orbit_key() for s in sp.stream(I)}
+        if None not in keys:
+            return len(keys)
+    return _orbits_by_relabeling(sp, I)
 
 
-def _orbits_by_relabeling(structs: tuple, I: FiniteSet) -> int:
-    """The orbits of `structs`, counted by applying every bijection of I."""
+def _orbits_by_relabeling(sp: SpeciesSpec, I: FiniteSet) -> int:
+    """The orbits of the structures of `sp` on I, counted by applying every
+    bijection of I."""
     if len(I) > 8:
         raise ValueError("orbit enumeration without invariants is capped at n = 8")
     seen = set()
     count = 0
     perms = [dict(zip(I, img)) for img in itertools.permutations(tuple(I))]
-    for s in structs:
+    for s in sp.structures(I):
         if s in seen:
             continue
         count += 1
@@ -537,7 +557,9 @@ def hadamard(a: SpeciesSpec, b: SpeciesSpec) -> SpeciesSpec:
     def enumerate_pairs(I):
         return [PairStructure(x, y) for x in a.structures(I) for y in b.structures(I)]
 
-    return SpeciesSpec("Hadamard(%s,%s)" % (a.name, b.name), enumerate_pairs)
+    sp = SpeciesSpec("Hadamard(%s,%s)" % (a.name, b.name), enumerate_pairs)
+    sp.orbit_keyed = False  # a pair structure has no orbit key
+    return sp
 
 
 # ---------------------------------------------------------------------------

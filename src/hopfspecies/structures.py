@@ -395,42 +395,62 @@ def make_Sigma() -> HopfMonoid:
     return _declared_cocommutative(HopfMonoid(sp, mu, delta))
 
 
+# the memo bound of pal_words: its pairs for remainders of up to 4 labels
+# are 3,853 short tuples at n = 9, where every remainder listed in full
+# would hold megabytes
+_PAIRS_MEMO_MAX = 4
+
+
 def pal_words(labels: tuple):
     """Each palindromic set composition of the sorted label tuple `labels`
     once, as a tuple of sorted blocks: outer pairs of equal-size blocks
     around at most one central block. The centre is the middle block of an
-    odd word, so its size has the parity of len(labels)."""
+    odd word, so its size has the parity of len(labels).
+
+    A word is built in one step from its first pair, the (head, tail)
+    words of the pairs inside it and the centre. The pairs of a remainder
+    of at most _PAIRS_MEMO_MAX labels are listed once per call and reused
+    for every centre and first pair around it; a longer remainder is cut
+    lazily, so memory stays small at any size."""
+    memo = {(): (((), ()),)}
     n = len(labels)
     for k in range(n % 2, n + 1, 2):
         for center in itertools.combinations(labels, k):
-            taken = set(center)
-            rest = tuple(t for t in labels if t not in taken)
+            rest = tuple(itertools.filterfalse(set(center).__contains__, labels))
             middle = (center,) if center else ()
             if not rest:
                 yield middle
                 continue
-            for head, tail in _outer_pairs(rest):
-                yield head + middle + tail
+            for left, right, remaining in _first_pairs(rest):
+                for head, tail in _outer_pairs(remaining, memo):
+                    yield (left, *head, *middle, *tail, right)
 
 
-def _outer_pairs(labels: tuple):
-    """Each way to cut the nonempty sorted label tuple into an ordered
-    sequence of pairs of equal-size blocks (B1, B1'), ..., (Bh, Bh'), as
-    the pair of words (B1, ..., Bh) and (Bh', ..., B1')."""
+def _first_pairs(labels: tuple):
+    """Each pair (B, B') of disjoint equal-size blocks of the sorted label
+    tuple, as (B, B', the labels in neither)."""
     m = len(labels)
     for size in range(1, m // 2 + 1):
         for left in itertools.combinations(labels, size):
-            taken = set(left)
-            others = tuple(t for t in labels if t not in taken)
+            others = tuple(itertools.filterfalse(set(left).__contains__, labels))
             for right in itertools.combinations(others, size):
-                if 2 * size == m:
-                    # the last pair: no recursion for the empty remainder
-                    yield (left,), (right,)
-                    continue
-                taken = set(right)
-                remaining = tuple(t for t in others if t not in taken)
-                for head, tail in _outer_pairs(remaining):
-                    yield (left,) + head, tail + (right,)
+                yield left, right, tuple(
+                    itertools.filterfalse(set(right).__contains__, others))
+
+
+def _outer_pairs(labels: tuple, memo: dict):
+    """Each way to cut the sorted label tuple into an ordered sequence of
+    pairs of equal-size blocks (B1, B1'), ..., (Bh, Bh'), as the pair of
+    words (B1, ..., Bh) and (Bh', ..., B1'); the empty tuple has one, with
+    h = 0. `memo` keeps the pairs of short remainders (see pal_words)."""
+    got = memo.get(labels)
+    if got is None:
+        got = (((left,) + head, tail + (right,))
+               for left, right, remaining in _first_pairs(labels)
+               for head, tail in _outer_pairs(remaining, memo))
+        if len(labels) <= _PAIRS_MEMO_MAX:
+            got = memo[labels] = tuple(got)
+    return got
 
 
 def pal_split(F: PalComposition):
@@ -442,11 +462,8 @@ def pal_split(F: PalComposition):
 
 
 def make_Pal() -> HopfMonoid:
-    def enum(I):
-        for blocks in pal_words(I.labels):
-            yield PalComposition(blocks, I)
-
-    sp = SpeciesSpec("Pal", enum)
+    sp = SpeciesSpec("Pal", lambda I: map(
+        PalComposition, pal_words(I.labels), itertools.repeat(I)))
     pal = intern_table(PalComposition)
 
     def mu(S, T, x, y):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hopfspecies import reports
 from hopfspecies.cli import run
 from hopfspecies.kernels import primitive_dims, primitive_space
 from hopfspecies.reports import json_text
-from hopfspecies.species import QVector, labelset
+from hopfspecies.species import QVector, SpeciesSpec, labelset
 from hopfspecies.structures import get_hopf
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -220,6 +221,27 @@ class TestSpeciesDims:
         assert (code, err) == (0, "")
         assert out.splitlines()[-2:] == ["8            0        0",
                                          "9            0        0"]
+
+    def test_types_past_the_relabeling_cap_are_refused_up_front(
+            self, capsys, monkeypatch):
+        # pair structures have no orbit key, so n = 9 is refused; the
+        # largest size is counted first, so no size is enumerated before
+        enumerated = Counter()
+        init = SpeciesSpec.__init__
+
+        def counting_init(self, name, enumerator, linearized=True):
+            def counted(I):
+                enumerated[name, len(I)] += 1
+                return enumerator(I)
+            init(self, name, counted, linearized)
+
+        monkeypatch.setattr(SpeciesSpec, "__init__", counting_init)
+        code, out, err = invoke(capsys, "species-dims", "--species",
+                                "Hadamard(E,Pi)", "--max-n", "9", "--types")
+        assert (code, out) == (2, "")
+        assert err == ("input error: orbit enumeration without invariants"
+                       " is capped at n = 8\n")
+        assert enumerated == {}
 
     def test_json_payload(self, capsys):
         code, out, _ = invoke(capsys, "--format", "json", "species-dims",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfspecies import species
 from hopfspecies.exactalg import (CycleIndexPoly, cycle_index, egf,
                                   integer_partitions, ogf, tgf)
 from hopfspecies.species import (EMPTY, Element, FiniteSet, FunctionToK,
@@ -34,6 +35,41 @@ class TestFiniteSet:
     def test_union_disjointness(self):
         with pytest.raises(ValueError):
             FiniteSet("ab").union(FiniteSet("bc"))
+
+
+FIVE = FiniteSet("abcde")
+
+
+@st.composite
+def blocks_on_five(draw):
+    """Blocks meant to cover FIVE: a set composition with its labels
+    shuffled inside each block, sometimes spoilt by an empty block, a
+    repeated label, a foreign label or a missing label."""
+    labels = list(draw(st.permutations(FIVE.labels)))
+    cuts = sorted(draw(st.sets(st.integers(1, 4), max_size=4)))
+    blocks = [labels[i:j] for i, j in zip([0] + cuts, cuts + [5])]
+    fault = draw(st.sampled_from([None, None, "empty", "repeat", "foreign",
+                                  "missing"]))
+    at = draw(st.integers(0, len(blocks) - 1))
+    if fault == "empty":
+        blocks.insert(draw(st.integers(0, len(blocks))), [])
+    elif fault == "repeat":
+        blocks[at].append(draw(st.sampled_from(FIVE.labels)))
+    elif fault == "foreign":
+        blocks[at].append(draw(st.sampled_from(["A", "f", "z"])))
+    elif fault == "missing":
+        blocks[at].pop(draw(st.integers(0, len(blocks[at]) - 1)))
+    return tuple(map(tuple, blocks))
+
+
+def general_build(cls, blocks, on):
+    """The blocks of cls(blocks, on) by the general path alone:
+    _canon_blocks, then a composition's own check; raises as it does."""
+    s = object.__new__(cls)
+    s.blocks = species._canon_blocks(blocks, on)
+    if cls is not SetPartition:
+        s._check_blocks()
+    return s.blocks
 
 
 class TestStructures:
@@ -105,6 +141,23 @@ class TestStructures:
         s = LinearOrder(("c", "a", "b"), I)
         assert s.labels is I
         assert s == LinearOrder(s.seq) and s.labels == LinearOrder(s.seq).labels
+
+    @given(blocks_on_five())
+    @settings(max_examples=300, deadline=None)
+    def test_checked_build_on_a_label_set_is_the_general_path(self, blocks):
+        # the one-frame build on FIVE refuses what the general path refuses,
+        # with its message, and builds what it builds, sharing FIVE
+        for cls in (SetComposition, PalComposition, SetPartition):
+            try:
+                general_build(cls, blocks, FIVE)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    cls(blocks, FIVE)
+                assert str(err.value) == str(exc)
+                continue
+            s, t = cls(blocks, FIVE), cls(blocks)
+            assert s.labels is FIVE and t.labels == FIVE
+            assert s._key == t._key and hash(s) == hash(t)
 
     def test_composition_order_matters(self):
         assert SetComposition((("a",), ("b",))) != SetComposition((("b",), ("a",)))
