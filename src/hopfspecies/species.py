@@ -148,9 +148,10 @@ class Structure:
         raise NotImplementedError
 
     def orbit_key(self):
-        """A complete relabeling-orbit invariant, or None if the kind has no
-        cheap one (then orbit counting falls back to orbit enumeration)."""
-        return None
+        """A complete relabeling-orbit invariant. A kind without a cheap one
+        has none; its species declares `orbit_keyed = False`, and orbit
+        counting enumerates orbits by relabeling instead."""
+        raise NotImplementedError("%s structures have no orbit key" % self.kind)
 
     def __eq__(self, other):
         return isinstance(other, Structure) and self._key == other._key
@@ -233,9 +234,9 @@ def _canon_blocks(blocks, on: FiniteSet | None = None) -> tuple:
     label met a second time, is refused at the first block that shows it.
 
     With `on`, the blocks must cover on's labels exactly; a label outside
-    it, or one it has that no block holds, is refused. The constructors
-    make these checks on a label set in their own frame first, and come
-    here only when one fails, for its message."""
+    it, or one it has that no block holds, is refused. A build on a label
+    set checks through `_blocks_on` first and comes here only for the
+    message."""
     out = tuple([tuple(sorted(b)) for b in blocks])
     seen = set()
     for i, b in enumerate(out):
@@ -256,6 +257,17 @@ def _canon_blocks(blocks, on: FiniteSet | None = None) -> tuple:
     return out
 
 
+def _blocks_on(blocks, on: FiniteSet) -> tuple:
+    """The blocks, each sorted, in the given order, checked to cover the
+    label set `on` exactly with none empty: one sort and one comparison,
+    since on's labels are distinct and were checked when on was built.
+    Blocks that fail go to _canon_blocks, which raises its message."""
+    out = tuple(map(tuple, map(sorted, blocks)))
+    if all(out) and tuple(sorted(itertools.chain.from_iterable(out))) == on.labels:
+        return out
+    return _canon_blocks(out, on)
+
+
 def _first_repeat(blocks, b):
     """The first label of `b` already met in `blocks` or earlier in `b`."""
     seen = {t for bb in blocks for t in bb}
@@ -273,19 +285,12 @@ class SetPartition(Structure):
     kind = "partition"
 
     def __init__(self, blocks, on: FiniteSet | None = None):
-        if on is not None:
-            # the checks of _canon_blocks on a label set, in this frame;
-            # on any failure that path runs and raises its message
-            blocks = tuple(map(tuple, map(sorted, blocks)))
-            if (all(blocks) and tuple(sorted(
-                    itertools.chain.from_iterable(blocks))) == on.labels):
-                self.blocks = blocks = tuple(sorted(blocks))
-                self._labels = on
-                self._key = key = (self.kind, blocks)
-                self._hash = hash(key)
-                return
-        self.blocks = tuple(sorted(_canon_blocks(blocks, on)))
-        self._finish(FiniteSet(itertools.chain.from_iterable(self.blocks)))
+        if on is None:
+            self.blocks = tuple(sorted(_canon_blocks(blocks)))
+            on = FiniteSet(itertools.chain.from_iterable(self.blocks))
+        else:
+            self.blocks = tuple(sorted(_blocks_on(blocks, on)))
+        self._finish(on)
 
     def relabel(self, mapping):
         return SetPartition(tuple(mapping[t] for t in b) for b in self.blocks)
@@ -311,25 +316,12 @@ class SetComposition(Structure):
     palindromic = False  # whether the block-size word must be a palindrome
 
     def __init__(self, blocks, on: FiniteSet | None = None):
-        if on is not None:
-            # every check of the path below, on a label set, in this frame;
-            # on any failure that path runs and raises its message
-            blocks = tuple(map(tuple, map(sorted, blocks)))
-            if (all(blocks) and tuple(sorted(
-                    itertools.chain.from_iterable(blocks))) == on.labels
-                    and (not self.palindromic
-                         or (w := tuple(map(len, blocks))) == w[::-1])):
-                self.blocks = blocks
-                self._labels = on
-                self._key = key = (self.kind, blocks)
-                self._hash = hash(key)
-                return
-        self.blocks = _canon_blocks(blocks, on)
-        self._check_blocks()
-        self._finish(FiniteSet(itertools.chain.from_iterable(self.blocks)))
-
-    def _check_blocks(self):
-        pass
+        self.blocks = b = _canon_blocks(blocks) if on is None else _blocks_on(blocks, on)
+        if self.palindromic:
+            w = tuple(map(len, b))
+            if w != w[::-1]:
+                raise ValueError("block sizes %r are not palindromic" % (w,))
+        self._finish(FiniteSet(itertools.chain.from_iterable(b)) if on is None else on)
 
     def relabel(self, mapping):
         return type(self)(tuple(mapping[t] for t in b) for b in self.blocks)
@@ -353,11 +345,6 @@ class PalComposition(SetComposition):
     __slots__ = ()
     kind = "pal"
     palindromic = True
-
-    def _check_blocks(self):
-        w = self.size_word()
-        if w != w[::-1]:
-            raise ValueError("block sizes %r are not palindromic" % (w,))
 
     def orbit_key(self):
         return ("pal", tuple(map(len, self.blocks)))
@@ -521,17 +508,16 @@ def orbit_count(sp: SpeciesSpec, n: int) -> int:
     """Number of S_n-orbits on the basis structures over an n-element set.
 
     One `stream` pass collects the structures' orbit keys, a complete
-    invariant; the pass also leaves the dimension behind. A kind without
-    one falls back to the stored structures and enumerates orbits by
-    applying all n! relabelings (desk scale, n <= 8, refused above that
-    before any structure is built when the species declares no keys).
+    invariant; the pass also leaves the dimension behind. A species that
+    declares its structures keyless (`orbit_keyed = False`) instead has
+    its stored structures' orbits enumerated by applying all n!
+    relabelings (desk scale, n <= 8, refused above that before any
+    structure is built).
     """
     I = labelset(n)
-    if sp.orbit_keyed:
-        keys = {s.orbit_key() for s in sp.stream(I)}
-        if None not in keys:
-            return len(keys)
-    return _orbits_by_relabeling(sp, I)
+    if not sp.orbit_keyed:
+        return _orbits_by_relabeling(sp, I)
+    return len({s.orbit_key() for s in sp.stream(I)})
 
 
 def _orbits_by_relabeling(sp: SpeciesSpec, I: FiniteSet) -> int:

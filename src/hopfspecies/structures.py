@@ -407,11 +407,15 @@ def pal_words(labels: tuple):
     around at most one central block. The centre is the middle block of an
     odd word, so its size has the parity of len(labels).
 
-    A word is built in one step from its first pair, the (head, tail)
+    A word is built at the top level from its first pair, the (head, tail)
     words of the pairs inside it and the centre. The pairs of a remainder
     of at most _PAIRS_MEMO_MAX labels are listed once per call and reused
-    for every centre and first pair around it; a longer remainder is cut
-    lazily, so memory stays small at any size."""
+    for every centre and first pair around it, so such a word takes one
+    step. A longer remainder is cut lazily, one generator level (and one
+    more concatenation) per two labels above that bound, so memory stays
+    small at any size. Every word up to n = 7 takes one step; at n = 8
+    and 9 the words whose first pair leaves 5 or 6 labels (61,600 of
+    108,347 and 554,400 of 774,763) climb one lazy level."""
     memo = {(): (((), ()),)}
     n = len(labels)
     for k in range(n % 2, n + 1, 2):

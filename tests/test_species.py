@@ -13,7 +13,7 @@ from hopfspecies.exactalg import (CycleIndexPoly, cycle_index, egf,
 from hopfspecies.species import (EMPTY, Element, FiniteSet, FunctionToK,
                                  LinearOrder, PalComposition, QTensor, QVector,
                                  SetComposition, SetPartition, SingletonMark,
-                                 hadamard, labelset, orbit_count)
+                                 SpeciesSpec, hadamard, labelset, orbit_count)
 
 
 class TestFiniteSet:
@@ -64,12 +64,13 @@ def blocks_on_five(draw):
 
 def general_build(cls, blocks, on):
     """The blocks of cls(blocks, on) by the general path alone:
-    _canon_blocks, then a composition's own check; raises as it does."""
-    s = object.__new__(cls)
-    s.blocks = species._canon_blocks(blocks, on)
-    if cls is not SetPartition:
-        s._check_blocks()
-    return s.blocks
+    _canon_blocks, then the palindrome rule where the class has it;
+    raises as cls does."""
+    out = species._canon_blocks(blocks, on)
+    w = tuple(map(len, out))
+    if getattr(cls, "palindromic", False) and w != w[::-1]:
+        raise ValueError("block sizes %r are not palindromic" % (w,))
+    return out
 
 
 class TestStructures:
@@ -271,6 +272,14 @@ class TestOrbitCounts:
         h = hadamard(L.species, Pi.species)
         assert orbit_count(h, 3) == 5  # one orbit per partition shape x 1
         assert len(h._cache[labelset(3).labels]) == 30
+
+    def test_keyless_species_must_declare_it(self, L, Pi):
+        # pair structures have no orbit key: a species of them that does
+        # not declare so is refused, not counted by some other invariant
+        pairs = SpeciesSpec("pairs", hadamard(L.species, Pi.species).structures)
+        with pytest.raises(NotImplementedError) as err:
+            orbit_count(pairs, 2)
+        assert str(err.value) == "pair structures have no orbit key"
 
 
 class TestSeries:
