@@ -337,7 +337,10 @@ def check_morphism(f: HopfMorphism, nmax: int) -> AxiomReport:
 
 def check_all(h: HopfMonoid, nmax: int) -> AxiomReport:
     """The full battery: monoid, comonoid, compatibility, naturality,
-    connectedness and linearization, merged in a fixed order."""
+    connectedness and linearization, merged in a fixed order. A monoid
+    that is not connected is refused at every size (ValueError from
+    h.one()), since the empty-side coproducts need the unit."""
+    h.one()
     rep = check_connected(h)
     for chk in (check_monoid, check_comonoid, check_compat, check_naturality,
                 is_linearized):

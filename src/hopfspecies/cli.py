@@ -13,7 +13,6 @@ compiles the axiom battery, the kernels or the sequence gates.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import partial
@@ -112,6 +111,8 @@ def _emit_verdict(tool: str, rep, fmt: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_seq_tests(args) -> int:
+    import json
+
     from . import seqtests as seq_mod
     with open(args.input) as fh:
         seq = seq_mod.DimSequence.from_json(json.load(fh))
@@ -326,16 +327,19 @@ def cmd_lagrange(args) -> int:
     nmax = _cap_n(args.max_n)
     if bool(args.sub) == bool(args.quotient):
         raise UsageError("exactly one of --sub or --quotient is required")
-    if args.sub:
+    if args.quotient:
+        rep = kernels_mod.dual_factorization_check(get_morphism(args.quotient), nmax)
+    else:
         f = get_morphism(args.sub)
-        q = kernels_mod.lagrange_quotient_dims(f, nmax)
-        payload = {"tool": "lagrange", "verdict": "pass",
-                   "details": [{"sub": f.name, "quotient_dims": q}]}
-        _emit(payload, args.format,
-              ["factorization holds for %s; q = %s"
-               % (f.name, ",".join(str(v) for v in q))])
-        return 0
-    rep = kernels_mod.dual_factorization_check(get_morphism(args.quotient), nmax)
+        rep = kernels_mod.lagrange_factorization_check(f, nmax)
+        if rep.ok:
+            q = rep.details["quotient_dims"]
+            payload = {"tool": "lagrange", "verdict": "pass",
+                       "details": [{"sub": f.name, "quotient_dims": q}]}
+            _emit(payload, args.format,
+                  ["factorization holds for %s; q = %s"
+                   % (f.name, ",".join(str(v) for v in q))])
+            return 0
     return _emit_verdict("lagrange", rep, args.format)
 
 
@@ -431,16 +435,8 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        # a failed factorization (from `lagrange`) is a verdict; kernels is
-        # imported here only to recognize it, not by every command
-        from .kernels import LagrangeFactorizationError
-        if not isinstance(exc, LagrangeFactorizationError):
-            raise
-        print("FAIL: %s" % exc, file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
+        # json.JSONDecodeError is a ValueError
         print("input error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -54,16 +54,6 @@ class Echelon:
     def __init__(self):
         self.pivots: dict = {}
 
-    @classmethod
-    def from_echelon_form(cls, rows) -> "Echelon":
-        """Hold rows that already have pairwise distinct leading columns,
-        as they are: nothing is eliminated, each row is only rescaled."""
-        ech = cls()
-        for row in rows:
-            row = _row_gcd_normalize(_integer_row(row))
-            ech.pivots[min(row)] = row
-        return ech
-
     def reduce(self, row: dict) -> dict:
         """Forward-reduce a copy of `row` against the stored pivot rows.
 

@@ -41,10 +41,6 @@ class NotCocommutative(ValueError):
     """A construction valid only for cocommutative Hopf monoids."""
 
 
-class LagrangeFactorizationError(AssertionError):
-    """The Cauchy-product dimension factorization failed."""
-
-
 # ---------------------------------------------------------------------------
 # Subspaces of one component h[I]
 # ---------------------------------------------------------------------------
@@ -126,7 +122,8 @@ def _kernel_space(basis, ambient, rows) -> SubspaceBasis:
     Echelon.kernel then returns is 1 at its own free column, zero at every
     other free column, and supported on later columns of the original order:
     read back to front, they are already the unique reduced echelon basis of
-    the kernel, so they are stored without another elimination.
+    the kernel. Each leads at its own free column, which no stored row
+    holds, so `add` eliminates nothing and only rescales it.
     """
     n = len(basis)
     ech = Echelon()
@@ -144,9 +141,10 @@ def _kernel_space(basis, ambient, rows) -> SubspaceBasis:
     # kernel's reduced basis does not depend on the order
     for row in sorted(distinct.values(), key=len):
         ech.add({n - 1 - j: c for j, c in row.items()})
-    kernel = [{n - 1 - j: c for j, c in vec.items()}
-              for vec in reversed(ech.kernel(n))]
-    return SubspaceBasis(ambient, basis, Echelon.from_echelon_form(kernel))
+    space = SubspaceBasis(ambient, basis)
+    for vec in reversed(ech.kernel(n)):
+        space._ech.add({n - 1 - j: c for j, c in vec.items()})
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +183,10 @@ def coproduct_rows(h: HopfMonoid, I: FiniteSet,
     kept: the distinct rows then come in the order they first came among
     all decompositions, and elimination takes the same steps. The
     Hopf-kernel rows (f x id) o Delta_{T,S} are other constraints, so with
-    f every decomposition is built.
+    f every decomposition is built. With f, T = empty is kept too: S = I
+    comes last in subset order, and Delta_{I,empty}(s) = s (x) 1, so that
+    last block is the matrix of f, one row per target structure. It asks
+    for the unit, so a source that is not connected is refused.
 
     The rows of one decomposition are keyed by the output pair: Delta's own
     (u, w), or (f(u), w). Rows come decomposition by decomposition, each
@@ -195,7 +196,7 @@ def coproduct_rows(h: HopfMonoid, I: FiniteSet,
     skip_mirrors = f is None and h.cocommutative
     rows: list = []
     for S, T in I.decompositions():
-        if not S.labels or not T.labels:
+        if not S.labels or not (T.labels or f):
             continue
         if skip_mirrors and (len(S), S.labels) > (len(T), T.labels):
             continue
@@ -240,21 +241,20 @@ def morphism_rows(f: HopfMorphism, I: FiniteSet) -> dict:
     return rows
 
 
-def morphism_rank(f: HopfMorphism, I: FiniteSet) -> int:
-    ech = Echelon()
-    for row in morphism_rows(f, I).values():
-        ech.add(row)
-    return ech.rank
-
-
-def is_injective_at(f: HopfMorphism, n: int) -> bool:
-    I = labelset(n)
-    return morphism_rank(f, I) == f.source.species.dimension(I)
-
-
-def is_surjective_at(f: HopfMorphism, n: int) -> bool:
-    I = labelset(n)
-    return morphism_rank(f, I) == f.target.species.dimension(I)
+def _require_full_rank(f: HopfMorphism, nmax: int, error) -> None:
+    """Raise `error`, NotInjective or NotSurjective, at the first size up to
+    nmax where the rank of f falls short of the dimension of its source or
+    of its target."""
+    injective = error is NotInjective
+    sp = (f.source if injective else f.target).species
+    for n in range(nmax + 1):
+        I = labelset(n)
+        ech = Echelon()
+        for row in morphism_rows(f, I).values():
+            ech.add(row)
+        if ech.rank != sp.dimension(I):
+            raise error("%s is not %s at size %d" % (
+                f.name, "injective" if injective else "surjective", n))
 
 
 @_cached
@@ -263,12 +263,10 @@ def hker_space(f: HopfMorphism, I: FiniteSet) -> SubspaceBasis:
 
     The empty-S components never constrain (the positive part of the target
     kills them), so they are omitted; for nonempty I, T = empty contributes
-    the condition pi(x) = 0 itself, which is the rows of f.
+    the condition pi(x) = 0 itself, the last block of `coproduct_rows`.
     """
-    rows = coproduct_rows(f.source, I, f)
-    if len(I):
-        rows += morphism_rows(f, I).values()
-    return _kernel_space(f.source.species.structures(I), I, rows)
+    return _kernel_space(f.source.species.structures(I), I,
+                         coproduct_rows(f.source, I, f))
 
 
 @_cached
@@ -469,58 +467,65 @@ def p_ell_expr(ell: LinearOrder, ell0: LinearOrder) -> str:
 
 def ideal_kplus_h(f: HopfMorphism, I: FiniteSet) -> SubspaceBasis:
     """Span of mu_{S,T}(f(k[S]) . h[T]) over decompositions with S nonempty,
-    inside the component h[I] of the big Hopf monoid."""
+    inside the component h[I] of the big Hopf monoid. Each generator's row
+    is summed from the pairs of f(x) and of mu_{S,T}(t . y), as the kernel
+    rows are, and goes straight into the echelon."""
     h = f.target
-    basis = h.species.structures(I)
-    out = SubspaceBasis(I, basis)
+    out = SubspaceBasis(I, h.species.structures(I))
+    index = out.index
+    add = out._ech.add
+    product = h.product
     for S, T in I.decompositions():
-        if not len(S):
+        if not S.labels:
             continue
+        ys = h.species.structures(T)
         for x in f.source.species.structures(S):
-            fx = f(QVector.basis(x))
-            if fx.is_zero():
-                continue
-            for y in h.species.structures(T):
-                out.add(product_vectors(h, S, T, fx, QVector.basis(y)))
+            fx = f.on_basis(x)
+            for y in ys:
+                row: dict = {}
+                for t, d in fx:
+                    for z, c in product(S, T, t, y):
+                        j = index[z]
+                        row[j] = row.get(j, 0) + c * d
+                add(row)
     return out
+
+
+def _factorization(name: str, hdims: list, kdims: list, d: list,
+                   details: dict) -> TestReport:
+    """dim h[n] = sum_i C(n,i) dim k[i] d[n-i] at every size, with the first
+    size where it fails as the witness."""
+    for n, hdim in enumerate(hdims):
+        total = sum(comb(n, i) * kdims[i] * d[n - i] for i in range(n + 1))
+        if total != hdim:
+            return TestReport(name, FAIL, first_violation=n,
+                              witness={"dim h[n]": hdim, "convolution": total},
+                              details=details)
+    return TestReport(name, PASS, details=details)
 
 
 def lagrange_quotient_dims(f: HopfMorphism, nmax: int) -> list:
     """Quotient dimensions q_n = dim h[n] - dim (k_+ h)[n] for an injective
-    morphism of Hopf monoids k -> h, with the Cauchy factorization
-    dim h[n] = sum_i C(n,i) dim k[i] q_{n-i} verified exactly."""
-    for n in range(nmax + 1):
-        if not is_injective_at(f, n):
-            raise NotInjective("%s is not injective at size %d" % (f.name, n))
-    kdims = [f.source.species.dimension(n) for n in range(nmax + 1)]
-    idims = [ideal_kplus_h(f, labelset(n)).dim for n in range(nmax + 1)]
-    # read off the structures that ideal_kplus_h kept, not a second pass
-    hdims = [f.target.species.dimension(n) for n in range(nmax + 1)]
-    q = [hdims[n] - idims[n] for n in range(nmax + 1)]
-    for n in range(nmax + 1):
-        total = sum(comb(n, i) * kdims[i] * q[n - i] for i in range(n + 1))
-        if total != hdims[n]:
-            raise LagrangeFactorizationError(
-                "dim h[%d] = %d but the factorization gives %d (q = %r)"
-                % (n, hdims[n], total, q))
-    return q
+    morphism of Hopf monoids k -> h."""
+    _require_full_rank(f, nmax, NotInjective)
+    # the ideal's ambient basis is h[n], so dim h[n] is read off it
+    ideals = (ideal_kplus_h(f, labelset(n)) for n in range(nmax + 1))
+    return [len(ideal.coords) - ideal.dim for ideal in ideals]
+
+
+def lagrange_factorization_check(f: HopfMorphism, nmax: int) -> TestReport:
+    """For an injection k -> h: dim h[n] = sum_i C(n,i) dim k[i] q_{n-i}."""
+    q = lagrange_quotient_dims(f, nmax)
+    return _factorization("lagrange-factorization", f.target.species.dims(nmax),
+                          f.source.species.dims(nmax), q, {"quotient_dims": q})
 
 
 def dual_factorization_check(f: HopfMorphism, nmax: int) -> TestReport:
     """For a surjection h ->> k: dim h[n] = sum_i C(n,i) dim k[i] dim Hker[n-i]."""
-    for n in range(nmax + 1):
-        if not is_surjective_at(f, n):
-            raise NotSurjective("%s is not surjective at size %d" % (f.name, n))
-    hdims = [f.source.species.dimension(n) for n in range(nmax + 1)]
-    kdims = [f.target.species.dimension(n) for n in range(nmax + 1)]
+    _require_full_rank(f, nmax, NotSurjective)
     d = hker_dims(f, nmax)
-    for n in range(nmax + 1):
-        total = sum(comb(n, i) * kdims[i] * d[n - i] for i in range(n + 1))
-        if total != hdims[n]:
-            return TestReport("dual-factorization", FAIL, first_violation=n,
-                              witness={"dim h[n]": hdims[n], "convolution": total},
-                              details={"hker_dims": d})
-    return TestReport("dual-factorization", PASS, details={"hker_dims": d})
+    return _factorization("dual-factorization", f.source.species.dims(nmax),
+                          f.target.species.dims(nmax), d, {"hker_dims": d})
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +569,7 @@ def hker_generated_check(f: HopfMorphism, nmax: int) -> TestReport:
     """
     _require_cocommutative(f.source, nmax)
     _require_cocommutative(f.target, nmax)
-    for n in range(nmax + 1):
-        if not is_surjective_at(f, n):
-            raise NotSurjective("%s is not surjective at size %d" % (f.name, n))
+    _require_full_rank(f, nmax, NotSurjective)
     dims_checked = []
     for n in range(nmax + 1):
         I = labelset(n)

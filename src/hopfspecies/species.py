@@ -541,7 +541,9 @@ def hadamard(a: SpeciesSpec, b: SpeciesSpec) -> SpeciesSpec:
     """Structures are pairs on the same label set; dimensions multiply."""
 
     def enumerate_pairs(I):
-        return [PairStructure(x, y) for x in a.structures(I) for y in b.structures(I)]
+        # a generator, so a count keeps no pair
+        ys = b.structures(I)
+        return (PairStructure(x, y) for x in a.structures(I) for y in ys)
 
     sp = SpeciesSpec("Hadamard(%s,%s)" % (a.name, b.name), enumerate_pairs)
     sp.orbit_keyed = False  # a pair structure has no orbit key

@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from hopfspecies.exactalg import _integer_row, _row_gcd_normalize
-from hopfspecies.structures import (HopfMonoid, hadamard_hopf, make_E, make_Ek,
-                                    make_el, make_L, make_Pal, make_Pi,
-                                    make_Pi_even, make_PiPrime, make_Sigma,
-                                    make_X)
+from hopfspecies.species import SetPartition
+from hopfspecies.structures import (HopfMonoid, HopfMorphism, hadamard_hopf,
+                                    make_E, make_Ek, make_el, make_L,
+                                    make_Pal, make_Pi, make_Pi_even,
+                                    make_PiPrime, make_Sigma, make_X)
 
 
 def reference_reduce(pivots, row):
@@ -92,6 +93,19 @@ def mutate_product(h, victim_xy, replacement, name="mutant"):
 
     return HopfMonoid(h.species, mu, h.coproduct,
                       name="%s(%s)" % (name, h.name))
+
+
+def mark_to_one_block() -> HopfMorphism:
+    """E -> Pi sending the mark on I to the one-block partition of I (the
+    empty partition on the empty set): an injective linear map that is not
+    a morphism of Hopf monoids, since the product of two marks goes to a
+    partition with two blocks."""
+
+    def on_basis(s):
+        labels = tuple(s.labels)
+        return ((SetPartition((labels,) if labels else ()), 1),)
+
+    return HopfMorphism("E->Pi", make_E(), make_Pi(), on_basis)
 
 
 def mutate_coproduct(h, victim, split_labels, replacement, name="mutant"):

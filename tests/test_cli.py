@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import mark_to_one_block
 from hopfspecies import reports
 from hopfspecies.cli import run
 from hopfspecies.kernels import primitive_dims, primitive_space
@@ -301,6 +302,15 @@ class TestKernelCommands:
         assert code == 0
         assert "[0, 1, 1, 2, 6]" in out
 
+    @pytest.mark.parametrize("species, n", [("X", "0"), ("X", "3"),
+                                            ("Hadamard(X,E)", "2")])
+    def test_axioms_refuse_non_connected_species(self, capsys, species, n):
+        code, out, err = invoke(capsys, "axioms", "--species", species,
+                                "--max-n", n)
+        assert (code, out) == (2, "")
+        assert err == ("input error: %s is not connected: dim at the empty"
+                       " set is 0\n" % species)
+
     def test_primitives_refuses_non_connected_species(self, capsys):
         code, out, err = invoke(capsys, "primitives", "--species", "X",
                                 "--max-n", "2")
@@ -361,14 +371,15 @@ class TestKernelCommands:
         assert code == 0
 
     def test_failed_factorization_is_a_fail_verdict(self, capsys, monkeypatch):
-        import hopfspecies.kernels as kernels
+        # an injective map that is not a Hopf morphism fails the check, and
+        # the failure is a verdict on stdout, as in --quotient mode
+        import hopfspecies.cli as cli
 
-        def broken(f, nmax):
-            raise kernels.LagrangeFactorizationError("dim h[2] = 2 but 3")
-
-        monkeypatch.setattr(kernels, "lagrange_quotient_dims", broken)
+        monkeypatch.setattr(cli, "get_morphism", lambda ident: mark_to_one_block())
         code, out, err = invoke(capsys, "lagrange", "--sub", "E->Pi")
-        assert (code, out, err) == (1, "", "FAIL: dim h[2] = 2 but 3\n")
+        assert (code, err) == (1, "")
+        assert out == ("lagrange-factorization: fail at index 2"
+                       " dim h[n] = 2; convolution = 1\n")
 
     def test_other_assertion_errors_propagate(self, monkeypatch):
         import hopfspecies.kernels as kernels
@@ -620,15 +631,18 @@ class TestLoadsOnlyTheLayersItRuns:
     the series layer `exactalg`, nor (in JSON or in `hker-dims`)
     `dataclasses` and the `inspect` it brings in."""
 
-    PROBE = ("import json, sys\n"
+    # json is imported only after the modules are listed
+    PROBE = ("import sys\n"
              "from hopfspecies import cli\n"
              "code = cli.run(sys.argv[1:])\n"
-             "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n")
+             "modules = sorted(sys.modules)\n"
+             "import json\n"
+             "print(json.dumps([code, modules]), file=sys.stderr)\n")
 
     @pytest.mark.parametrize("argv, absent", [
         (("species-dims", "--species", "Pal", "--max-n", "4", "--types"),
          ["hopfspecies.exactalg", "hopfspecies.reports", "hopfspecies.axioms",
-          "hopfspecies.seqtests", "hopfspecies.kernels"]),
+          "hopfspecies.seqtests", "hopfspecies.kernels", "json"]),
         (("primitives", "--species", "Sigma", "--max-n", "3", "--show-basis"),
          ["hopfspecies.seqtests", "hopfspecies.exactalg"]),
         (("--format", "json", "primitives", "--species", "Sigma", "--max-n", "3",

@@ -408,7 +408,11 @@ class TestEchelon:
         assert ech.reduce(row) == reference_reduce(ech.pivots, row)
 
     def test_from_echelon_form_keeps_rows(self):
-        ech = Echelon.from_echelon_form([{0: Q(1), 2: Q(-1, 2)}, {1: Q(2, 3)}])
+        # rows that already have distinct leading columns, as the kernel
+        # vectors do, go in through add with nothing eliminated: each is
+        # only scaled to a gcd-normalized integer row
+        ech = Echelon()
+        assert ech.add({0: Q(1), 2: Q(-1, 2)}) and ech.add({1: Q(2, 3)})
         assert ech.pivots == {0: {0: 2, 2: -1}, 1: {1: 1}}
         assert ech.contains({0: 4, 1: 5, 2: -2})
         assert not ech.contains({2: 1})

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (mutate_coproduct, mutate_product, reference_add,
-                      reference_kernel, reference_rref)
+from conftest import (mark_to_one_block, mutate_coproduct, mutate_product,
+                      reference_add, reference_kernel, reference_rref)
 from hopfspecies import kernels as kernels_mod
 from hopfspecies.axioms import check_all, check_cocommutative, check_morphism
 from hopfspecies.exactalg import Echelon, TruncatedSeries, egf_from_counts
@@ -19,7 +19,8 @@ from hopfspecies.kernels import (CyclicOrder, NotADerangement,
                                  dual_factorization_check,
                                  hker_basis_derangement, hker_dims,
                                  hker_generated_check, hker_space,
-                                 ideal_kplus_h, lagrange_quotient_dims,
+                                 ideal_kplus_h, lagrange_factorization_check,
+                                 lagrange_quotient_dims,
                                  lie_basis_p, lie_bracket, lker_space,
                                  morphism_rows, p_ell_expr, pbw_series_check, primitive_dims,
                                  primitive_space)
@@ -528,6 +529,38 @@ class TestIdealAndLagrange:
         with pytest.raises(NotInjective):
             lagrange_quotient_dims(pi_to_e, 3)
 
+    @pytest.mark.parametrize("ident", ["E->Pi", "L->Sigma", "Ek:1->Ek:2", "id"])
+    def test_ideal_spans_the_vector_products(self, ident, Pi):
+        # the ideal read off pairs spans what the linear extensions give:
+        # f(x) as a QVector, multiplied by each basis vector of h[T]
+        f = (HopfMorphism("id", Pi, Pi, lambda s: ((s, 1),)) if ident == "id"
+             else get_morphism(ident))
+        h = f.target
+        for n in range(5):
+            I = labelset(n)
+            ref = SubspaceBasis(I, h.species.structures(I))
+            for S, T in I.decompositions():
+                if not len(S):
+                    continue
+                for x in f.source.species.structures(S):
+                    fx = f(QVector.basis(x))
+                    for y in h.species.structures(T):
+                        ref.add(product_vectors(h, S, T, fx, QVector.basis(y)))
+            assert ideal_kplus_h(f, I).same_span(ref), n
+
+    def test_factorization_check_passes_on_a_sub_monoid(self, e_to_pi):
+        rep = lagrange_factorization_check(e_to_pi, 5)
+        assert rep.ok
+        assert rep.details == {"quotient_dims": [1, 0, 1, 1, 4, 11]}
+
+    def test_non_hopf_map_fails_the_factorization(self):
+        # mark_to_one_block is injective, so only the factorization catches it:
+        # its ideal is all of Pi[2], so q_2 = 0 and the convolution reads 1
+        rep = lagrange_factorization_check(mark_to_one_block(), 4)
+        assert not rep.ok
+        assert rep.first_violation == 2
+        assert rep.witness == {"dim h[n]": 2, "convolution": 1}
+
     def test_dual_factorization(self, pi_to_e):
         rep = dual_factorization_check(pi_to_e, 5)
         assert rep.ok
@@ -680,12 +713,13 @@ class TestEliminationPin:
 def rows_from_public_maps(h, I, f=None, skip_mirrors=False) -> list:
     """coproduct_rows rebuilt through the linear extensions
     `coproduct_vector` and `f(...)`, which sum the pairs in a QTensor or
-    QVector rather than in the row dicts. With `skip_mirrors`, only the
-    decompositions whose S comes before T in subset order are built."""
+    QVector rather than in the row dicts. With f, T = empty is built too.
+    With `skip_mirrors`, only the decompositions whose S comes before T in
+    subset order are built."""
     basis = h.species.structures(I)
     rows: dict = {}
     for S, T in I.decompositions():
-        if not (len(S) and len(T)):
+        if not (len(S) and (len(T) or f)):
             continue
         if skip_mirrors and (len(S), S.labels) > (len(T), T.labels):
             continue
@@ -726,6 +760,25 @@ class TestRowsFromPairs:
             assert coproduct_rows(f.source, I, f) == public, n
             assert morphism_rows(f, I) == by_target, n
 
+    @pytest.mark.parametrize("ident", ["L->E", "E->Pi", "L->Sigma", "Pi->PiS:2"])
+    def test_last_hker_block_is_the_matrix_of_f(self, ident):
+        # S = I comes last in subset order and Delta_{I,empty}(s) = s (x) 1,
+        # so the rows end with those of f, in order (at the empty set there
+        # is no S = I block, and the unit is never constrained)
+        f = get_morphism(ident)
+        assert coproduct_rows(f.source, EMPTY, f) == []
+        for n in range(1, 5):
+            I = labelset(n)
+            rows = coproduct_rows(f.source, I, f)
+            matrix = list(morphism_rows(f, I).values())
+            assert rows[len(rows) - len(matrix):] == matrix, n
+
+    def test_hker_rows_refuse_a_source_that_is_not_connected(self, X):
+        # the T = empty block asks Delta_{I,empty} for the unit
+        f = HopfMorphism("X->X", X, X, lambda s: ((s, 1),))
+        with pytest.raises(ValueError, match="X is not connected"):
+            hker_space(f, labelset(1))
+
     def test_repeated_pairs_are_summed_like_the_public_maps(self, L, E):
         # a map may return one output more than once; the rows must hold
         # the sum, as the collected QTensor/QVector do
@@ -738,7 +791,9 @@ class TestRowsFromPairs:
         I = labelset(3)
         assert coproduct_rows(twice, I) == rows_from_public_maps(twice, I)
         assert coproduct_rows(twice, I, f) == rows_from_public_maps(twice, I, f)
-        assert {v for row in coproduct_rows(twice, I, f) for v in row.values()} == {6}
+        # Delta_{S,T} is doubled for S, T nonempty; Delta_{I,empty} = s (x) 1
+        # is the monoid's own, so that block sums only f's three pairs
+        assert {v for row in coproduct_rows(twice, I, f) for v in row.values()} == {6, 3}
         assert morphism_rows(f, I) == {
             t: {j: c for j in range(6)}
             for t, c in f(QVector.basis(LinearOrder(("a", "b", "c")))).items()}

@@ -335,6 +335,20 @@ class TestCountingWithoutStoring:
         assert sp._cache == {}
         assert peak < 8 * 2 ** 20
 
+    def test_hadamard_count_keeps_no_pair(self):
+        # the 146,160 pairs of L and Pi at n = 6 are streamed; a list of
+        # them peaks near 32 MB traced
+        sp = species.hadamard(get_species("L"), get_species("Pi"))
+        tracemalloc.start()
+        try:
+            dims = sp.dims(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dims == [factorial(n) * bell(n) for n in range(7)]
+        assert sp._cache == {}
+        assert peak < 2 ** 20
+
     def test_each_size_is_enumerated_once(self):
         pal = make_Pal().species
         passes = Counter()
