@@ -70,9 +70,12 @@ def _series_order(order: int | None, *lengths: int) -> int | None:
 
 def _parse_ints(text: str) -> list:
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        values = [int(v) for v in text.split(",") if v != ""]
     except ValueError:
+        values = []
+    if not values:
         raise UsageError("expected a comma-separated integer list: %r" % text)
+    return values
 
 
 def _parse_labels(text: str) -> list:
@@ -85,10 +88,14 @@ def _parse_labels(text: str) -> list:
 def _emit(report: dict, fmt: str, lines) -> None:
     """Print the JSON report or the text lines, which may be a generator
     rendered as it is printed. Commands that print vectors render those
-    lines only in text mode; JSON mode never prints them."""
+    lines only in text mode; JSON mode never prints them. The JSON report
+    is written to stdout piece by piece as it is walked, so no copy of its
+    text is held."""
     if fmt == "json":
-        from .reports import json_text
-        print(json_text(report))
+        from .reports import _write
+        out = sys.stdout
+        _write(report, out.write, "\n")
+        out.write("\n")
     else:
         for line in lines:
             print(line)

@@ -8,8 +8,8 @@ semantics for formal power series prefixes. The generating series of a
 species (`egf`, `ogf`, `tgf`, `cycle_index`) are computed here from its
 structures.
 
-The sparse echelon engine lives in `echelon`; `Echelon` and its two row
-helpers are re-exported here as the same objects.
+The sparse echelon engine lives in `echelon`; `Echelon` is re-exported
+here as the same object.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-# re-exported: the tests and perfbench's tracer read these names here
-from .echelon import Echelon, _integer_row, _row_gcd_normalize
+# re-exported: perfbench's tracer reads Echelon here
+from .echelon import Echelon
 from .reports import FAIL, PASS, TestReport
 from .species import FiniteSet, SpeciesSpec, labelset, orbit_count, qstr
 

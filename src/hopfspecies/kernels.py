@@ -20,7 +20,8 @@ from math import comb
 
 from .echelon import Echelon
 from .reports import FAIL, PASS, TestReport
-from .species import FiniteSet, LinearOrder, QVector, check_coeff, labelset
+from .species import (EMPTY, FiniteSet, LinearOrder, QVector, check_coeff,
+                      labelset)
 from .structures import (HopfMonoid, HopfMorphism, block_partitions,
                          iterated_product, make_L, product_vectors)
 
@@ -188,11 +189,9 @@ def coproduct_rows(h: HopfMonoid, I: FiniteSet,
     last block is the matrix of f, one row per target structure. It asks
     for the unit, so a source that is not connected is refused.
 
-    The rows of one decomposition are keyed by the output pair: Delta's own
-    (u, w), or (f(u), w). Rows come decomposition by decomposition, each
-    block in the order its keys first appear."""
+    The rows come decomposition by decomposition, each block from
+    `_block`."""
     basis = h.species.structures(I)
-    coproduct = h.coproduct
     skip_mirrors = f is None and h.cocommutative
     rows: list = []
     for S, T in I.decompositions():
@@ -200,22 +199,33 @@ def coproduct_rows(h: HopfMonoid, I: FiniteSet,
             continue
         if skip_mirrors and (len(S), S.labels) > (len(T), T.labels):
             continue
-        block: dict = {}
-        for j, s in enumerate(basis):
-            for key, c in coproduct(S, T, s):
-                if f is None:
-                    row = block.get(key)
-                    if row is None:
-                        block[key] = {j: c}
-                    else:
-                        row[j] = row.get(j, 0) + c
-                    continue
-                u, w = key
-                for t, d in f.on_basis(u):
-                    row = block.setdefault((t, w), {})
-                    row[j] = row.get(j, 0) + c * d
-        rows += block.values()
+        rows += _block(h, basis, S, T, f).values()
     return rows
+
+
+def _block(h: HopfMonoid, basis, S: FiniteSet, T: FiniteSet,
+           f: HopfMorphism | None = None) -> dict:
+    """The sparse rows of Delta_{S,T}, or of (f x id) o Delta_{S,T}, whose
+    columns index `basis`, the sorted basis of h[S u T]. Each row is keyed
+    by its output pair, Delta's own (u, w) or (f(u), w), and the rows come
+    in the order their keys first appear. With T empty and f given this is
+    the matrix of f, one row per target structure."""
+    coproduct = h.coproduct
+    block: dict = {}
+    for j, s in enumerate(basis):
+        for key, c in coproduct(S, T, s):
+            if f is None:
+                row = block.get(key)
+                if row is None:
+                    block[key] = {j: c}
+                else:
+                    row[j] = row.get(j, 0) + c
+                continue
+            u, w = key
+            for t, d in f.on_basis(u):
+                row = block.setdefault((t, w), {})
+                row[j] = row.get(j, 0) + c * d
+    return block
 
 
 @_cached
@@ -230,27 +240,17 @@ def primitive_space(h: HopfMonoid, I: FiniteSet) -> SubspaceBasis:
     return _kernel_space(basis, I, coproduct_rows(h, I))
 
 
-def morphism_rows(f: HopfMorphism, I: FiniteSet) -> dict:
-    """Sparse rows of the matrix of f over I: one row per target structure."""
-    src = f.source.species.structures(I)
-    rows: dict = {}
-    for j, s in enumerate(src):
-        for t, c in f.on_basis(s):
-            row = rows.setdefault(t, {})
-            row[j] = row.get(j, 0) + c
-    return rows
-
-
 def _require_full_rank(f: HopfMorphism, nmax: int, error) -> None:
     """Raise `error`, NotInjective or NotSurjective, at the first size up to
-    nmax where the rank of f falls short of the dimension of its source or
-    of its target."""
+    nmax where the rank of f, its (I, empty) block, falls short of the
+    dimension of its source or of its target."""
     injective = error is NotInjective
     sp = (f.source if injective else f.target).species
     for n in range(nmax + 1):
         I = labelset(n)
         ech = Echelon()
-        for row in morphism_rows(f, I).values():
+        for row in _block(f.source, f.source.species.structures(I), I, EMPTY,
+                          f).values():
             ech.add(row)
         if ech.rank != sp.dimension(I):
             raise error("%s is not %s at size %d" % (
@@ -272,11 +272,12 @@ def hker_space(f: HopfMorphism, I: FiniteSet) -> SubspaceBasis:
 @_cached
 def lker_space(f: HopfMorphism, I: FiniteSet) -> SubspaceBasis:
     """Primitives of the source killed by f: intersect the primitive
-    constraints with the rows of f."""
+    constraints with the matrix of f, the (I, empty) block with f."""
     basis = f.source.species.structures(I)
     if len(I) == 0:
         return SubspaceBasis(I, basis)
-    rows = coproduct_rows(f.source, I) + list(morphism_rows(f, I).values())
+    rows = coproduct_rows(f.source, I)
+    rows += _block(f.source, basis, I, EMPTY, f).values()
     return _kernel_space(basis, I, rows)
 
 

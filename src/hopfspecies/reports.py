@@ -36,7 +36,7 @@ def jsonable(value):
 
 
 class TermList:
-    """The terms of one vector, written by `json_text` as the list
+    """The terms of one vector, written by `_write` as the list
     [{"coeff": qstr(c), "structure": name}, ...] that `QVector.to_json`
     gives, with no dict built per term.
 
@@ -64,26 +64,16 @@ class TermList:
             + nl + "]")
 
 
-def json_text(value) -> str:
-    """The text of json.dumps(jsonable(value), sort_keys=True, indent=2),
-    written in one walk over `value` with no converted copy in between; a
-    `TermList` is written as the list of dicts it stands for."""
-    out = []
-    _write(value, out.append, "\n")
-    return "".join(out)
-
-
 def _write(value, put, nl: str) -> None:
-    """Append the JSON text of `value`, whose lines after the first are
-    indented as `nl` says, in pieces through `put`."""
+    """Write the text of json.dumps(jsonable(value), sort_keys=True,
+    indent=2) in pieces through `put`, in one walk over `value` with no
+    converted copy in between; lines after the first are indented as `nl`
+    says, and a `TermList` is written as the list of dicts it stands for."""
     if type(value) is str:
         put(quote(value))
     elif type(value) is TermList:
         value.write(put, nl)
     elif isinstance(value, dict):
-        if not value:
-            put("{}")
-            return
         items = {str(k): v for k, v in value.items()}
         inner = nl + "  "
         sep = "{" + inner
@@ -91,18 +81,15 @@ def _write(value, put, nl: str) -> None:
             put(sep + quote(key) + ": ")
             _write(items[key], put, inner)
             sep = "," + inner
-        put(nl + "}")
+        put(nl + "}" if sep[0] == "," else "{}")
     elif isinstance(value, (list, tuple)):
-        if not value:
-            put("[]")
-            return
         inner = nl + "  "
         sep = "[" + inner
         for item in value:
             put(sep)
             _write(item, put, inner)
             sep = "," + inner
-        put(nl + "]")
+        put(nl + "]" if sep[0] == "," else "[]")
     else:
         value = _scalar(value)
         if value is None:

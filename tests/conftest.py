@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfspecies.exactalg import _integer_row, _row_gcd_normalize
+from hopfspecies.echelon import _integer_row, _row_gcd_normalize
 from hopfspecies.species import SetPartition
 from hopfspecies.structures import (HopfMonoid, HopfMorphism, hadamard_hopf,
                                     make_E, make_Ek, make_el, make_L,

@@ -13,7 +13,7 @@ from conftest import mark_to_one_block
 from hopfspecies import reports
 from hopfspecies.cli import run
 from hopfspecies.kernels import primitive_dims, primitive_space
-from hopfspecies.reports import json_text
+from hopfspecies.reports import jsonable
 from hopfspecies.species import QVector, SpeciesSpec, labelset
 from hopfspecies.structures import get_hopf
 
@@ -205,6 +205,15 @@ class TestSeriesDiv:
         assert code == 2 and out == ""
         assert err == ("input error: order 5 needs terms 0..5, "
                        "but only 0..1 are given\n")
+
+
+    @pytest.mark.parametrize("numer, denom", [("", "1"), ("1", "")])
+    def test_empty_list_is_usage_error(self, capsys, numer, denom):
+        code, out, err = invoke(capsys, "series-div", "--numer", numer,
+                                "--denom", denom)
+        assert (code, out) == (2, "")
+        assert err == ("usage error: expected a comma-separated integer list:"
+                       " ''\n")
 
 
 class TestSpeciesDims:
@@ -457,8 +466,9 @@ class TestPrimitiveBasisMatchesVectors:
         details = [{"species": h.name, "primitive_dims": dims}]
         details += [{"n": n, "basis": [v.to_json() for v in vecs]}
                     for n, vecs in enumerate(bases, 1)]
-        return json_text({"tool": "primitives", "verdict": "pass",
-                          "details": details}) + "\n"
+        return json.dumps(jsonable({"tool": "primitives", "verdict": "pass",
+                                    "details": details}),
+                          sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("species, nmax", CASES)
@@ -474,11 +484,83 @@ class TestPrimitiveBasisMatchesVectors:
             raise AssertionError("a JSON payload was built in text mode")
 
         monkeypatch.setattr(QVector, "to_json", refuse)
-        monkeypatch.setattr(reports, "json_text", refuse)
+        monkeypatch.setattr(reports, "_write", refuse)
         monkeypatch.setattr(reports.TermList, "__init__", refuse)
         code, out, _ = invoke(capsys, "primitives", "--species", "Sigma",
                               "--max-n", "4", "--show-basis")
         assert code == 0 and out == self.vector_path("Sigma", 4, "text")
+
+
+class Recorder:
+    """A stdout that keeps only the size of each piece written to it."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, piece):
+        self.sizes.append(len(piece))
+        return len(piece)
+
+    def flush(self):
+        pass
+
+
+class TestJsonIsWrittenAsItIsWalked:
+    """JSON reports go to stdout piece by piece, as text lines do: no
+    command holds the whole report's text, and no byte is written before
+    every kernel of the report is computed."""
+
+    ARGV = ("primitives", "--species", "Sigma", "--max-n", "5", "--show-basis")
+
+    @staticmethod
+    def run_into(recorder, *argv):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys, "stdout", recorder)
+            return run(list(argv))
+
+    def test_no_piece_holds_a_tenth_of_the_report(self):
+        recorder = Recorder()
+        code = self.run_into(recorder, "--format", "json", *self.ARGV)
+        assert code == 0 and sum(recorder.sizes) == 451252
+        assert max(recorder.sizes) < 451252 // 10
+
+    def test_json_peaks_with_the_text_form(self):
+        import tracemalloc
+
+        def peak(*argv):
+            tracemalloc.start()
+            try:
+                assert self.run_into(Recorder(), *argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a warm-up run of each form, so that imports are not counted
+        for fmt in ("json", "text"):
+            self.run_into(Recorder(), "--format", fmt, *self.ARGV)
+        json_peak = peak("--format", "json", *self.ARGV)
+        text_peak = peak("--format", "text", *self.ARGV)
+        assert json_peak <= 1.05 * text_peak, (json_peak, text_peak)
+
+    def test_a_failing_kernel_leaves_stdout_empty(self, capsys, monkeypatch):
+        # primitive_dims computes every size first; the command then asks
+        # again for each size's basis, and the last of those asks fails
+        import hopfspecies.kernels as kernels_mod
+        space = kernels_mod.primitive_space
+        asked = Counter()
+
+        def failing_last(h, I):
+            asked[len(I)] += 1
+            if len(I) == 4 and asked[4] == 2:
+                raise ValueError("kernel failed")
+            return space(h, I)
+
+        monkeypatch.setattr(kernels_mod, "primitive_space", failing_last)
+        code, out, err = invoke(capsys, "--format", "json", "primitives",
+                                "--species", "Sigma", "--max-n", "4",
+                                "--show-basis")
+        assert asked[4] == 2
+        assert (code, out, err) == (2, "", "input error: kernel failed\n")
 
 
 def _perfbench_workloads():

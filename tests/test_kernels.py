@@ -22,7 +22,7 @@ from hopfspecies.kernels import (CyclicOrder, NotADerangement,
                                  ideal_kplus_h, lagrange_factorization_check,
                                  lagrange_quotient_dims,
                                  lie_basis_p, lie_bracket, lker_space,
-                                 morphism_rows, p_ell_expr, pbw_series_check, primitive_dims,
+                                 p_ell_expr, pbw_series_check, primitive_dims,
                                  primitive_space)
 from hopfspecies.species import (EMPTY, FiniteSet, LinearOrder, QTensor,
                                  QVector, SetPartition, SingletonMark,
@@ -611,9 +611,9 @@ class TestIntegerRows:
     def test_coproduct_and_morphism_rows_hold_ints(self, Sigma, pi_to_e):
         I = labelset(4)
         prim_rows = coproduct_rows(Sigma, I)
-        hker_rows = (coproduct_rows(pi_to_e.source, I, pi_to_e)
-                     + list(morphism_rows(pi_to_e, I).values()))
-        for rows in (prim_rows, hker_rows):
+        hker_rows = coproduct_rows(pi_to_e.source, I, pi_to_e)
+        matrix = list(f_block(pi_to_e, I).values())
+        for rows in (prim_rows, hker_rows, matrix):
             assert rows and self.all_int(rows)
             ech = Echelon()
             for row in rows:
@@ -731,6 +731,26 @@ def rows_from_public_maps(h, I, f=None, skip_mirrors=False) -> list:
     return list(rows.values())
 
 
+def matrix_of(f, I) -> dict:
+    """The matrix of f over I read off `f.on_basis`: one row per target
+    structure, keyed by it."""
+    rows: dict = {}
+    for j, s in enumerate(f.source.species.structures(I)):
+        for t, c in f.on_basis(s):
+            row = rows.setdefault(t, {})
+            row[j] = row.get(j, 0) + c
+    return rows
+
+
+def f_block(f, I) -> dict:
+    """The (I, empty) block with f, the matrix of f that `lker_space` and
+    `_require_full_rank` read, keyed by target structure."""
+    block = kernels_mod._block(f.source, f.source.species.structures(I),
+                               I, EMPTY, f)
+    assert {w for _, w in block} <= {f.source.one()}
+    return {t: row for (t, _), row in block.items()}
+
+
 class TestRowsFromPairs:
     """The row builders read the structure maps' (output, coefficient)
     pairs directly; the rows must be those of the public maps."""
@@ -758,7 +778,7 @@ class TestRowsFromPairs:
                 for t, c in f(QVector.basis(s)).items():
                     by_target.setdefault(t, {})[j] = c
             assert coproduct_rows(f.source, I, f) == public, n
-            assert morphism_rows(f, I) == by_target, n
+            assert f_block(f, I) == matrix_of(f, I) == by_target, n
 
     @pytest.mark.parametrize("ident", ["L->E", "E->Pi", "L->Sigma", "Pi->PiS:2"])
     def test_last_hker_block_is_the_matrix_of_f(self, ident):
@@ -770,7 +790,7 @@ class TestRowsFromPairs:
         for n in range(1, 5):
             I = labelset(n)
             rows = coproduct_rows(f.source, I, f)
-            matrix = list(morphism_rows(f, I).values())
+            matrix = list(matrix_of(f, I).values())
             assert rows[len(rows) - len(matrix):] == matrix, n
 
     def test_hker_rows_refuse_a_source_that_is_not_connected(self, X):
@@ -794,7 +814,7 @@ class TestRowsFromPairs:
         # Delta_{S,T} is doubled for S, T nonempty; Delta_{I,empty} = s (x) 1
         # is the monoid's own, so that block sums only f's three pairs
         assert {v for row in coproduct_rows(twice, I, f) for v in row.values()} == {6, 3}
-        assert morphism_rows(f, I) == {
+        assert f_block(f, I) == {
             t: {j: c for j in range(6)}
             for t, c in f(QVector.basis(LinearOrder(("a", "b", "c")))).items()}
 
@@ -882,7 +902,7 @@ class TestRowsFromPairs:
         with pytest.raises(ValueError, match=message):
             f.on_basis(c)
         with pytest.raises(ValueError, match=message):
-            morphism_rows(f, labelset(2))
+            lker_space(f, labelset(2))
 
     def test_inexact_coefficient_is_refused_on_both_paths(self, L):
         def delta(S, T, s):
