@@ -85,20 +85,37 @@ def _parse_labels(text: str) -> list:
     return labels
 
 
+CHUNK_CHARS = 8192  # the text joined into one write, which may be a system call
+
+
 def _emit(report: dict, fmt: str, lines) -> None:
     """Print the JSON report or the text lines, which may be a generator
     rendered as it is printed. Commands that print vectors render those
     lines only in text mode; JSON mode never prints them. The JSON report
-    is written to stdout piece by piece as it is walked, so no copy of its
-    text is held."""
-    if fmt == "json":
-        from .reports import _write
-        out = sys.stdout
-        _write(report, out.write, "\n")
-        out.write("\n")
-    else:
-        for line in lines:
-            print(line)
+    is written as it is walked, so no copy of its text is held; pieces and
+    lines are joined into writes of about CHUNK_CHARS characters, and what
+    is joined is written before an exception leaves."""
+    out, pending, size = sys.stdout, [], 0
+
+    def put(piece: str) -> None:
+        nonlocal size
+        pending.append(piece)
+        size += len(piece)
+        if size >= CHUNK_CHARS:
+            out.write("".join(pending))
+            pending.clear()
+            size = 0
+
+    try:
+        if fmt == "json":
+            from .reports import _write
+            _write(report, put, "\n")
+            put("\n")
+        else:
+            for line in lines:
+                put("%s\n" % (line,))
+    finally:
+        out.write("".join(pending))
 
 
 def _verdict_exit(ok: bool) -> int:
@@ -186,18 +203,12 @@ def cmd_series_div(args) -> int:
 def cmd_species_dims(args) -> int:
     nmax = _cap_n(args.max_n)
     sp = get_species(args.species)
-    # orbit_count makes the one pass per size; dimension reads its count.
-    # The largest size goes first, so a size it refuses stops the command
-    # before any other size is counted.
-    types = ([orbit_count(sp, n) for n in range(nmax, -1, -1)][::-1]
-             if args.types else [])
+    # orbit_count makes the one pass per size; dimension reads its count
+    types = [orbit_count(sp, n) for n in range(nmax + 1)] if args.types else []
     dims = [sp.dimension(n) for n in range(nmax + 1)]
     rows = ["%-3s %10s%s" % ("n", "dim", "   orbits" if args.types else "")]
-    for n in range(nmax + 1):
-        if args.types:
-            rows.append("%-3d %10d %8d" % (n, dims[n], types[n]))
-        else:
-            rows.append("%-3d %10d" % (n, dims[n]))
+    rows += ["%-3d %10d" % (n, dims[n]) + (" %8d" % types[n] if args.types else "")
+             for n in range(nmax + 1)]
     detail = {"species": sp.name, "dims": dims}
     if args.types:
         detail["types"] = types

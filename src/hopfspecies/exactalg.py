@@ -6,7 +6,9 @@ TruncatedSeries stores coefficients 0..N for a fixed truncation order N and
 binary operations truncate to the smaller order, which is the usual
 semantics for formal power series prefixes. The generating series of a
 species (`egf`, `ogf`, `tgf`, `cycle_index`) are computed here from its
-structures.
+structures; `cycle_index` reads the one fixed-point count per conjugacy
+class, `species.fixed_points`, by which `orbit_count` counts the orbits of
+a Hadamard species.
 
 The sparse echelon engine lives in `echelon`; `Echelon` is re-exported
 here as the same object.
@@ -20,7 +22,9 @@ from math import comb, factorial
 # re-exported: perfbench's tracer reads Echelon here
 from .echelon import Echelon
 from .reports import FAIL, PASS, TestReport
-from .species import FiniteSet, SpeciesSpec, labelset, orbit_count, qstr
+# integer_partitions is re-exported: the tests read it here
+from .species import (SpeciesSpec, _perm_of_type, _z_lambda, fixed_points,
+                      integer_partitions, labelset, orbit_count, qstr)
 
 Q = Fraction
 
@@ -385,59 +389,16 @@ def tgf(sp: SpeciesSpec, order: int) -> TruncatedSeries:
     return ogf_from_counts([orbit_count(sp, n) for n in range(order + 1)])
 
 
-def integer_partitions(n: int, largest: int | None = None):
-    """Partitions of n as weakly decreasing tuples."""
-    if largest is None:
-        largest = n
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest), 0, -1):
-        for rest in integer_partitions(n - part, part):
-            yield (part,) + rest
-
-
-def _perm_of_type(I: FiniteSet, lam) -> dict:
-    """A permutation of I whose cycle type is the partition `lam`."""
-    toks = tuple(I)
-    sigma = {}
-    pos = 0
-    for part in lam:
-        cyc = toks[pos: pos + part]
-        for i, t in enumerate(cyc):
-            sigma[t] = cyc[(i + 1) % part]
-        pos += part
-    return sigma
-
-
-def _cycle_type_counts(lam, n: int) -> tuple:
-    expts = [0] * n
-    for part in lam:
-        expts[part - 1] += 1
-    return tuple(expts)
-
-
-def _z_lambda(lam) -> int:
-    z = 1
-    mult = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
-        z *= part ** m * factorial(m)
-    return z
-
-
 def cycle_index(sp: SpeciesSpec, order: int) -> CycleIndexPoly:
     """Z = sum_n (1/n!) sum_{sigma in S_n} fix(sigma) x^{cycletype(sigma)},
-    computed one conjugacy class at a time."""
+    computed one conjugacy class at a time from `species.fixed_points`,
+    the count `orbit_count` sums for a Hadamard species."""
     terms: dict = {}
     for n in range(order + 1):
         I = labelset(n)
-        structs = sp.structures(I)
         for lam in integer_partitions(n):
-            sigma = _perm_of_type(I, lam)
-            fix = sum(1 for s in structs if s.relabel(sigma) == s)
+            fix = fixed_points(sp, I, _perm_of_type(I, lam))
             if fix:
-                e = _cycle_type_counts(lam, n) if n else ()
+                e = tuple(lam.count(i) for i in range(1, n + 1))
                 terms[e] = terms.get(e, Q(0)) + Q(fix, _z_lambda(lam))
     return CycleIndexPoly(terms, order)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial, prod
 
 SEPARATOR_CHARS = frozenset(".|,:;()[]{}<>=→ \t\r\n")
 
@@ -149,8 +150,8 @@ class Structure:
 
     def orbit_key(self):
         """A complete relabeling-orbit invariant. A kind without a cheap one
-        has none; its species declares `orbit_keyed = False`, and orbit
-        counting enumerates orbits by relabeling instead."""
+        (the Hadamard pairs) has none; its species declares its `factors`,
+        and orbit counting sums their fixed points by Burnside instead."""
         raise NotImplementedError("%s structures have no orbit key" % self.kind)
 
     def __eq__(self, other):
@@ -326,9 +327,6 @@ class SetComposition(Structure):
     def relabel(self, mapping):
         return type(self)(tuple(mapping[t] for t in b) for b in self.blocks)
 
-    def size_word(self):
-        return tuple(map(len, self.blocks))
-
     def key(self):
         return self.blocks
 
@@ -447,13 +445,13 @@ class SpeciesSpec:
     enumeration and returns it sorted, for the kernels and the axioms.
     `dimension` and `orbit_count` only count: they read that memo when it
     is filled, and otherwise make one enumerator pass (`stream`) that
-    stores no structure. Relabeling is the structures' own relabel, so
-    functoriality holds by construction.
+    stores no structure; the orbits of a Hadamard species are counted
+    from its factors' stored structures instead. Relabeling is the
+    structures' own relabel, so functoriality holds by construction.
     """
 
-    # a declaration, never inferred: False when the structures carry no
-    # orbit key, so orbit counting goes to relabeling without a pass
-    orbit_keyed = True
+    # the two factors of a Hadamard species, whose pairs have no orbit key
+    factors = ()
 
     def __init__(self, name: str, enumerator, linearized: bool = True):
         # every species is a set species whose structures relabel
@@ -508,33 +506,61 @@ def orbit_count(sp: SpeciesSpec, n: int) -> int:
     """Number of S_n-orbits on the basis structures over an n-element set.
 
     One `stream` pass collects the structures' orbit keys, a complete
-    invariant; the pass also leaves the dimension behind. A species that
-    declares its structures keyless (`orbit_keyed = False`) instead has
-    its stored structures' orbits enumerated by applying all n!
-    relabelings (desk scale, n <= 8, refused above that before any
-    structure is built).
+    invariant; the pass also leaves the dimension behind. The pairs of a
+    Hadamard species have no key, so it is counted by Burnside: the sum
+    of fixed_points(sigma) times the class size n!/z_lambda over the
+    cycle types lambda of n, divided by n!. A remainder is refused.
     """
     I = labelset(n)
-    if not sp.orbit_keyed:
-        return _orbits_by_relabeling(sp, I)
-    return len({s.orbit_key() for s in sp.stream(I)})
+    if not sp.factors:
+        return len({s.orbit_key() for s in sp.stream(I)})
+    group = factorial(n)
+    total = sum(fixed_points(sp, I, _perm_of_type(I, lam)) * (group // _z_lambda(lam))
+                for lam in integer_partitions(n))
+    orbits, rest = divmod(total, group)
+    if rest:
+        raise ValueError("fixed points of %s on %d labels sum to %d, not a multiple"
+                         " of %d!: relabeling is not a group action"
+                         % (sp.name, n, total, n))
+    return orbits
 
 
-def _orbits_by_relabeling(sp: SpeciesSpec, I: FiniteSet) -> int:
-    """The orbits of the structures of `sp` on I, counted by applying every
-    bijection of I."""
-    if len(I) > 8:
-        raise ValueError("orbit enumeration without invariants is capped at n = 8")
-    seen = set()
-    count = 0
-    perms = [dict(zip(I, img)) for img in itertools.permutations(tuple(I))]
-    for s in sp.structures(I):
-        if s in seen:
-            continue
-        count += 1
-        for sigma in perms:
-            seen.add(s.relabel(sigma))
-    return count
+def fixed_points(sp: SpeciesSpec, I: FiniteSet, sigma: dict) -> int:
+    """The number of structures of `sp` on I that `sigma` fixes. A pair
+    is fixed when both sides are (Z_{FxG} = Z_F x Z_G), so a Hadamard
+    species multiplies its factors' counts and builds no pair."""
+    if sp.factors:
+        a, b = sp.factors
+        return fixed_points(a, I, sigma) * fixed_points(b, I, sigma)
+    return sum(1 for s in sp.structures(I) if s.relabel(sigma) == s)
+
+
+def integer_partitions(n: int, largest: int | None = None):
+    """Partitions of n as weakly decreasing tuples."""
+    if largest is None:
+        largest = n
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in integer_partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _perm_of_type(I: FiniteSet, lam) -> dict:
+    """A permutation of I whose cycle type is the partition `lam`."""
+    toks, sigma, pos = I.labels, {}, 0
+    for part in lam:
+        cyc = toks[pos:pos + part]
+        sigma.update(zip(cyc, cyc[1:] + cyc[:1]))
+        pos += part
+    return sigma
+
+
+def _z_lambda(lam) -> int:
+    """z_lambda, the number of permutations that commute with one of cycle
+    type `lam`: n!/z_lambda permutations of n have that type."""
+    return prod(k ** lam.count(k) * factorial(lam.count(k)) for k in set(lam))
 
 
 def hadamard(a: SpeciesSpec, b: SpeciesSpec) -> SpeciesSpec:
@@ -546,7 +572,7 @@ def hadamard(a: SpeciesSpec, b: SpeciesSpec) -> SpeciesSpec:
         return (PairStructure(x, y) for x in a.structures(I) for y in ys)
 
     sp = SpeciesSpec("Hadamard(%s,%s)" % (a.name, b.name), enumerate_pairs)
-    sp.orbit_keyed = False  # a pair structure has no orbit key
+    sp.factors = (a, b)
     return sp
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,22 @@ def reference_kernel(rows, ncols):
             vec[c] = -row[f]
         basis.append(tuple(vec))
     return basis
+
+
+def orbits_by_relabeling(sp, I) -> int:
+    """The orbits of the structures of `sp` on I, counted by applying every
+    bijection of I to one stored structure of each orbit: a reference for
+    the Burnside count of `species.orbit_count`, at desk scale only."""
+    seen = set()
+    count = 0
+    perms = [dict(zip(I, img)) for img in itertools.permutations(tuple(I))]
+    for s in sp.structures(I):
+        if s in seen:
+            continue
+        count += 1
+        for sigma in perms:
+            seen.add(s.relabel(sigma))
+    return count
 
 
 def mutate_product(h, victim_xy, replacement, name="mutant"):

@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 from conftest import mark_to_one_block
-from hopfspecies import reports
+from hopfspecies import cli, reports
 from hopfspecies.cli import run
 from hopfspecies.kernels import primitive_dims, primitive_space
 from hopfspecies.reports import jsonable
-from hopfspecies.species import QVector, SpeciesSpec, labelset
+from hopfspecies.species import QVector, labelset
 from hopfspecies.structures import get_hopf
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -224,34 +224,21 @@ class TestSpeciesDims:
         assert "171" in out and out.strip().splitlines()[-1].split()[-1] == "4"
 
     def test_empty_sizes_count_no_orbits(self, capsys):
-        # no structure means no orbit, also past the n = 8 cap of the
-        # relabeling fallback (which used to refuse size 9 with exit 2)
+        # no structure means no orbit, also at n = 9
         code, out, err = invoke(capsys, "species-dims", "--species", "X",
                                 "--max-n", "9", "--types")
         assert (code, err) == (0, "")
         assert out.splitlines()[-2:] == ["8            0        0",
                                          "9            0        0"]
 
-    def test_types_past_the_relabeling_cap_are_refused_up_front(
-            self, capsys, monkeypatch):
-        # pair structures have no orbit key, so n = 9 is refused; the
-        # largest size is counted first, so no size is enumerated before
-        enumerated = Counter()
-        init = SpeciesSpec.__init__
-
-        def counting_init(self, name, enumerator, linearized=True):
-            def counted(I):
-                enumerated[name, len(I)] += 1
-                return enumerator(I)
-            init(self, name, counted, linearized)
-
-        monkeypatch.setattr(SpeciesSpec, "__init__", counting_init)
+    def test_types_of_keyless_species_are_counted_past_n_8(self, capsys):
+        # pair structures have no orbit key; Burnside on the factors' fixed
+        # points counts them at every size up to the cap
         code, out, err = invoke(capsys, "species-dims", "--species",
-                                "Hadamard(E,Pi)", "--max-n", "9", "--types")
-        assert (code, out) == (2, "")
-        assert err == ("input error: orbit enumeration without invariants"
-                       " is capped at n = 8\n")
-        assert enumerated == {}
+                                "Hadamard(E,E)", "--max-n", "9", "--types")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == ["%-3d %10d %8d" % (n, 1, 1)
+                                        for n in range(10)]
 
     def test_json_payload(self, capsys):
         code, out, _ = invoke(capsys, "--format", "json", "species-dims",
@@ -561,6 +548,41 @@ class TestJsonIsWrittenAsItIsWalked:
                                 "--show-basis")
         assert asked[4] == 2
         assert (code, out, err) == (2, "", "input error: kernel failed\n")
+
+
+class TestWritesAreJoinedIntoChunks:
+    """`_emit` joins JSON pieces and text lines into writes of about
+    CHUNK_CHARS characters, since each write may be a system call, and
+    writes what it has joined before an exception leaves it."""
+
+    @pytest.mark.parametrize("fmt, total", [("json", 451252), ("text", 49156)])
+    def test_each_write_but_the_last_fills_a_chunk(self, fmt, total):
+        recorder = Recorder()
+        code = TestJsonIsWrittenAsItIsWalked.run_into(
+            recorder, "--format", fmt, *TestJsonIsWrittenAsItIsWalked.ARGV)
+        assert code == 0 and sum(recorder.sizes) == total
+        assert min(recorder.sizes[:-1]) >= cli.CHUNK_CHARS
+        # 2,919 JSON pieces or 191 lines, in writes of a few KB each
+        assert len(recorder.sizes) <= total // 4096
+
+    def test_lines_before_an_exception_are_written(self, capsys):
+        def lines():
+            yield "first"
+            yield 2
+            raise ValueError("late")
+
+        with pytest.raises(ValueError):
+            cli._emit(None, "text", lines())
+        assert capsys.readouterr().out == "first\n2\n"
+
+    def test_json_before_an_exception_is_written(self, capsys):
+        class Unprintable:
+            def __str__(self):
+                raise ValueError("late")
+
+        with pytest.raises(ValueError):
+            cli._emit({"a": [1, "x"], "b": Unprintable()}, "json", ())
+        assert capsys.readouterr().out == '{\n  "a": [\n    1,\n    "x"\n  ],\n  "b": '
 
 
 def _perfbench_workloads():

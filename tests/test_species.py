@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import orbits_by_relabeling
 from hopfspecies import species
 from hopfspecies.exactalg import (CycleIndexPoly, cycle_index, egf,
                                   integer_partitions, ogf, tgf)
@@ -266,12 +267,31 @@ class TestOrbitCounts:
                     total += sum(1 for s in structs if s.relabel(sigma) == s)
                 assert orbit_count(sp, n) == Q(total, factorial(n))
 
-    def test_fallback_orbit_enumeration(self, L, Pi):
-        # pair structures carry no cheap invariant; force the generic path,
-        # which reads the stored structures
+    def test_keyless_orbits_build_no_pair(self, L, Pi):
+        # pair structures carry no orbit key; Burnside multiplies the
+        # factors' fixed points, so no pair is stored or even enumerated
         h = hadamard(L.species, Pi.species)
         assert orbit_count(h, 3) == 5  # one orbit per partition shape x 1
-        assert len(h._cache[labelset(3).labels]) == 30
+        assert h._cache == {} and h._counts == {}
+
+    def test_orbits_of_e_times_pi_are_integer_partitions(self, E, Pi):
+        h = hadamard(E.species, Pi.species)
+        assert [orbit_count(h, n) for n in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
+
+    def test_a_sum_off_the_group_order_is_refused(self, L, Pi, monkeypatch):
+        # a count that only the identity fixes sums to 1 over S_2, which is
+        # no orbit count: refused, never rounded down to 0
+        def identity_only(sp, I, sigma):
+            return int(all(sigma[t] == t for t in I))
+
+        monkeypatch.setattr(species, "fixed_points", identity_only)
+        h = hadamard(L.species, Pi.species)
+        assert orbit_count(h, 1) == 1
+        with pytest.raises(ValueError) as err:
+            orbit_count(h, 2)
+        assert str(err.value) == ("fixed points of Hadamard(L,Pi) on 2 labels sum"
+                                  " to 1, not a multiple of 2!: relabeling is"
+                                  " not a group action")
 
     def test_keyless_species_must_declare_it(self, L, Pi):
         # pair structures have no orbit key: a species of them that does
@@ -356,6 +376,23 @@ class TestCycleIndex:
         for sp in (L.species, Pi.species):
             assert cycle_index(sp, 4) == self.burnside_oracle(sp, 4)
 
+    def test_hadamard_orbits_match_the_oracles(self, E, X, L, Pi, Sigma, Pal):
+        # Burnside on the factors' fixed points against the whole-group
+        # oracle (n <= 4) and against relabeling every stored pair (n <= 5,
+        # or 4 for the 28,132 pairs of Sigma x Pi at n = 5)
+        cases = ((hadamard(L.species, Pi.species), 5),
+                 (hadamard(Pal.species, Pi.species), 5),
+                 (hadamard(Sigma.species, Pi.species), 4),
+                 (hadamard(L.species, hadamard(Pi.species, E.species)), 5),
+                 (hadamard(X.species, E.species), 5))
+        for h, nmax in cases:
+            counts = [orbit_count(h, n) for n in range(nmax + 1)]
+            assert h._cache == {}, h.name
+            z = self.burnside_oracle(h, 4)
+            assert cycle_index(h, 4) == z, h.name
+            assert list(z.specialize("type").coeffs) == counts[:5], h.name
+            assert counts == [orbits_by_relabeling(h, labelset(n))
+                              for n in range(nmax + 1)], h.name
 
 class TestHadamard:
     def test_dimensions_multiply(self, L, Pi):
