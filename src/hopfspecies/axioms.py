@@ -292,18 +292,6 @@ def check_cocommutative(h: HopfMonoid, nmax: int) -> AxiomReport:
     return rep
 
 
-def check_commutative(h: HopfMonoid, nmax: int) -> AxiomReport:
-    rep = AxiomReport(h.name, list(range(nmax + 1)))
-    mu, _ = _memo(h)
-    for n, I in _sets(nmax):
-        for S, T in I.decompositions():
-            for x in h.species.structures(S):
-                for y in h.species.structures(T):
-                    rep.compare("commutativity", n, ("S=%r T=%r x=%s y=%s", S, T, x, y),
-                                mu(S, T, x, y), mu(T, S, y, x))
-    return rep
-
-
 def check_morphism(f: HopfMorphism, nmax: int) -> AxiomReport:
     """f is unital, multiplicative, comultiplicative and natural."""
     rep = AxiomReport(f.name, list(range(nmax + 1)))

@@ -211,13 +211,6 @@ def binomial_transform(a) -> list:
             for n in range(len(a))]
 
 
-def inverse_binomial_transform(b) -> list:
-    """a_n = sum_i C(n,i) b_{n-i}; inverse of binomial_transform."""
-    b = list(b)
-    return [sum(comb(n, i) * b[n - i] for i in range(n + 1))
-            for n in range(len(b))]
-
-
 def ogf_from_counts(a, order: int | None = None) -> TruncatedSeries:
     a = list(a)
     if order is None:

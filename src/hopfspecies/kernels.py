@@ -20,8 +20,8 @@ from math import comb
 
 from .echelon import Echelon
 from .reports import FAIL, PASS, TestReport
-from .species import (EMPTY, FiniteSet, LinearOrder, QVector, check_coeff,
-                      labelset)
+from .species import (EMPTY, FiniteSet, LinearOrder, QTensor, QVector,
+                      check_coeff, labelset)
 from .structures import (HopfMonoid, HopfMorphism, block_partitions,
                          iterated_product, make_L, product_vectors)
 
@@ -47,21 +47,47 @@ class NotCocommutative(ValueError):
 # ---------------------------------------------------------------------------
 
 class SubspaceBasis:
-    """A subspace of the span of `coords`, held in echelon form."""
+    """A subspace of the span of `coords`.
+
+    A space built here is spanned by the vectors `add`ed to it, held in
+    echelon form. A space that `_kernel_space` returns is the kernel of an
+    eliminated row system instead: its `dim` is columns - rank, its reduced
+    basis is read off the system on the first `rows()` or `vectors()`
+    (`Echelon.kernel`), and an echelon over that basis is built only on a
+    first `add`, `contains` or `same_span`."""
 
     def __init__(self, ambient: FiniteSet, coords: tuple,
-                 echelon: Echelon | None = None):
+                 echelon: Echelon | None = None, system: Echelon | None = None):
         self.ambient = ambient
         self.coords = tuple(coords)
-        self.index = {s: i for i, s in enumerate(self.coords)}
-        self._ech = Echelon() if echelon is None else echelon
+        # a kernel's eliminated rows, columns reversed, until rows() reads them
+        self._system = system
+        self._kernel_dim = None if system is None else len(self.coords) - system.rank
+        self._reduced = None  # a kernel's rows(), once read
+        self._spanned = (None if system is not None
+                         else Echelon() if echelon is None else echelon)
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return {s: i for i, s in enumerate(self.coords)}
+
+    @property
+    def _ech(self) -> Echelon:
+        """The echelon the space is held in; a kernel's is built over its
+        reduced basis on first use."""
+        if self._spanned is None:
+            ech = Echelon()
+            for row in self.rows():
+                ech.add(dict(row))
+            self._spanned, self._reduced = ech, None
+        return self._spanned
 
     def add(self, v: QVector) -> bool:
         return self._ech.add(v.coordinates(self.index))
 
     @property
     def dim(self) -> int:
-        return self._ech.rank
+        return self._kernel_dim if self._spanned is None else self._spanned.rank
 
     def contains(self, v: QVector) -> bool:
         if v.ambient != self.ambient:
@@ -77,16 +103,31 @@ class SubspaceBasis:
         list of (column, coefficient) pairs sorted by column. `coords` is
         sorted, so column order is structure order, the order of
         `QVector.items()`. Each coefficient is checked to be exact and
-        nonzero: TypeError or ValueError otherwise."""
-        rref = self._ech.rref()
+        nonzero: TypeError or ValueError otherwise.
+
+        A kernel reads its rows once, straight off `Echelon.kernel` of its
+        system (see `_kernel_space`), and then drops the system; a spanned
+        space reads them off the rref of its echelon on each call."""
+        if self._spanned is not None:
+            rref = self._spanned.rref()
+            return self._checked(rref[c].items() for c in sorted(rref))
+        if self._reduced is None:
+            n = len(self.coords)
+            self._reduced = self._checked([(n - 1 - j, c) for j, c in vec.items()]
+                                          for vec in reversed(self._system.kernel(n)))
+            self._system = None
+        return list(self._reduced)
+
+    @staticmethod
+    def _checked(rows) -> list:
         out = []
-        for c in sorted(rref):
-            row = sorted(rref[c].items())
+        for row in rows:
+            row = sorted(row)
             for _, v in row:
                 if type(v) is not int or not v:
                     check_coeff(v)
                     if not v:
-                        raise ValueError("reduced row %d holds a zero" % c)
+                        raise ValueError("reduced row %d holds a zero" % row[0][0])
             out.append(row)
         return out
 
@@ -110,8 +151,10 @@ class SubspaceBasis:
         return "SubspaceBasis(dim=%d of %d)" % (self.dim, len(self.coords))
 
 
-def _kernel_space(basis, ambient, rows) -> SubspaceBasis:
-    """Eliminate the stacked sparse rows once and read off their kernel.
+def _kernel_space(basis, ambient, rows: list) -> SubspaceBasis:
+    """Eliminate the stacked sparse rows once; the kernel is read off them
+    lazily (`SubspaceBasis`). The list `rows` is emptied, and the dedup
+    table dropped, once the rows are in the echelon.
 
     Repeated rows go in once. Each row is keyed by the hash of its items,
     computed on the spot, so no copy of a row is kept. A row is skipped
@@ -123,8 +166,7 @@ def _kernel_space(basis, ambient, rows) -> SubspaceBasis:
     Echelon.kernel then returns is 1 at its own free column, zero at every
     other free column, and supported on later columns of the original order:
     read back to front, they are already the unique reduced echelon basis of
-    the kernel. Each leads at its own free column, which no stored row
-    holds, so `add` eliminates nothing and only rescales it.
+    the kernel, which `SubspaceBasis.rows` returns as they are.
     """
     n = len(basis)
     ech = Echelon()
@@ -137,15 +179,14 @@ def _kernel_space(basis, ambient, rows) -> SubspaceBasis:
             got = distinct.get(key)
         if got is None:
             distinct[key] = row
+    rows.clear()
     # shortest rows first, stably, so the order stays deterministic: short
     # pivot rows keep the fill of every later reduction small, and the
     # kernel's reduced basis does not depend on the order
     for row in sorted(distinct.values(), key=len):
         ech.add({n - 1 - j: c for j, c in row.items()})
-    space = SubspaceBasis(ambient, basis)
-    for vec in reversed(ech.kernel(n)):
-        space._ech.add({n - 1 - j: c for j, c in vec.items()})
-    return space
+    del distinct
+    return SubspaceBasis(ambient, basis, system=ech)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +211,11 @@ def coproduct_rows(h: HopfMonoid, I: FiniteSet,
                    f: HopfMorphism | None = None) -> list:
     """Sparse rows of the stacked maps Delta_{S,T} over S, T nonempty, or of
     (f x id) o Delta_{S,T} when a morphism f out of h is given; columns
-    index the sorted basis of h[I]. The rows are read off the maps'
-    (output, coefficient) pairs. No map result is memoized, since each
-    (S, s) is asked for once; one S is held across every structure of a
-    decomposition, so the block cuts memoized on it (`split_blocks`) are
-    shared by all of them.
+    index the sorted basis of h[I]. The rows are read off Delta's (key
+    pair, coefficient) pairs (see `_block`). No map result is memoized,
+    since each (S, s) is asked for once; one S is held across every
+    structure of a decomposition, so the block cuts memoized on it
+    (`split_blocks`) are shared by all of them.
 
     Without f, a monoid declared cocommutative gives only the
     decompositions (S, T) whose S comes before T in the subset order of
@@ -209,21 +250,41 @@ def _block(h: HopfMonoid, basis, S: FiniteSet, T: FiniteSet,
     columns index `basis`, the sorted basis of h[S u T]. Each row is keyed
     by its output pair, Delta's own (u, w) or (f(u), w), and the rows come
     in the order their keys first appear. With T empty and f given this is
-    the matrix of f, one row per target structure."""
-    coproduct = h.coproduct
+    the matrix of f, one row per target structure.
+
+    The columns are grouped by the key pairs that `h._delta` returns, and
+    no output structure is built per column: each distinct key pair is
+    interned and checked once, as `HopfMonoid.coproduct` checks it (equal
+    keys intern to one structure), and with f, f is applied to it once.
+    Each coefficient is checked where it is read. Delta_{I,empty}(s) =
+    s (x) 1 has no keys, so that block reads `h.coproduct`."""
+    if T.labels:
+        delta, intern = h._delta, h.intern
+    else:
+        delta, intern = h.coproduct, HopfMonoid.intern
+    left, right = S.labels, T.labels
     block: dict = {}
+    targets: dict = {}  # key pair -> its row, or with f its (row, d) pairs
     for j, s in enumerate(basis):
-        for key, c in coproduct(S, T, s):
-            if f is None:
-                row = block.get(key)
-                if row is None:
-                    block[key] = {j: c}
+        for key, c in delta(S, T, s):
+            if type(c) is not int:
+                check_coeff(c)
+            got = targets.get(key)
+            if got is None:
+                x, y = key
+                out = u, w = intern(x), intern(y)
+                if u._labels.labels != left or w._labels.labels != right:
+                    QTensor.check_key(S, T, out)
+                if f is None:
+                    got = block.setdefault(out, {})
                 else:
-                    row[j] = row.get(j, 0) + c
+                    got = tuple((block.setdefault((t, w), {}), d)
+                                for t, d in f.on_basis(u))
+                targets[key] = got
+            if f is None:
+                got[j] = got.get(j, 0) + c
                 continue
-            u, w = key
-            for t, d in f.on_basis(u):
-                row = block.setdefault((t, w), {})
+            for row, d in got:
                 row[j] = row.get(j, 0) + c * d
     return block
 

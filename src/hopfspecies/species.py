@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial, prod
+from operator import attrgetter
 
 SEPARATOR_CHARS = frozenset(".|,:;()[]{}<>=→ \t\r\n")
 
@@ -445,9 +446,10 @@ class SpeciesSpec:
     enumeration and returns it sorted, for the kernels and the axioms.
     `dimension` and `orbit_count` only count: they read that memo when it
     is filled, and otherwise make one enumerator pass (`stream`) that
-    stores no structure; the orbits of a Hadamard species are counted
-    from its factors' stored structures instead. Relabeling is the
-    structures' own relabel, so functoriality holds by construction.
+    stores no structure; a Hadamard species multiplies its factors'
+    dimensions, and counts its orbits from its factors' stored structures,
+    so neither builds a pair. Relabeling is the structures' own relabel, so
+    functoriality holds by construction.
     """
 
     # the two factors of a Hadamard species, whose pairs have no orbit key
@@ -465,7 +467,8 @@ class SpeciesSpec:
     def structures(self, I: FiniteSet) -> tuple:
         got = self._cache.get(I.labels)
         if got is None:
-            got = tuple(sorted(self._enumerator(I)))
+            # the order of Structure.__lt__, read off the stored keys
+            got = tuple(sorted(self._enumerator(I), key=attrgetter("_key")))
             self._cache[I.labels] = got
         return got
 
@@ -490,6 +493,9 @@ class SpeciesSpec:
         got = self._cache.get(I.labels)
         if got is not None:
             return len(got)
+        if self.factors:
+            a, b = self.factors
+            return a.dimension(I) * b.dimension(I)
         if I.labels not in self._counts:
             for _ in self.stream(I):
                 pass

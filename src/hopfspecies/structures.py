@@ -12,12 +12,17 @@ suite and gives the expected generating series.
 
 Every structure map, and every canonical morphism, is a closure that
 returns a tuple of (output, coefficient) pairs: `((out, 1),)` for the
-monoids built here, `()` for zero. An output of Delta is a pair
-(structure on S, structure on T). The outputs are interned: each map
-computes the canonical key of an output (blocks, sequence, mapping, sorted
-labels tuple or component pair) and fetches the one instance its
-`intern_table` holds for that key, so each distinct output is built and
-validated once.
+monoids built here, `()` for zero. The outputs are interned: each monoid
+(and each morphism) holds one `intern_table`, keyed by the canonical key
+of a structure (blocks, sequence, mapping or sorted labels tuple), and
+fetches the one instance it holds for that key, so each distinct output
+is built and validated once.
+
+Delta is defined once, on those keys: an output of a monoid's `delta` is
+the pair (key on S, key on T), and the monoid records its table's lookup
+as `intern`. `HopfMonoid.coproduct` interns both keys and checks them, and
+is the structure-level view that the axiom battery and the linear
+extensions read; the kernel rows read the keys directly (`kernels._block`).
 """
 
 from __future__ import annotations
@@ -91,19 +96,28 @@ class HopfMonoid:
     coproducts memoize only the cut of each block, per label set S, on S
     (see `split_blocks`).
 
-    `cocommutative` is a declaration, never inferred: a constructor sets it
-    after building a monoid whose Delta_{T,S} is the twist of Delta_{S,T},
-    and the primitive rows then skip the mirrored decompositions. A monoid
-    built directly keeps the class default, False, and every decomposition.
+    `intern` and `cocommutative` are declarations a constructor records
+    after building a monoid (`_declare`). `intern` looks up the keys that
+    Delta's outputs are given by: a shipped monoid's `delta` returns
+    ((key on S, key on T), c) and `intern` is its `intern_table`. A monoid
+    built directly returns structures, and keeps the class default, the
+    identity. `cocommutative` is never inferred: it is set for a monoid
+    whose Delta_{T,S} is the twist of Delta_{S,T}, and the primitive rows
+    then skip the mirrored decompositions. A monoid built directly keeps
+    the class default, False, and every decomposition.
     """
 
     cocommutative = False
+
+    @staticmethod
+    def intern(key):
+        return key
 
     def __init__(self, species: SpeciesSpec, mu, delta, name: str | None = None):
         self.species = species
         self.name = name or species.name
         self._mu = mu        # (S, T, x, y) -> pairs (z on S u T, c); S, T nonempty
-        self._delta = delta  # (S, T, s) -> pairs ((u on S, w on T), c); S, T nonempty
+        self._delta = delta  # (S, T, s) -> pairs ((key on S, key on T), c); S, T nonempty
         self.space_cache: dict = {}  # kernels' subspaces, by (kind, labels)
 
     def one(self) -> Structure:
@@ -131,29 +145,34 @@ class HopfMonoid:
         return terms
 
     def coproduct(self, S: FiniteSet, T: FiniteSet, s: Structure) -> tuple:
-        """Delta_{S,T}(s) as checked ((u on S, w on T), coefficient) pairs."""
+        """Delta_{S,T}(s) as checked ((u on S, w on T), coefficient) pairs:
+        each key pair of the map is interned, then checked."""
         if not S.labels:
             return (((self.one(), s), 1),)
         if not T.labels:
             return (((s, self.one()), 1),)
-        terms = tuple(self._delta(S, T, s))
+        intern = self.intern
         left, right = S.labels, T.labels
-        for key, c in terms:
+        terms = []
+        for (x, y), c in self._delta(S, T, s):
+            pair = intern(x), intern(y)
             # the common case inline; the checks run only to raise
-            if not (type(c) is int and type(key) is tuple and len(key) == 2
-                    and key[0]._labels.labels == left
-                    and key[1]._labels.labels == right):
+            if (type(c) is not int or pair[0]._labels.labels != left
+                    or pair[1]._labels.labels != right):
                 check_coeff(c)
-                QTensor.check_key(S, T, key)
-        return terms
+                QTensor.check_key(S, T, pair)
+            terms.append((pair, c))
+        return tuple(terms)
 
     def __repr__(self):
         return "HopfMonoid(%s)" % self.name
 
 
-def _declared_cocommutative(h: HopfMonoid) -> HopfMonoid:
-    """h, declared cocommutative."""
-    h.cocommutative = True
+def _declare(h: HopfMonoid, intern, cocommutative: bool = True) -> HopfMonoid:
+    """h, with the lookup of the keys its Delta returns and whether it is
+    cocommutative recorded."""
+    h.intern = intern
+    h.cocommutative = cocommutative
     return h
 
 
@@ -163,12 +182,6 @@ def product_vectors(h: HopfMonoid, S, T, xv: QVector, yv: QVector) -> QVector:
                                 for x, cx in xv.terms.items()
                                 for y, cy in yv.terms.items()
                                 for s, c in h.product(S, T, x, y)))
-
-
-def coproduct_vector(h: HopfMonoid, S, T, v: QVector) -> QTensor:
-    """Delta_{S,T} extended linearly to vectors."""
-    return QTensor(S, T, ((k, d * c) for s, c in v.terms.items()
-                          for k, d in h.coproduct(S, T, s)))
 
 
 def iterated_product(h: HopfMonoid, parts, vectors) -> QVector:
@@ -225,9 +238,9 @@ def make_E() -> HopfMonoid:
         return ((mark(S.union(T).labels), 1),)
 
     def delta(S, T, s):
-        return (((mark(S.labels), mark(T.labels)), 1),)
+        return (((S.labels, T.labels), 1),)
 
-    return _declared_cocommutative(HopfMonoid(sp, mu, delta))
+    return _declare(HopfMonoid(sp, mu, delta), mark)
 
 
 def make_X() -> HopfMonoid:
@@ -247,10 +260,10 @@ def make_L() -> HopfMonoid:
 
     def delta(S, T, s):
         inside = set(S.labels).__contains__
-        return (((order(tuple(filter(inside, s.seq))),
-                  order(tuple(itertools.filterfalse(inside, s.seq)))), 1),)
+        return (((tuple(filter(inside, s.seq)),
+                  tuple(itertools.filterfalse(inside, s.seq))), 1),)
 
-    return _declared_cocommutative(HopfMonoid(sp, mu, delta))
+    return _declare(HopfMonoid(sp, mu, delta), order)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +308,9 @@ def make_Pi() -> HopfMonoid:
 
     def delta(S, T, s):
         left, right = split_blocks(s.blocks, S)
-        return (((partition(tuple(sorted(left))),
-                  partition(tuple(sorted(right)))), 1),)
+        return (((tuple(sorted(left)), tuple(sorted(right))), 1),)
 
-    return _declared_cocommutative(HopfMonoid(sp, mu, delta))
+    return _declare(HopfMonoid(sp, mu, delta), partition)
 
 
 def make_PiPrime() -> SpeciesSpec:
@@ -361,10 +373,10 @@ def make_PiS(allowed) -> HopfMonoid:
     def delta(S, T, s):
         left, right = (tuple(sorted(side)) for side in split_blocks(s.blocks, S))
         if ok(left) and ok(right):
-            return (((partition(left), partition(right)), 1),)
+            return (((left, right), 1),)
         return ()
 
-    return _declared_cocommutative(HopfMonoid(sp, mu, delta))
+    return _declare(HopfMonoid(sp, mu, delta), partition)
 
 
 def make_Pi_even() -> HopfMonoid:
@@ -389,10 +401,9 @@ def make_Sigma() -> HopfMonoid:
         return ((composition(x.blocks + y.blocks), 1),)
 
     def delta(S, T, s):
-        left, right = split_blocks(s.blocks, S)
-        return (((composition(left), composition(right)), 1),)
+        return ((split_blocks(s.blocks, S), 1),)
 
-    return _declared_cocommutative(HopfMonoid(sp, mu, delta))
+    return _declare(HopfMonoid(sp, mu, delta), composition)
 
 
 # the memo bound of pal_words: its pairs for remainders of up to 4 labels
@@ -487,9 +498,9 @@ def make_Pal() -> HopfMonoid:
         for b, mirror in zip(blocks[:len(blocks) // 2], reversed(blocks)):
             if len(cuts[b][0]) != len(cuts[mirror][0]):
                 return ()
-        return (((pal(left), pal(right)), 1),)
+        return (((left, right), 1),)
 
-    return _declared_cocommutative(HopfMonoid(sp, mu, delta))
+    return _declare(HopfMonoid(sp, mu, delta), pal)
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +525,10 @@ def make_Ek(k: int) -> HopfMonoid:
 
     def delta(S, T, s):
         keep = set(S.labels)
-        return (((function(tuple(m for m in s.mapping if m[0] in keep)),
-                  function(tuple(m for m in s.mapping if m[0] not in keep))), 1),)
+        return (((tuple(m for m in s.mapping if m[0] in keep),
+                  tuple(m for m in s.mapping if m[0] not in keep)), 1),)
 
-    return _declared_cocommutative(HopfMonoid(sp, mu, delta))
+    return _declare(HopfMonoid(sp, mu, delta), function)
 
 
 def make_el() -> SpeciesSpec:
@@ -528,9 +539,14 @@ def make_el() -> SpeciesSpec:
 
 def hadamard_hopf(a: HopfMonoid, b: HopfMonoid) -> HopfMonoid:
     """Componentwise structure maps on pair structures; declared
-    cocommutative when both factors are."""
+    cocommutative when both factors are.
+
+    A pair's key is the pair of its factors' keys, so Delta pairs the keys
+    of the factors' own Delta; `intern` interns each factor key and then
+    the pair, in the one table the product reads too."""
     sp = hadamard(a.species, b.species)
     pair = intern_table(lambda key: PairStructure(*key))
+    a_intern, b_intern = a.intern, b.intern
 
     def mu(S, T, x, y):
         u = a.product(S, T, x.left, y.left)
@@ -538,14 +554,16 @@ def hadamard_hopf(a: HopfMonoid, b: HopfMonoid) -> HopfMonoid:
         return tuple((pair((s1, s2)), c1 * c2) for s1, c1 in u for s2, c2 in v)
 
     def delta(S, T, s):
-        u = a.coproduct(S, T, s.left)
-        v = b.coproduct(S, T, s.right)
-        return tuple(((pair((x1, x2)), pair((y1, y2))), c1 * c2)
+        u = a._delta(S, T, s.left)
+        v = tuple(b._delta(S, T, s.right))
+        return tuple((((x1, x2), (y1, y2)), c1 * c2)
                      for (x1, y1), c1 in u for (x2, y2), c2 in v)
 
+    def intern(key):
+        return pair((a_intern(key[0]), b_intern(key[1])))
+
     h = HopfMonoid(sp, mu, delta, name="Hadamard(%s,%s)" % (a.name, b.name))
-    h.cocommutative = a.cocommutative and b.cocommutative
-    return h
+    return _declare(h, intern, a.cocommutative and b.cocommutative)
 
 
 # ---------------------------------------------------------------------------

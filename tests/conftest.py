@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfspecies.axioms import AxiomReport, _memo, _sets
 from hopfspecies.echelon import _integer_row, _row_gcd_normalize
 from hopfspecies.species import SetPartition
 from hopfspecies.structures import (HopfMonoid, HopfMorphism, hadamard_hopf,
@@ -95,6 +96,20 @@ def orbits_by_relabeling(sp, I) -> int:
         for sigma in perms:
             seen.add(s.relabel(sigma))
     return count
+
+
+def check_commutative(h, nmax: int) -> AxiomReport:
+    """mu_{S,T}(x . y) = mu_{T,S}(y . x) on every pair of basis structures,
+    reported as the axiom battery reports its checks."""
+    rep = AxiomReport(h.name, list(range(nmax + 1)))
+    mu, _ = _memo(h)
+    for n, I in _sets(nmax):
+        for S, T in I.decompositions():
+            for x in h.species.structures(S):
+                for y in h.species.structures(T):
+                    rep.compare("commutativity", n, ("S=%r T=%r x=%s y=%s", S, T, x, y),
+                                mu(S, T, x, y), mu(T, S, y, x))
+    return rep
 
 
 def mutate_product(h, victim_xy, replacement, name="mutant"):

@@ -8,11 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import mutate_coproduct, mutate_product
+from conftest import check_commutative, mutate_coproduct, mutate_product
 from hopfspecies import axioms, cli
 from hopfspecies.axioms import (SHIFT_ALPHABET, _bijection_pool, check_all,
-                                check_cocommutative,
-                                check_commutative, check_comonoid,
+                                check_cocommutative, check_comonoid,
                                 check_compat, check_connected, check_monoid,
                                 check_morphism, check_naturality,
                                 is_linearized)
@@ -358,7 +357,8 @@ class TestBatteryMemo:
         attributes = set(vars(h))
         assert check_all(h, 4).ok
         assert h.space_cache == {} and set(vars(h)) == attributes == {
-            "species", "name", "_mu", "_delta", "space_cache", "cocommutative"}
+            "species", "name", "_mu", "_delta", "space_cache", "intern",
+            "cocommutative"}
 
 
 def halved(pairs) -> tuple:

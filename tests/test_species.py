@@ -14,7 +14,9 @@ from hopfspecies.exactalg import (CycleIndexPoly, cycle_index, egf,
 from hopfspecies.species import (EMPTY, Element, FiniteSet, FunctionToK,
                                  LinearOrder, PalComposition, QTensor, QVector,
                                  SetComposition, SetPartition, SingletonMark,
-                                 SpeciesSpec, hadamard, labelset, orbit_count)
+                                 PairStructure, SpeciesSpec, hadamard,
+                                 labelset, orbit_count)
+from hopfspecies.structures import get_species
 
 
 class TestFiniteSet:
@@ -226,6 +228,16 @@ class TestFunctoriality:
 
 
 class TestDimensions:
+    @pytest.mark.parametrize("ident", ["E", "X", "L", "Pi", "Sigma", "Pal",
+                                       "Ek:2", "PiS:2", "Hadamard(L,Pi)",
+                                       "PiPrime", "el"])
+    def test_memo_is_in_structure_order(self, ident):
+        # the memo is sorted on the stored keys, the order of Structure.__lt__
+        for n in range(5):
+            I = labelset(n)
+            assert list(get_species(ident).structures(I)) == sorted(
+                get_species(ident).stream(I)), n
+
     def test_partition_dims_bell(self, Pi):
         assert Pi.species.dims(6) == [1, 1, 2, 5, 15, 52, 203]
 
@@ -395,6 +407,24 @@ class TestCycleIndex:
                               for n in range(nmax + 1)], h.name
 
 class TestHadamard:
+    @pytest.mark.parametrize("ident", ["Hadamard(L,Pi)", "Hadamard(E,Pi)",
+                                       "Hadamard(Sigma,Pi)"])
+    def test_dimension_builds_no_pair(self, ident, monkeypatch):
+        # the dimension is the product of the factors' dimensions, so no
+        # pair is built to count it; it equals the count of the pairs
+        built = []
+        init = PairStructure.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(PairStructure, "__init__", counting)
+        dims = get_species(ident).dims(4)
+        assert built == []
+        pairs = [len(get_species(ident).structures(labelset(n))) for n in range(5)]
+        assert dims == pairs and len(built) == sum(pairs)
+
     def test_dimensions_multiply(self, L, Pi):
         h = hadamard(L.species, Pi.species)
         for n in range(5):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import check_commutative
 from hopfspecies.axioms import (check_all, check_cocommutative,
-                                check_commutative, check_connected,
-                                check_morphism)
+                                check_connected, check_morphism)
 from hopfspecies import species
 from hopfspecies.exactalg import TruncatedSeries, egf, ogf
 from hopfspecies.kernels import primitive_dims
