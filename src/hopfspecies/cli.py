@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .species import (SIZE_CAP, FiniteSet, LinearOrder, labelset, orbit_count,
                       terms_text)
@@ -370,7 +370,10 @@ def cmd_pbw_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process: argparse's objects form reference cycles, so a
+    parser per `run` is garbage whose collection time moves a run's peak."""
     parser = argparse.ArgumentParser(
         prog="hopfspecies",
         description="Exact computations with connected Hopf monoids in species")

@@ -117,23 +117,27 @@ class Echelon:
     def rref(self) -> dict:
         """Fully reduced rows with pivot value 1, keyed by pivot column.
 
-        Back-substitution stays fraction-free: each stored pivot row is
-        reduced against the already reduced integer rows of the later pivot
-        columns by cross-multiplication and gcd-normalized. A row whose
-        pivot entry is then 1 is returned as ints; only the entries of a
-        row with another pivot entry are Fractions, one division each.
+        Back-substitution stays fraction-free: a copy of each stored pivot
+        row is reduced in place against the already reduced integer rows of
+        the later pivot columns, scaled only by a pivot entry other than 1,
+        and gcd-normalized. A row whose pivot entry is then 1 is returned
+        as ints; only the entries of a row with another pivot entry are
+        Fractions, one division each.
         """
         reduced = {}
         out = {}
         for c in sorted(self.pivots, reverse=True):
-            acc = self.pivots[c]
+            # one private copy of the stored row, updated in place
+            acc = dict(self.pivots[c])
             for cc in [k for k in acc if k in reduced]:
                 # reduced[cc] is zero at every other pivot column, so this
                 # only adds entries at free columns
                 prow = reduced[cc]
                 g = gcd(acc[cc], prow[cc])
                 f, p = acc[cc] // g, prow[cc] // g
-                acc = {k: v * p for k, v in acc.items()}
+                if p != 1:
+                    for k, v in acc.items():
+                        acc[k] = v * p
                 for k, v in prow.items():
                     nv = acc.get(k, 0) - f * v
                     if nv:
@@ -142,9 +146,7 @@ class Echelon:
                         acc.pop(k, None)
             acc = reduced[c] = _row_gcd_normalize(acc)
             lead = acc[c]
-            # a copy: acc may be the stored pivot row itself
-            out[c] = (dict(acc) if lead == 1
-                      else {k: Fraction(v, lead) for k, v in acc.items()})
+            out[c] = acc if lead == 1 else {k: Fraction(v, lead) for k, v in acc.items()}
         return out
 
     def kernel(self, ncols: int) -> list:

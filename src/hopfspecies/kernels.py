@@ -57,15 +57,14 @@ class SubspaceBasis:
     first `add`, `contains` or `same_span`."""
 
     def __init__(self, ambient: FiniteSet, coords: tuple,
-                 echelon: Echelon | None = None, system: Echelon | None = None):
+                 system: Echelon | None = None):
         self.ambient = ambient
         self.coords = tuple(coords)
         # a kernel's eliminated rows, columns reversed, until rows() reads them
         self._system = system
         self._kernel_dim = None if system is None else len(self.coords) - system.rank
         self._reduced = None  # a kernel's rows(), once read
-        self._spanned = (None if system is not None
-                         else Echelon() if echelon is None else echelon)
+        self._spanned = Echelon() if system is None else None
 
     @functools.cached_property
     def index(self) -> dict:

@@ -12,17 +12,19 @@ suite and gives the expected generating series.
 
 Every structure map, and every canonical morphism, is a closure that
 returns a tuple of (output, coefficient) pairs: `((out, 1),)` for the
-monoids built here, `()` for zero. The outputs are interned: each monoid
-(and each morphism) holds one `intern_table`, keyed by the canonical key
-of a structure (blocks, sequence, mapping or sorted labels tuple), and
-fetches the one instance it holds for that key, so each distinct output
-is built and validated once.
+monoids built here, `()` for zero. Each monoid holds one `intern_table`,
+keyed by the canonical key of a structure (blocks, sequence, mapping or
+sorted labels tuple), that fetches the one instance it holds for that
+key, so each distinct structure is built and validated once per monoid.
 
-Delta is defined once, on those keys: an output of a monoid's `delta` is
-the pair (key on S, key on T), and the monoid records its table's lookup
-as `intern`. `HopfMonoid.coproduct` interns both keys and checks them, and
-is the structure-level view that the axiom battery and the linear
-extensions read; the kernel rows read the keys directly (`kernels._block`).
+mu and Delta are defined on those keys: an output of a monoid's `mu` is
+the key on S u T, one of its `delta` the pair (key on S, key on T), and
+the monoid records its table's lookup as `intern`. `HopfMonoid.product`
+and `HopfMonoid.coproduct` intern the keys and check them, and are the
+structure-level view that the axiom battery and the linear extensions
+read; the kernel rows read Delta's keys directly (`kernels._block`). A
+canonical morphism interns its outputs through its target's `intern`, so
+its images are the target's own structures.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ def intern_table(build):
     key runs `build(key)`, the ordinary validating constructor; every later
     one returns that same instance. The lookup is the table's own bound
     `__getitem__`, so a hit runs no Python code: only a miss calls
-    `__missing__`. Each monoid's structure maps (and each morphism) hold
-    their own table, so it lives exactly as long as they do."""
+    `__missing__`. Each shipped monoid holds one table, recorded as its
+    `intern`, so it lives exactly as long as the monoid; its maps and the
+    morphisms into it fetch through that lookup."""
     return _InternTable(build).__getitem__
 
 
@@ -90,21 +93,22 @@ class HopfMonoid:
     elements.
 
     `product`/`coproduct` return the maps' (output, coefficient) pairs,
-    each output checked to live where it must, and memoize no map result:
-    the kernel rows ask for each value once, and the axiom battery keeps
-    its own memo for the length of one check. The block-restricting
-    coproducts memoize only the cut of each block, per label set S, on S
-    (see `split_blocks`).
+    each output interned and checked to live where it must, and memoize
+    no map result: the kernel rows ask for each value once, and the axiom
+    battery keeps its own memo for the length of one check. The
+    block-restricting coproducts memoize only the cut of each block, per
+    label set S, on S (see `split_blocks`).
 
     `intern` and `cocommutative` are declarations a constructor records
     after building a monoid (`_declare`). `intern` looks up the keys that
-    Delta's outputs are given by: a shipped monoid's `delta` returns
-    ((key on S, key on T), c) and `intern` is its `intern_table`. A monoid
-    built directly returns structures, and keeps the class default, the
-    identity. `cocommutative` is never inferred: it is set for a monoid
-    whose Delta_{T,S} is the twist of Delta_{S,T}, and the primitive rows
-    then skip the mirrored decompositions. A monoid built directly keeps
-    the class default, False, and every decomposition.
+    the maps' outputs are given by: a shipped monoid's `mu` returns
+    (key on S u T, c), its `delta` ((key on S, key on T), c), and `intern`
+    is its `intern_table`. A monoid built directly returns structures, and
+    keeps the class default, the identity. `cocommutative` is never
+    inferred: it is set for a monoid whose Delta_{T,S} is the twist of
+    Delta_{S,T}, and the primitive rows then skip the mirrored
+    decompositions. A monoid built directly keeps the class default,
+    False, and every decomposition.
     """
 
     cocommutative = False
@@ -116,7 +120,7 @@ class HopfMonoid:
     def __init__(self, species: SpeciesSpec, mu, delta, name: str | None = None):
         self.species = species
         self.name = name or species.name
-        self._mu = mu        # (S, T, x, y) -> pairs (z on S u T, c); S, T nonempty
+        self._mu = mu        # (S, T, x, y) -> pairs (key on S u T, c); S, T nonempty
         self._delta = delta  # (S, T, s) -> pairs ((key on S, key on T), c); S, T nonempty
         self.space_cache: dict = {}  # kernels' subspaces, by (kind, labels)
 
@@ -129,20 +133,23 @@ class HopfMonoid:
 
     def product(self, S: FiniteSet, T: FiniteSet, x: Structure,
                 y: Structure) -> tuple:
-        """mu_{S,T}(x . y) as checked (structure on S u T, coefficient) pairs."""
+        """mu_{S,T}(x . y) as interned, checked (structure on S u T, c) pairs."""
         if not S.labels:
             return ((y, 1),)
         if not T.labels:
             return ((x, 1),)
-        terms = tuple(self._mu(S, T, x, y))
+        intern = self.intern
         ambient = S.union(T)
         labels = ambient.labels
-        for z, c in terms:
+        terms = []
+        for z, c in self._mu(S, T, x, y):
+            z = intern(z)
             # the common case inline; the checks run only to raise
             if type(c) is not int or z._labels.labels != labels:
                 check_coeff(c)
                 QVector.check_key(ambient, z)
-        return terms
+            terms.append((z, c))
+        return tuple(terms)
 
     def coproduct(self, S: FiniteSet, T: FiniteSet, s: Structure) -> tuple:
         """Delta_{S,T}(s) as checked ((u on S, w on T), coefficient) pairs:
@@ -169,8 +176,8 @@ class HopfMonoid:
 
 
 def _declare(h: HopfMonoid, intern, cocommutative: bool = True) -> HopfMonoid:
-    """h, with the lookup of the keys its Delta returns and whether it is
-    cocommutative recorded."""
+    """h, with the lookup of the keys its mu and Delta return and whether
+    it is cocommutative recorded."""
     h.intern = intern
     h.cocommutative = cocommutative
     return h
@@ -232,15 +239,14 @@ class HopfMorphism:
 
 def make_E() -> HopfMonoid:
     sp = SpeciesSpec("E", lambda I: [SingletonMark(I)])
-    mark = intern_table(SingletonMark)
 
     def mu(S, T, x, y):
-        return ((mark(S.union(T).labels), 1),)
+        return ((S.union(T).labels, 1),)
 
     def delta(S, T, s):
         return (((S.labels, T.labels), 1),)
 
-    return _declare(HopfMonoid(sp, mu, delta), mark)
+    return _declare(HopfMonoid(sp, mu, delta), intern_table(SingletonMark))
 
 
 def make_X() -> HopfMonoid:
@@ -253,17 +259,16 @@ def make_X() -> HopfMonoid:
 def make_L() -> HopfMonoid:
     sp = SpeciesSpec(
         "L", lambda I: [LinearOrder(p, I) for p in itertools.permutations(I.labels)])
-    order = intern_table(LinearOrder)
 
     def mu(S, T, x, y):
-        return ((order(x.seq + y.seq), 1),)
+        return ((x.seq + y.seq, 1),)
 
     def delta(S, T, s):
         inside = set(S.labels).__contains__
         return (((tuple(filter(inside, s.seq)),
                   tuple(itertools.filterfalse(inside, s.seq))), 1),)
 
-    return _declare(HopfMonoid(sp, mu, delta), order)
+    return _declare(HopfMonoid(sp, mu, delta), intern_table(LinearOrder))
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +306,15 @@ def set_partitions(I: FiniteSet):
 
 def make_Pi() -> HopfMonoid:
     sp = SpeciesSpec("Pi", set_partitions)
-    partition = intern_table(SetPartition)
 
     def mu(S, T, x, y):
-        return ((partition(tuple(sorted(x.blocks + y.blocks))), 1),)
+        return ((tuple(sorted(x.blocks + y.blocks)), 1),)
 
     def delta(S, T, s):
         left, right = split_blocks(s.blocks, S)
         return (((tuple(sorted(left)), tuple(sorted(right))), 1),)
 
-    return _declare(HopfMonoid(sp, mu, delta), partition)
+    return _declare(HopfMonoid(sp, mu, delta), intern_table(SetPartition))
 
 
 def make_PiPrime() -> SpeciesSpec:
@@ -364,11 +368,10 @@ def make_PiS(allowed) -> HopfMonoid:
             yield SetPartition(blocks, I)
 
     sp = SpeciesSpec(name, enum)
-    partition = intern_table(SetPartition)
 
     def mu(S, T, x, y):
         merged = tuple(sorted(x.blocks + y.blocks))
-        return ((partition(merged), 1),) if ok(merged) else ()
+        return ((merged, 1),) if ok(merged) else ()
 
     def delta(S, T, s):
         left, right = (tuple(sorted(side)) for side in split_blocks(s.blocks, S))
@@ -376,11 +379,7 @@ def make_PiS(allowed) -> HopfMonoid:
             return (((left, right), 1),)
         return ()
 
-    return _declare(HopfMonoid(sp, mu, delta), partition)
-
-
-def make_Pi_even() -> HopfMonoid:
-    return make_PiS(closed_sizes([2], SIZE_CAP))
+    return _declare(HopfMonoid(sp, mu, delta), intern_table(SetPartition))
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +394,14 @@ def set_compositions(I: FiniteSet):
 
 def make_Sigma() -> HopfMonoid:
     sp = SpeciesSpec("Sigma", set_compositions)
-    composition = intern_table(SetComposition)
 
     def mu(S, T, x, y):
-        return ((composition(x.blocks + y.blocks), 1),)
+        return ((x.blocks + y.blocks, 1),)
 
     def delta(S, T, s):
         return ((split_blocks(s.blocks, S), 1),)
 
-    return _declare(HopfMonoid(sp, mu, delta), composition)
+    return _declare(HopfMonoid(sp, mu, delta), intern_table(SetComposition))
 
 
 # the memo bound of pal_words: its pairs for remainders of up to 4 labels
@@ -479,7 +477,6 @@ def pal_split(F: PalComposition):
 def make_Pal() -> HopfMonoid:
     sp = SpeciesSpec("Pal", lambda I: map(
         PalComposition, pal_words(I.labels), itertools.repeat(I)))
-    pal = intern_table(PalComposition)
 
     def mu(S, T, x, y):
         # concatenate initial runs, merge central blocks, concatenate final
@@ -488,7 +485,7 @@ def make_Pal() -> HopfMonoid:
         yinit, yc, yfin = pal_split(y)
         center = tuple(sorted(xc + yc))
         blocks = xinit + yinit + ((center,) if center else ()) + yfin + xfin
-        return ((pal(blocks), 1),)
+        return ((blocks, 1),)
 
     def delta(S, T, s):
         # zero unless each block B_i and its mirror B_{r-1-i} meet S in
@@ -500,7 +497,7 @@ def make_Pal() -> HopfMonoid:
                 return ()
         return (((left, right), 1),)
 
-    return _declare(HopfMonoid(sp, mu, delta), pal)
+    return _declare(HopfMonoid(sp, mu, delta), intern_table(PalComposition))
 
 
 # ---------------------------------------------------------------------------
@@ -518,17 +515,17 @@ def make_Ek(k: int) -> HopfMonoid:
                 for values in itertools.product(range(1, k + 1), repeat=len(I))]
 
     sp = SpeciesSpec("Ek:%d" % k, enum)
-    function = intern_table(lambda mapping: FunctionToK(mapping, k))
 
     def mu(S, T, x, y):
-        return ((function(tuple(sorted(x.mapping + y.mapping))), 1),)
+        return ((tuple(sorted(x.mapping + y.mapping)), 1),)
 
     def delta(S, T, s):
         keep = set(S.labels)
         return (((tuple(m for m in s.mapping if m[0] in keep),
                   tuple(m for m in s.mapping if m[0] not in keep)), 1),)
 
-    return _declare(HopfMonoid(sp, mu, delta), function)
+    return _declare(HopfMonoid(sp, mu, delta),
+                    intern_table(lambda mapping: FunctionToK(mapping, k)))
 
 
 def make_el() -> SpeciesSpec:
@@ -541,17 +538,17 @@ def hadamard_hopf(a: HopfMonoid, b: HopfMonoid) -> HopfMonoid:
     """Componentwise structure maps on pair structures; declared
     cocommutative when both factors are.
 
-    A pair's key is the pair of its factors' keys, so Delta pairs the keys
-    of the factors' own Delta; `intern` interns each factor key and then
-    the pair, in the one table the product reads too."""
+    A pair's key is the pair of its factors' keys, so mu and Delta pair
+    the keys of the factors' own mu and Delta; `intern` interns each
+    factor key and then the pair."""
     sp = hadamard(a.species, b.species)
     pair = intern_table(lambda key: PairStructure(*key))
     a_intern, b_intern = a.intern, b.intern
 
     def mu(S, T, x, y):
-        u = a.product(S, T, x.left, y.left)
-        v = b.product(S, T, x.right, y.right)
-        return tuple((pair((s1, s2)), c1 * c2) for s1, c1 in u for s2, c2 in v)
+        u = a._mu(S, T, x.left, y.left)
+        v = tuple(b._mu(S, T, x.right, y.right))
+        return tuple(((z1, z2), c1 * c2) for z1, c1 in u for z2, c2 in v)
 
     def delta(S, T, s):
         u = a._delta(S, T, s.left)
@@ -574,17 +571,15 @@ def morphism_L_to_E(L: HopfMonoid | None = None, E: HopfMonoid | None = None) ->
     """Collapse every linear order to the canonical basis element."""
     L = L or make_L()
     E = E or make_E()
-    mark = intern_table(SingletonMark)
-    return HopfMorphism("L->E", L, E, lambda s: ((mark(s.labels.labels), 1),))
+    return HopfMorphism("L->E", L, E, lambda s: ((E.intern(s.labels.labels), 1),))
 
 
 def morphism_E_to_Pi(E: HopfMonoid | None = None, Pi: HopfMonoid | None = None) -> HopfMorphism:
     """Embed E as the partitions into singletons."""
     E = E or make_E()
     Pi = Pi or make_Pi()
-    partition = intern_table(SetPartition)
     return HopfMorphism("E->Pi", E, Pi, lambda s: (
-        (partition(tuple((t,) for t in s.labels)), 1),))
+        (Pi.intern(tuple((t,) for t in s.labels)), 1),))
 
 
 def morphism_L_to_Sigma(L: HopfMonoid | None = None,
@@ -592,16 +587,15 @@ def morphism_L_to_Sigma(L: HopfMonoid | None = None,
     """View a linear order as a composition into singleton blocks."""
     L = L or make_L()
     Sigma = Sigma or make_Sigma()
-    composition = intern_table(SetComposition)
     return HopfMorphism("L->Sigma", L, Sigma, lambda s: (
-        (composition(tuple((t,) for t in s.seq)), 1),))
+        (Sigma.intern(tuple((t,) for t in s.seq)), 1),))
 
 
 def morphism_Ek_to_Ek1(k: int) -> HopfMorphism:
     """Postcompose with the inclusion {1..k} into {1..k+1} sending i to i."""
-    function = intern_table(lambda mapping: FunctionToK(mapping, k + 1))
-    return HopfMorphism("Ek:%d->Ek:%d" % (k, k + 1), make_Ek(k), make_Ek(k + 1),
-                        lambda s: ((function(s.mapping), 1),))
+    target = make_Ek(k + 1)
+    return HopfMorphism("Ek:%d->Ek:%d" % (k, k + 1), make_Ek(k), target,
+                        lambda s: ((target.intern(s.mapping), 1),))
 
 
 def morphism_Pi_to_PiS(allowed) -> HopfMorphism:
@@ -611,7 +605,7 @@ def morphism_Pi_to_PiS(allowed) -> HopfMorphism:
     allowed = frozenset(int(s) for s in allowed)
 
     def on_basis(s):
-        return ((s, 1),) if all(len(b) in allowed for b in s.blocks) else ()
+        return ((PiS.intern(s.blocks), 1),) if all(len(b) in allowed for b in s.blocks) else ()
 
     return HopfMorphism("Pi->%s" % PiS.name, make_Pi(), PiS, on_basis)
 

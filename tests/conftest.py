@@ -6,10 +6,10 @@ import pytest
 from hopfspecies.axioms import AxiomReport, _memo, _sets
 from hopfspecies.echelon import _integer_row, _row_gcd_normalize
 from hopfspecies.species import SetPartition
-from hopfspecies.structures import (HopfMonoid, HopfMorphism, hadamard_hopf,
-                                    make_E, make_Ek, make_el, make_L,
-                                    make_Pal, make_Pi, make_Pi_even,
-                                    make_PiPrime, make_Sigma, make_X)
+from hopfspecies.structures import (HopfMonoid, HopfMorphism, get_hopf,
+                                    hadamard_hopf, make_E, make_Ek, make_el,
+                                    make_L, make_Pal, make_Pi, make_PiPrime,
+                                    make_Sigma, make_X)
 
 
 def reference_reduce(pivots, row):
@@ -181,7 +181,7 @@ def PiPrime():
 
 @pytest.fixture(scope="session")
 def PiEven():
-    return make_Pi_even()
+    return get_hopf("PiS:2")
 
 
 @pytest.fixture(scope="session")

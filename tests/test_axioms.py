@@ -319,15 +319,18 @@ class TestSizeCap:
 
 def counted(h, calls: Counter, tag: str) -> HopfMonoid:
     """h with every evaluation of its maps counted in `calls`, by the key
-    the battery memoizes it under."""
+    the battery memoizes it under. The maps return h's keys, and the copy
+    carries h's `intern`, as a morphism into it interns through."""
     def mu(S, T, x, y):
         calls[(tag, "mu", S.labels, x, y)] += 1
-        return h.product(S, T, x, y)
+        return h._mu(S, T, x, y)
 
     def delta(S, T, s):
         calls[(tag, "delta", S.labels, s)] += 1
-        return h.coproduct(S, T, s)
-    return HopfMonoid(h.species, mu, delta, name=h.name)
+        return h._delta(S, T, s)
+    out = HopfMonoid(h.species, mu, delta, name=h.name)
+    out.intern = h.intern
+    return out
 
 
 class TestBatteryMemo:

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction as Q
 from math import comb, factorial
 
@@ -401,6 +402,25 @@ class TestEchelon:
             assert ech.add(row) == reference_add(pivots, row)
             assert ([(c, list(p.items())) for c, p in ech.pivots.items()]
                     == [(c, list(p.items())) for c, p in pivots.items()])
+
+    @given(sparse_systems)
+    @settings(max_examples=150, deadline=None)
+    def test_rref_and_kernel_leave_the_pivots(self, rows):
+        # back-substitution reduces a private copy of each stored row in
+        # place, and scales it only by a pivot entry other than 1
+        ech = Echelon()
+        for row in rows:
+            ech.add(row)
+        stored = copy.deepcopy(ech.pivots)
+        ncols = 1 + max((c for row in rows for c in row), default=0)
+        rref = ech.rref()
+        assert ech.pivots == stored
+        kernel = ech.kernel(ncols)
+        assert ech.pivots == stored
+        assert len(rref) + len(kernel) == ncols
+        assert [tuple(rref[c].get(j, 0) for j in range(ncols)) for c in sorted(rref)] == (
+            reference_rref([[row.get(j, 0) for j in range(ncols)] for row in rows],
+                           ncols)[0])
 
     def test_cancelled_column_that_fills_in_again(self):
         # column 2 cancels at the first step and is filled in at the second,

@@ -678,7 +678,9 @@ class TestBasisRows:
                 return rref
         I = FiniteSet("ab")
         coords = (LinearOrder(("a", "b")), LinearOrder(("b", "a")))
-        return SubspaceBasis(I, coords, Fixed())
+        space = SubspaceBasis(I, coords)
+        space._spanned = Fixed()  # a spanned space's echelon, rref by hand
+        return space
 
     def test_inexact_coefficient_is_refused(self):
         space = self.by_hand({0: {0: 1, 1: 0.5}})
@@ -1029,6 +1031,80 @@ class TestRowsFromPairs:
         assert Sigma.coproduct(I, EMPTY, s) == (((s, one), 1),)
         assert Sigma.product(EMPTY, I, one, s) == ((s, 1),)
         assert Sigma.product(I, EMPTY, s, one) == ((s, 1),)
+
+
+# the key each canonical morphism sends a source structure to
+MORPHISM_KEYS = {"L->E": lambda s: s.labels.labels,
+                 "E->Pi": lambda s: tuple((t,) for t in s.labels),
+                 "L->Sigma": lambda s: tuple((t,) for t in s.seq),
+                 "Ek:1->Ek:2": lambda s: s.mapping,
+                 "Pi->PiS:2": lambda s: s.blocks}
+
+
+def products(h, n: int) -> list:
+    """Every (S, T, x, y) with S, T nonempty on the first n labels."""
+    I = labelset(n)
+    return [(S, T, x, y) for S, T in I.decompositions() if S.labels and T.labels
+            for x in h.species.structures(S) for y in h.species.structures(T)]
+
+
+class TestOneTablePerMonoid:
+    """mu returns keys as Delta does, and the monoid that owns an output
+    interns it: `product` through the monoid's own `intern`, a canonical
+    morphism through its target's, so each structure on a label set is one
+    object per monoid, whichever map made it."""
+
+    @pytest.mark.parametrize("ident", SHIPPED)
+    def test_product_interns_the_keys_of_mu(self, ident):
+        h = get_hopf(ident)
+        nonzero = 0
+        for S, T, x, y in products(h, 4):
+            keys = tuple(h._mu(S, T, x, y))
+            got = h.product(S, T, x, y)
+            assert [c for _, c in got] == [c for _, c in keys]
+            assert all(z is h.intern(key) for (z, _), (key, _) in zip(got, keys))
+            nonzero += bool(got)
+        assert nonzero
+
+    @pytest.mark.parametrize("ident", SHIPPED)
+    def test_key_off_the_ambient_is_refused(self, ident):
+        # the key of mu names a label outside S u T in place of one of its
+        # own, so it interns to a valid structure on the wrong labels
+        h = get_hopf(ident)
+
+        def mu(S, T, x, y):
+            old = S.union(T).labels[-1]
+            return tuple((with_label(z, old, "z"), c) for z, c in h._mu(S, T, x, y))
+
+        bad = HopfMonoid(h.species, mu, h._delta)
+        bad.intern = h.intern
+        S, T, x, y = next(case for case in products(h, 4) if h.product(*case))
+        message = r"structure .* " + re.escape("not on ambient %r" % (S.union(T),))
+        with pytest.raises(ValueError, match=message):
+            bad.product(S, T, x, y)
+
+    @pytest.mark.parametrize("ident", SHIPPED_MORPHISMS)
+    def test_morphism_images_are_the_targets_own(self, ident):
+        f = get_morphism(ident)
+        key = MORPHISM_KEYS[ident]
+        images = 0
+        for n in range(5):
+            for s in f.source.species.structures(labelset(n)):
+                for t, c in f.on_basis(s):
+                    assert t is f.target.intern(key(s)) and c == 1
+                    images += 1
+        assert images
+
+    @pytest.mark.parametrize("ident", SHIPPED_MORPHISMS)
+    def test_image_of_a_product_is_the_product_of_images(self, ident):
+        # f(x.y) and f(x).f(y) are fetched from the target's one table
+        f = get_morphism(ident)
+        for S, T, x, y in products(f.source, 4):
+            image = [t for z, _ in f.source.product(S, T, x, y) for t, _ in f.on_basis(z)]
+            product = [z for u, _ in f.on_basis(x) for w, _ in f.on_basis(y)
+                       for z, _ in f.target.product(S, T, u, w)]
+            assert len(image) == len(product)
+            assert all(a is b for a, b in zip(image, product))
 
 
 DECLARED = ["E", "L", "Pi", "PiS:2", "Sigma", "Pal", "Ek:2", "Hadamard(L,Pi)"]
