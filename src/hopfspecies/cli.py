@@ -264,9 +264,10 @@ def cmd_primitives(args) -> int:
     from . import kernels as kernels_mod
     nmax = _cap_n(args.max_n)
     h = get_hopf(args.species)
-    dims = kernels_mod.primitive_dims(h, nmax)
-    spaces = (kernels_mod.primitive_space(h, labelset(n))
-              for n in range(1, (nmax if args.show_basis else 0) + 1))
+    spaces = [kernels_mod.primitive_space(h, labelset(n))
+              for n in range(nmax + 1)]
+    dims = [space.dim for space in spaces]
+    spaces = spaces[1:] if args.show_basis else []
     if args.format == "text":
         # the basis lines are rendered as _emit prints them
         _emit(None, "text", _basis_lines(

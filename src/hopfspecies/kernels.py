@@ -54,7 +54,8 @@ class SubspaceBasis:
     eliminated row system instead: its `dim` is columns - rank, its reduced
     basis is read off the system on the first `rows()` or `vectors()`
     (`Echelon.kernel`), and an echelon over that basis is built only on a
-    first `add`, `contains` or `same_span`."""
+    first `add`, `contains` or `same_span`. No cache holds a space: it is
+    its caller's, and goes with the caller's last reference."""
 
     def __init__(self, ambient: FiniteSet, coords: tuple,
                  system: Echelon | None = None):
@@ -153,7 +154,8 @@ class SubspaceBasis:
 def _kernel_space(basis, ambient, rows: list) -> SubspaceBasis:
     """Eliminate the stacked sparse rows once; the kernel is read off them
     lazily (`SubspaceBasis`). The list `rows` is emptied, and the dedup
-    table dropped, once the rows are in the echelon.
+    table dropped, once the rows are in the echelon. The space returned is
+    new and is kept by no one but the caller.
 
     Repeated rows go in once. Each row is keyed by the hash of its items,
     computed on the spot, so no copy of a row is kept. A row is skipped
@@ -191,20 +193,6 @@ def _kernel_space(basis, ambient, rows: list) -> SubspaceBasis:
 # ---------------------------------------------------------------------------
 # Primitive spaces and kernels of morphisms
 # ---------------------------------------------------------------------------
-
-def _cached(space_fn):
-    """Memoize space_fn(owner, I) in `owner.space_cache`, so each entry lives
-    exactly as long as the monoid or morphism it was computed for."""
-
-    @functools.wraps(space_fn)
-    def cached(owner, I: FiniteSet) -> SubspaceBasis:
-        key = (space_fn.__name__, I.labels)
-        got = owner.space_cache.get(key)
-        if got is None:
-            got = owner.space_cache[key] = space_fn(owner, I)
-        return got
-    return cached
-
 
 def coproduct_rows(h: HopfMonoid, I: FiniteSet,
                    f: HopfMorphism | None = None) -> list:
@@ -288,11 +276,11 @@ def _block(h: HopfMonoid, basis, S: FiniteSet, T: FiniteSet,
     return block
 
 
-@_cached
 def primitive_space(h: HopfMonoid, I: FiniteSet) -> SubspaceBasis:
     """Joint kernel of all Delta_{S,T} with S, T nonempty; zero at the empty
     set, everything at singletons. A monoid that is not connected is
-    refused (ValueError from h.one()), since primitives need the unit."""
+    refused at every size (ValueError from h.one()), since primitives need
+    the unit."""
     h.one()
     basis = h.species.structures(I)
     if len(I) == 0:
@@ -317,7 +305,6 @@ def _require_full_rank(f: HopfMorphism, nmax: int, error) -> None:
                 f.name, "injective" if injective else "surjective", n))
 
 
-@_cached
 def hker_space(f: HopfMorphism, I: FiniteSet) -> SubspaceBasis:
     """Kernel of the stacked maps (pi x id) o Delta_{S,T} over all S != empty.
 
@@ -329,7 +316,6 @@ def hker_space(f: HopfMorphism, I: FiniteSet) -> SubspaceBasis:
                          coproduct_rows(f.source, I, f))
 
 
-@_cached
 def lker_space(f: HopfMorphism, I: FiniteSet) -> SubspaceBasis:
     """Primitives of the source killed by f: intersect the primitive
     constraints with the matrix of f, the (I, empty) block with f."""
@@ -346,9 +332,8 @@ def hker_dims(f: HopfMorphism, nmax: int) -> list:
 
 
 def primitive_dims(h: HopfMonoid, nmax: int) -> list:
-    """dim of the primitive space per size; 0 at the empty set by definition."""
-    return [primitive_space(h, labelset(n)).dim if n else 0
-            for n in range(nmax + 1)]
+    """dim of the primitive space per size, the empty set included."""
+    return [primitive_space(h, labelset(n)).dim for n in range(nmax + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -626,24 +611,31 @@ def hker_generated_check(f: HopfMorphism, nmax: int) -> TestReport:
     must equal the Hopf kernel, size by size.
 
     Blocks are restricted to sizes where the Lie kernel is nonzero; other
-    block sizes contribute nothing to the span.
+    block sizes contribute nothing to the span. The Lie-kernel spaces, asked
+    for again at every size, are kept in a dict that lives for this call.
     """
     _require_cocommutative(f.source, nmax)
     _require_cocommutative(f.target, nmax)
     _require_full_rank(f, nmax, NotSurjective)
+    lker: dict = {}
+
+    def lie(S: FiniteSet) -> SubspaceBasis:
+        if S.labels not in lker:
+            lker[S.labels] = lker_space(f, S)
+        return lker[S.labels]
+
     dims_checked = []
     for n in range(nmax + 1):
         I = labelset(n)
         hk = hker_space(f, I)
-        sizes = [s for s in range(1, n + 1)
-                 if lker_space(f, labelset(s)).dim > 0]
+        sizes = [s for s in range(1, n + 1) if lie(labelset(s)).dim > 0]
         gen = SubspaceBasis(I, f.source.species.structures(I))
         if n == 0:
             gen.add(QVector.basis(f.source.one()))
         else:
             for blocks in block_partitions(I.labels, sizes):
                 for comp in itertools.permutations(map(FiniteSet._fast, blocks)):
-                    choices = [lker_space(f, S).vectors() for S in comp]
+                    choices = [lie(S).vectors() for S in comp]
                     for pick in itertools.product(*choices):
                         gen.add(iterated_product(f.source, comp, pick))
         if not gen.same_span(hk):

@@ -15,7 +15,9 @@ returns a tuple of (output, coefficient) pairs: `((out, 1),)` for the
 monoids built here, `()` for zero. Each monoid holds one `intern_table`,
 keyed by the canonical key of a structure (blocks, sequence, mapping or
 sorted labels tuple), that fetches the one instance it holds for that
-key, so each distinct structure is built and validated once per monoid.
+key, so each distinct output of the maps is built and validated once per
+monoid. The enumerator builds the basis apart from the table: a basis
+structure and the output with its key are equal, not one object.
 
 mu and Delta are defined on those keys: an output of a monoid's `mu` is
 the key on S u T, one of its `delta` the pair (key on S, key on T), and
@@ -122,7 +124,6 @@ class HopfMonoid:
         self.name = name or species.name
         self._mu = mu        # (S, T, x, y) -> pairs (key on S u T, c); S, T nonempty
         self._delta = delta  # (S, T, s) -> pairs ((key on S, key on T), c); S, T nonempty
-        self.space_cache: dict = {}  # kernels' subspaces, by (kind, labels)
 
     def one(self) -> Structure:
         structs = self.species.structures(EMPTY)
@@ -212,7 +213,6 @@ class HopfMorphism:
         self.source = source
         self.target = target
         self._on_basis = on_basis  # s -> pairs (t on the labels of s, c)
-        self.space_cache: dict = {}  # kernels' subspaces, by (kind, labels)
 
     def on_basis(self, s: Structure) -> tuple:
         """f(s) as checked (structure on the labels of s, coefficient) pairs."""
@@ -342,8 +342,9 @@ def closed_sizes(generators, max_size: int) -> frozenset:
     return frozenset(v for v in reach if v > 0)
 
 
-def make_PiS(allowed) -> HopfMonoid:
-    """Quotient of Pi onto partitions with all block sizes in `allowed`.
+def _make_PiS(allowed) -> tuple:
+    """Quotient of Pi onto partitions with all block sizes in `allowed`,
+    and `ok`, the one test of which partitions survive the projection.
 
     `allowed` must be closed under addition up to SIZE_CAP, i.e. be a
     numerical submonoid there; otherwise restriction-then-project is not
@@ -379,7 +380,11 @@ def make_PiS(allowed) -> HopfMonoid:
             return (((left, right), 1),)
         return ()
 
-    return _declare(HopfMonoid(sp, mu, delta), intern_table(SetPartition))
+    return _declare(HopfMonoid(sp, mu, delta), intern_table(SetPartition)), ok
+
+
+def make_PiS(allowed) -> HopfMonoid:
+    return _make_PiS(allowed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +606,10 @@ def morphism_Ek_to_Ek1(k: int) -> HopfMorphism:
 def morphism_Pi_to_PiS(allowed) -> HopfMorphism:
     """Project a partition onto the quotient basis, killing partitions with
     a block size outside `allowed`."""
-    PiS = make_PiS(allowed)
-    allowed = frozenset(int(s) for s in allowed)
+    PiS, ok = _make_PiS(allowed)
 
     def on_basis(s):
-        return ((PiS.intern(s.blocks), 1),) if all(len(b) in allowed for b in s.blocks) else ()
+        return ((PiS.intern(s.blocks), 1),) if ok(s.blocks) else ()
 
     return HopfMorphism("Pi->%s" % PiS.name, make_Pi(), PiS, on_basis)
 

@@ -359,9 +359,8 @@ class TestBatteryMemo:
         h = make_Sigma()
         attributes = set(vars(h))
         assert check_all(h, 4).ok
-        assert h.space_cache == {} and set(vars(h)) == attributes == {
-            "species", "name", "_mu", "_delta", "space_cache", "intern",
-            "cocommutative"}
+        assert set(vars(h)) == attributes == {
+            "species", "name", "_mu", "_delta", "intern", "cocommutative"}
 
 
 def halved(pairs) -> tuple:

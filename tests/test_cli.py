@@ -313,6 +313,19 @@ class TestKernelCommands:
         assert code == 2 and out == ""
         assert "X is not connected: dim at the empty set is 0" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["primitives", "pbw-check"])
+    @pytest.mark.parametrize("species", ["X", "Hadamard(X,Pi)"])
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_primitive_commands_refuse_non_connected_at_every_size(
+            self, capsys, fmt, command, species, n):
+        # primitive_space alone decides the empty set, so the refusal does
+        # not wait for a nonempty size
+        code, out, err = invoke(capsys, "--format", fmt, command,
+                                "--species", species, "--max-n", n)
+        assert (code, out, err) == (2, "", "input error: %s is not connected:"
+                                    " dim at the empty set is 0\n" % species)
+
     def test_lie_basis_golden(self, capsys):
         code, out, _ = invoke(capsys, "lie-basis", "--labels", "a,b,c",
                               "--ell0", "a,b,c")
@@ -530,15 +543,15 @@ class TestJsonIsWrittenAsItIsWalked:
         assert json_peak <= 1.05 * text_peak, (json_peak, text_peak)
 
     def test_a_failing_kernel_leaves_stdout_empty(self, capsys, monkeypatch):
-        # primitive_dims computes every size first; the command then asks
-        # again for each size's basis, and the last of those asks fails
+        # the command computes every size's space, once, before it writes;
+        # the last of them fails
         import hopfspecies.kernels as kernels_mod
         space = kernels_mod.primitive_space
         asked = Counter()
 
         def failing_last(h, I):
             asked[len(I)] += 1
-            if len(I) == 4 and asked[4] == 2:
+            if len(I) == 4:
                 raise ValueError("kernel failed")
             return space(h, I)
 
@@ -546,7 +559,7 @@ class TestJsonIsWrittenAsItIsWalked:
         code, out, err = invoke(capsys, "--format", "json", "primitives",
                                 "--species", "Sigma", "--max-n", "4",
                                 "--show-basis")
-        assert asked[4] == 2
+        assert asked == {n: 1 for n in range(5)}
         assert (code, out, err) == (2, "", "input error: kernel failed\n")
 
 

@@ -1,4 +1,5 @@
 import re
+import weakref
 from fractions import Fraction as Q
 from math import comb, factorial
 
@@ -229,6 +230,28 @@ class TestSpaceCaches:
             g = morphism_E_to_Pi(E, Pi)
             assert hker_space(g, I).dim == 0
             del g
+
+    def test_no_space_outlives_its_caller(self, monkeypatch, capsys, Sigma,
+                                          pi_to_e):
+        # no cache holds a kernel space: each is freed as soon as the
+        # function that asked for it lets go, though the monoid and the
+        # morphism live on
+        made = []
+        space = kernels_mod._kernel_space
+
+        def recorded(*args):
+            got = space(*args)
+            made.append(weakref.ref(got))
+            return got
+
+        monkeypatch.setattr(kernels_mod, "_kernel_space", recorded)
+        assert primitive_dims(Sigma, 5) == [0, 1, 2, 6, 26, 150]
+        assert hker_dims(pi_to_e, 5) == [1, 0, 1, 2, 9, 44]
+        assert cli.run(["primitives", "--species", "Sigma", "--max-n", "4"]) == 0
+        assert capsys.readouterr().out == (
+            "primitive dimensions of Sigma: [0, 1, 2, 6, 26]\n")
+        assert len(made) == 5 + 6 + 4
+        assert [ref() for ref in made] == [None] * len(made)
 
 
 class TestLieBracket:

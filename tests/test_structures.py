@@ -417,6 +417,15 @@ class TestInterning:
         assert set(built.values()) == {1}
         assert len(built) < 1200
 
+    def test_basis_structures_are_built_apart_from_the_table(self):
+        # the enumerator does not fetch from the intern table: an output
+        # with a basis structure's key is equal to it, not the same object
+        h = make_Sigma()
+        basis = h.species.structures(labelset(3))
+        assert primitive_dims(h, 4) == [0, 1, 2, 6, 26]
+        for s in basis:
+            assert h.intern(s.blocks) == s and h.intern(s.blocks) is not s
+
     @pytest.mark.parametrize("ident", ["E", "Sigma", "Pi", "Pal", "L", "Ek:2",
                                        "PiS:2", "Hadamard(Pi,L)"])
     def test_equal_outputs_are_one_object(self, ident):
@@ -659,6 +668,23 @@ class TestMorphisms:
         assert f.on_basis(SetPartition((("a", "b"), ("c",)))) == ()
         kept = SetPartition((("a", "b"), ("c", "d")))
         assert f.on_basis(kept) == ((kept, 1),)
+
+    @pytest.mark.parametrize("ident", ["PiS:2", "PiS:3", "PiS:2,3"])
+    def test_pi_projection_keeps_exactly_the_quotient_basis(self, ident):
+        # the projection and the quotient share one test of which
+        # partitions survive
+        f = get_morphism("Pi->" + ident)
+        PiS = f.target
+        for n in range(7):
+            I = labelset(n)
+            kept = []
+            for s in f.source.species.structures(I):
+                image = f.on_basis(s)
+                if image:
+                    (t, c), = image
+                    assert c == 1 and t is PiS.intern(s.blocks)
+                    kept.append(t)
+            assert kept == list(PiS.species.structures(I))
 
 
 # Every identifier the registry ships, with its built name and dims(4): the
