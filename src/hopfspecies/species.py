@@ -30,12 +30,15 @@ class FiniteSet:
     """A finite set of labels, kept sorted; the sorted order doubles as the
     default reference linear order used by the kernel constructions.
 
-    `cuts`, unset until `structures.split_blocks` first cuts blocks at this
-    set, memoizes each block's (inside, outside) pair. An entry depends only
-    on the labels and the block, so it lives exactly as long as the set and
-    never answers for another one."""
+    Two memos live on the set, each unset until its first use. `cuts`,
+    filled by `structures.split_blocks` when it cuts blocks at this set,
+    memoizes each block's (inside, outside) pair. `masks`, built by
+    `_blocks_on` on the first checked build on this set, maps each nonempty
+    sorted sub-tuple of the labels to its bitmask: 2^n - 1 entries, 511 at
+    SIZE_CAP. An entry of either depends only on the labels, so it lives
+    exactly as long as the set and never answers for another one."""
 
-    __slots__ = ("labels", "cuts")
+    __slots__ = ("labels", "cuts", "masks")
 
     def __init__(self, labels=()):
         labels = tuple(sorted(map(check_label, labels)))
@@ -238,7 +241,7 @@ def _canon_blocks(blocks, on: FiniteSet | None = None) -> tuple:
     With `on`, the blocks must cover on's labels exactly; a label outside
     it, or one it has that no block holds, is refused. A build on a label
     set checks through `_blocks_on` first and comes here only for the
-    message."""
+    message, after both of its paths have failed."""
     out = tuple([tuple(sorted(b)) for b in blocks])
     seen = set()
     for i, b in enumerate(out):
@@ -259,11 +262,46 @@ def _canon_blocks(blocks, on: FiniteSet | None = None) -> tuple:
     return out
 
 
+def _label_masks(labels: tuple) -> dict:
+    """Each nonempty sorted sub-tuple of the sorted tuple `labels` -> its
+    bitmask, bit i standing for labels[i]."""
+    masks = {(): 0}
+    for i, t in enumerate(labels):
+        bit = 1 << i
+        masks.update([(sub + (t,), m | bit) for sub, m in masks.items()])
+    del masks[()]
+    return masks
+
+
 def _blocks_on(blocks, on: FiniteSet) -> tuple:
     """The blocks, each sorted, in the given order, checked to cover the
-    label set `on` exactly with none empty: one sort and one comparison,
-    since on's labels are distinct and were checked when on was built.
-    Blocks that fail go to _canon_blocks, which raises its message."""
+    label set `on` exactly with none empty.
+
+    A tuple of plain tuples, each a key of on's `masks` table (so sorted,
+    nonempty and inside on), whose masks are pairwise disjoint and join to
+    the full set, is returned as it is: one lookup per block, no copy. Any
+    other input, unconsumed, takes the general path: each block sorted, then
+    the labels sorted and compared with on's, which are distinct and were
+    checked when on was built. Blocks that fail both go to _canon_blocks,
+    which raises its message."""
+    try:
+        masks = on.masks
+    except AttributeError:
+        masks = on.masks = _label_masks(on.labels)
+    if type(blocks) is tuple:
+        union = 0
+        try:
+            for b in blocks:
+                m = masks.get(b) if type(b) is tuple else None
+                if m is None or union & m:
+                    break
+                union |= m
+            else:
+                # 2^n - 1 entries: the table's size is the full mask
+                if union == len(masks):
+                    return blocks
+        except TypeError:  # an unhashable label, refused by the general path
+            pass
     out = tuple(map(tuple, map(sorted, blocks)))
     if all(out) and tuple(sorted(itertools.chain.from_iterable(out))) == on.labels:
         return out

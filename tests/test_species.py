@@ -43,14 +43,23 @@ class TestFiniteSet:
 FIVE = FiniteSet("abcde")
 
 
+class Block(tuple):
+    """A tuple subclass: equal to a plain block, but never stored as one."""
+
+
 @st.composite
 def blocks_on_five(draw):
-    """Blocks meant to cover FIVE: a set composition with its labels
-    shuffled inside each block, sometimes spoilt by an empty block, a
-    repeated label, a foreign label or a missing label."""
+    """Blocks meant to cover FIVE, as (blocks, form): a set composition with
+    its labels shuffled inside each block or each block kept sorted,
+    sometimes spoilt by an empty block, a repeated label, a foreign label
+    or a missing label. A spoilt sorted block is sorted again, so a label
+    repeated across two blocks, a foreign label, a missing label and an
+    empty block all reach the mask table; `form` says how `given_as` hands
+    the blocks over."""
     labels = list(draw(st.permutations(FIVE.labels)))
     cuts = sorted(draw(st.sets(st.integers(1, 4), max_size=4)))
     blocks = [labels[i:j] for i, j in zip([0] + cuts, cuts + [5])]
+    keep_sorted = draw(st.booleans())
     fault = draw(st.sampled_from([None, None, "empty", "repeat", "foreign",
                                   "missing"]))
     at = draw(st.integers(0, len(blocks) - 1))
@@ -62,7 +71,24 @@ def blocks_on_five(draw):
         blocks[at].append(draw(st.sampled_from(["A", "f", "z"])))
     elif fault == "missing":
         blocks[at].pop(draw(st.integers(0, len(blocks[at]) - 1)))
-    return tuple(map(tuple, blocks))
+    if keep_sorted:
+        blocks = [sorted(b) for b in blocks]
+    form = draw(st.sampled_from(["tuple", "tuple", "list", "subclass",
+                                 "generator"]))
+    return tuple(map(tuple, blocks)), form
+
+
+def given_as(blocks, form):
+    """A fresh copy of the tuple of tuples `blocks` in the given form: as it
+    is, with list blocks, with a tuple-subclass first block, or as a
+    generator of blocks."""
+    if form == "list":
+        return tuple(map(list, blocks))
+    if form == "subclass":
+        return (Block(blocks[0]),) + blocks[1:]
+    if form == "generator":
+        return (b for b in blocks)
+    return blocks
 
 
 def general_build(cls, blocks, on):
@@ -121,6 +147,10 @@ class TestStructures:
         (lambda I: SetPartition((("a", "b"), ("c", "b")), I),
          "blocks are not disjoint at 'b'"),
         (lambda I: SetComposition((("a", "b"), (), ("c",)), I), "empty block"),
+        (lambda I: SetComposition((("a", "b"), ("b", "c")), I),
+         "blocks are not disjoint at 'b'"),
+        (lambda I: SetPartition((("a", "b", "c"), ("z",)), I),
+         "label 'z' is not in {a,b,c}"),
         (lambda I: PalComposition((("a",), ("b", "c")), I),
          "block sizes (1, 2) are not palindromic"),
         (lambda I: LinearOrder(("a", "b", "a"), I),
@@ -148,20 +178,29 @@ class TestStructures:
 
     @given(blocks_on_five())
     @settings(max_examples=300, deadline=None)
-    def test_checked_build_on_a_label_set_is_the_general_path(self, blocks):
+    def test_checked_build_on_a_label_set_is_the_general_path(self, drawn):
         # the one-frame build on FIVE refuses what the general path refuses,
-        # with its message, and builds what it builds, sharing FIVE
+        # with its message, and builds what it builds, sharing FIVE and
+        # storing plain tuples; valid sorted tuple blocks are kept as given
+        blocks, form = drawn
         for cls in (SetComposition, PalComposition, SetPartition):
             try:
-                general_build(cls, blocks, FIVE)
+                general_build(cls, given_as(blocks, form), FIVE)
             except ValueError as exc:
                 with pytest.raises(ValueError) as err:
-                    cls(blocks, FIVE)
+                    cls(given_as(blocks, form), FIVE)
                 assert str(err.value) == str(exc)
                 continue
-            s, t = cls(blocks, FIVE), cls(blocks)
+            given = given_as(blocks, form)
+            s, t = cls(given, FIVE), cls(given_as(blocks, form))
             assert s.labels is FIVE and t.labels == FIVE
             assert s._key == t._key and hash(s) == hash(t)
+            assert type(s.blocks) is tuple
+            assert all(type(b) is tuple for b in s.blocks)
+            if form == "tuple" and all(list(b) == sorted(b) for b in blocks):
+                assert {id(b) for b in s.blocks} == {id(b) for b in given}
+                if cls is not SetPartition:  # a partition reorders its blocks
+                    assert all(s.blocks[i] is given[i] for i in range(len(given)))
 
     def test_composition_order_matters(self):
         assert SetComposition((("a",), ("b",))) != SetComposition((("b",), ("a",)))

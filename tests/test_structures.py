@@ -496,6 +496,29 @@ class TestSplitBlocks:
                           ("c", "d"): (("c",), ("d",))}
         assert not hasattr(twin, "cuts") and twin == S
 
+    def test_masks_live_on_the_set(self):
+        I, twin = FiniteSet("abcd"), FiniteSet("abcd")
+        assert not hasattr(I, "masks")
+        get_species("Sigma").structures(I)
+        assert len(I.masks) == 2 ** 4 - 1
+        assert I.masks[("a",)] == 0b1 and I.masks[("b", "d")] == 0b1010
+        assert I.masks[I.labels] == 0b1111
+        assert not hasattr(twin, "masks") and twin == I
+
+    @pytest.mark.parametrize("ident", ["Pi", "PiS:2", "Sigma", "Pal"])
+    def test_checked_builds_are_the_unchecked_ones(self, ident):
+        # the enumerators build on a checked set through the mask table;
+        # rebuilding each structure from its blocks alone gives it back
+        sp = get_species(ident)
+        for n in range(6):
+            I = labelset(n)
+            built = sp.structures(I)
+            rebuilt = sorted(type(s)(s.blocks) for s in built)
+            assert [s._key for s in built] == [t._key for t in rebuilt]
+            assert [hash(s) for s in built] == [hash(t) for t in rebuilt]
+            assert all(s.labels is I and t.labels == I
+                       for s, t in zip(built, rebuilt))
+
     def test_coproducts_of_one_decomposition_share_the_cuts(self, Sigma):
         I = labelset(4)
         S, T = FiniteSet("ab"), FiniteSet("cd")
