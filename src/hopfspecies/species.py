@@ -240,8 +240,8 @@ def _canon_blocks(blocks, on: FiniteSet | None = None) -> tuple:
 
     With `on`, the blocks must cover on's labels exactly; a label outside
     it, or one it has that no block holds, is refused. A build on a label
-    set checks through `_blocks_on` first and comes here only for the
-    message, after both of its paths have failed."""
+    set checks through `_blocks_on`'s table first and comes here only when
+    the table does not accept the blocks as given."""
     out = tuple([tuple(sorted(b)) for b in blocks])
     seen = set()
     for i, b in enumerate(out):
@@ -280,32 +280,24 @@ def _blocks_on(blocks, on: FiniteSet) -> tuple:
     A tuple of plain tuples, each a key of on's `masks` table (so sorted,
     nonempty and inside on), whose masks are pairwise disjoint and join to
     the full set, is returned as it is: one lookup per block, no copy. Any
-    other input, unconsumed, takes the general path: each block sorted, then
-    the labels sorted and compared with on's, which are distinct and were
-    checked when on was built. Blocks that fail both go to _canon_blocks,
-    which raises its message."""
+    other input, unconsumed, goes to _canon_blocks, which returns the
+    blocks sorted or raises its message."""
     try:
         masks = on.masks
     except AttributeError:
         masks = on.masks = _label_masks(on.labels)
     if type(blocks) is tuple:
         union = 0
-        try:
-            for b in blocks:
-                m = masks.get(b) if type(b) is tuple else None
-                if m is None or union & m:
-                    break
-                union |= m
-            else:
-                # 2^n - 1 entries: the table's size is the full mask
-                if union == len(masks):
-                    return blocks
-        except TypeError:  # an unhashable label, refused by the general path
-            pass
-    out = tuple(map(tuple, map(sorted, blocks)))
-    if all(out) and tuple(sorted(itertools.chain.from_iterable(out))) == on.labels:
-        return out
-    return _canon_blocks(out, on)
+        for b in blocks:
+            m = masks.get(b) if type(b) is tuple else None
+            if m is None or union & m:
+                break
+            union |= m
+        else:
+            # 2^n - 1 entries: the table's size is the full mask
+            if union == len(masks):
+                return blocks
+    return _canon_blocks(blocks, on)
 
 
 def _first_repeat(blocks, b):

@@ -176,6 +176,13 @@ class TestStructures:
         assert s.labels is I
         assert s == LinearOrder(s.seq) and s.labels == LinearOrder(s.seq).labels
 
+    @pytest.mark.parametrize("cls", [SetComposition, PalComposition, SetPartition])
+    def test_an_unhashable_label_is_a_type_error_on_both_paths(self, cls):
+        blocks = (("a",), (["b"],), ("c",))
+        for on in (None, FiniteSet("abc")):
+            with pytest.raises(TypeError):
+                cls(blocks, on)
+
     @given(blocks_on_five())
     @settings(max_examples=300, deadline=None)
     def test_checked_build_on_a_label_set_is_the_general_path(self, drawn):
