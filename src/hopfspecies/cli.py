@@ -183,20 +183,21 @@ def cmd_seq_tests(args) -> int:
 
 
 def cmd_series_div(args) -> int:
-    from .exactalg import egf_from_counts, nonneg_prefix, ogf_from_counts
-    from .seqtests import series_window
+    from .exactalg import TruncatedSeries, egf_from_counts, ogf_from_counts
+    from .seqtests import _quotient_gate, series_window
     numer = _parse_ints(args.numer)
     denom = _parse_ints(args.denom)
     order = series_window(
         _series_order(args.order, len(numer), len(denom)), len(numer), len(denom))
     build = egf_from_counts if args.kind == "egf" else ogf_from_counts
-    quot = build(numer, order) / build(denom, order)
-    rep = nonneg_prefix(quot)
+    rep = _quotient_gate("nonneg-prefix", build(numer, order), build(denom, order))
+    # the gate reports the quotient among its details; this command prints
+    # it beside the bare nonnegativity report
+    quot = rep.details.pop("quotient")
     payload = {"tool": "series-div", "verdict": rep.verdict,
-               "details": [{"quotient": quot.to_json(),
-                            "nonneg": rep.to_json()}]}
+               "details": [{"quotient": quot, "nonneg": rep.to_json()}]}
     _emit(payload, args.format,
-          ["quotient = %s" % quot, rep.summary()])
+          ["quotient = %s" % TruncatedSeries.from_json(quot), rep.summary()])
     return _verdict_exit(rep.ok)
 
 

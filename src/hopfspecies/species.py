@@ -1,7 +1,9 @@
 """Set species over finite label sets.
 
-A species is given by a basis enumerator (finite label set -> list of
-combinatorial structures) together with relabeling along bijections. The
+A species is given by a basis enumerator (finite label set -> the
+canonical keys of its combinatorial structures) together with relabeling
+along bijections. Each kind of structure has one check of a key on a label
+set, which its constructor runs and which a count runs alone. The
 structures themselves are immutable value objects with a total order, so
 every enumeration, vector and matrix in the package is canonically sorted.
 """
@@ -9,6 +11,7 @@ every enumeration, vector and matrix in the package is canonically sorted.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 from operator import attrgetter
@@ -178,13 +181,27 @@ class Structure:
 
 
 class SingletonMark(Structure):
-    """The canonical basis element attached to a whole label set."""
+    """The canonical basis element attached to a whole label set; `on`, if
+    given, is the label set `labels` must be, as for an enumerator building
+    on a checked set, and is then shared."""
 
     __slots__ = ()
     kind = "mark"
 
-    def __init__(self, labels):
-        self._finish(labels if isinstance(labels, FiniteSet) else FiniteSet(labels))
+    def __init__(self, labels, on: FiniteSet | None = None):
+        if on is None:
+            on = labels if isinstance(labels, FiniteSet) else FiniteSet(labels)
+        else:
+            self.check(labels, on)
+        self._finish(on)
+
+    @staticmethod
+    def check(labels, on: FiniteSet) -> tuple:
+        """The orbit invariant of the mark on `labels`, which must be on's
+        labels; otherwise the constructor's ValueError."""
+        if labels != on.labels and tuple(sorted(labels)) != on.labels:
+            raise ValueError("mark on %r is not on %r" % (labels, on))
+        return ("mark",)
 
     def relabel(self, mapping):
         return SingletonMark(FiniteSet(mapping[t] for t in self._labels))
@@ -208,14 +225,27 @@ class LinearOrder(Structure):
 
     def __init__(self, seq, on: FiniteSet | None = None):
         self.seq = tuple(seq)
-        if on is None or tuple(sorted(self.seq)) != on.labels:
+        if on is None:
             if len(set(self.seq)) != len(self.seq):
                 raise ValueError("linear order repeats a label: %r" % (self.seq,))
-            labels = FiniteSet(self.seq)
-            if on is not None:
-                raise ValueError("linear order %s is not on %r" % (self.text(), on))
-            on = labels
+            on = FiniteSet(self.seq)
+        else:
+            self.check(self.seq, on)
         self._finish(on)
+
+    @staticmethod
+    def check(seq, on: FiniteSet) -> tuple:
+        """("order", n) when `seq` orders the n labels of `on`; otherwise
+        the constructor's ValueError. n labels among which all of on's
+        occur are each met once, so one set of them decides, with no sort."""
+        seq = tuple(seq)
+        labels = on.labels
+        if len(seq) != len(labels) or not set(seq).issuperset(labels):
+            if len(set(seq)) != len(seq):
+                raise ValueError("linear order repeats a label: %r" % (seq,))
+            FiniteSet(seq)  # a malformed label is refused as FiniteSet refuses it
+            raise ValueError("linear order %s is not on %r" % ("|".join(seq), on))
+        return "order", len(seq)
 
     def relabel(self, mapping):
         return LinearOrder(mapping[t] for t in self.seq)
@@ -324,11 +354,17 @@ class SetPartition(Structure):
             self.blocks = tuple(sorted(_blocks_on(blocks, on)))
         self._finish(on)
 
+    @staticmethod
+    def check(blocks, on: FiniteSet | None) -> tuple:
+        """The orbit invariant of the blocks as a partition of `on`, its
+        block sizes largest first; otherwise the constructor's ValueError.
+        With `on` None the blocks are taken as checked already."""
+        if on is not None:
+            blocks = _blocks_on(blocks, on)
+        return "partition", tuple(sorted(map(len, blocks), reverse=True))
+
     def relabel(self, mapping):
         return SetPartition(tuple(mapping[t] for t in b) for b in self.blocks)
-
-    def block_sizes(self):
-        return sorted((len(b) for b in self.blocks), reverse=True)
 
     def key(self):
         return self.blocks
@@ -337,7 +373,7 @@ class SetPartition(Structure):
         return ".".join("".join(b) for b in self.blocks) if self.blocks else "()"
 
     def orbit_key(self):
-        return ("partition", tuple(self.block_sizes()))
+        return self.check(self.blocks, None)
 
 
 class SetComposition(Structure):
@@ -349,11 +385,22 @@ class SetComposition(Structure):
 
     def __init__(self, blocks, on: FiniteSet | None = None):
         self.blocks = b = _canon_blocks(blocks) if on is None else _blocks_on(blocks, on)
-        if self.palindromic:
-            w = tuple(map(len, b))
-            if w != w[::-1]:
-                raise ValueError("block sizes %r are not palindromic" % (w,))
+        self.check(b, None)
         self._finish(FiniteSet(itertools.chain.from_iterable(b)) if on is None else on)
+
+    @classmethod
+    def check(cls, blocks, on: FiniteSet | None) -> tuple:
+        """The orbit invariant (kind, block-size word) of the blocks as a
+        composition of this class on `on`; otherwise the constructor's
+        ValueError. The word is refused unless palindromic where the class
+        says it must be. With `on` None the blocks are taken as checked
+        already, and only the word is."""
+        if on is not None:
+            blocks = _blocks_on(blocks, on)
+        w = tuple(map(len, blocks))
+        if cls.palindromic and w != w[::-1]:
+            raise ValueError("block sizes %r are not palindromic" % (w,))
+        return cls.kind, w
 
     def relabel(self, mapping):
         return type(self)(tuple(mapping[t] for t in b) for b in self.blocks)
@@ -365,7 +412,7 @@ class SetComposition(Structure):
         return "|".join("".join(b) for b in self.blocks) if self.blocks else "()"
 
     def orbit_key(self):
-        return ("composition", tuple(map(len, self.blocks)))
+        return self.check(self.blocks, None)
 
 
 class PalComposition(SetComposition):
@@ -374,9 +421,6 @@ class PalComposition(SetComposition):
     __slots__ = ()
     kind = "pal"
     palindromic = True
-
-    def orbit_key(self):
-        return ("pal", tuple(map(len, self.blocks)))
 
 
 class FunctionToK(Structure):
@@ -387,17 +431,34 @@ class FunctionToK(Structure):
     kind = "function"
 
     def __init__(self, mapping, k: int, on: FiniteSet | None = None):
+        self.mapping = items = self._items(mapping, k, on)
+        self.k = k
+        self._finish(FiniteSet(t for t, _ in items) if on is None else on)
+
+    @staticmethod
+    def _items(mapping, k: int, on: FiniteSet | None) -> tuple:
+        """The (label, value) pairs of `mapping` sorted by label, each value
+        checked to lie in 1..k and, with `on`, the labels to be on's."""
         items = tuple(sorted(dict(mapping).items()))
         if any(not (1 <= v <= k) for _, v in items):
             raise ValueError("function value out of range 1..%d" % k)
-        self.mapping = items
-        self.k = k
-        labels = tuple(t for t, _ in items)
-        if on is None or on.labels != labels:
-            if on is not None:
-                raise ValueError("function %s is not on %r" % (self.text(), on))
-            on = FiniteSet(labels)
-        self._finish(on)
+        if on is not None and on.labels != tuple(t for t, _ in items):
+            raise ValueError("function %s is not on %r"
+                             % (",".join("%s→%d" % (t, v) for t, v in items), on))
+        return items
+
+    @classmethod
+    def check(cls, mapping, k: int, on: FiniteSet) -> tuple:
+        """The orbit invariant of `mapping` as a function from on's labels
+        to 1..k; otherwise the constructor's ValueError."""
+        return cls._fibers(cls._items(mapping, k, on), k)
+
+    @staticmethod
+    def _fibers(items, k: int) -> tuple:
+        sizes = [0] * k
+        for _, v in items:
+            sizes[v - 1] += 1
+        return "function", k, tuple(sizes)
 
     def relabel(self, mapping):
         return FunctionToK({mapping[t]: v for t, v in self.mapping}, self.k)
@@ -409,10 +470,7 @@ class FunctionToK(Structure):
         return ",".join("%s→%d" % (t, v) for t, v in self.mapping)
 
     def orbit_key(self):
-        sizes = [0] * self.k
-        for _, v in self.mapping:
-            sizes[v - 1] += 1
-        return ("function", self.k, tuple(sizes))
+        return self._fibers(self.mapping, self.k)
 
 
 class Element(Structure):
@@ -423,10 +481,17 @@ class Element(Structure):
 
     def __init__(self, labels, point):
         labels = labels if isinstance(labels, FiniteSet) else FiniteSet(labels)
-        if point not in labels:
-            raise ValueError("%r is not in the label set" % (point,))
+        self.check(point, labels)
         self.point = point
         self._finish(labels)
+
+    @staticmethod
+    def check(point, on: FiniteSet) -> tuple:
+        """The orbit invariant of `point` as an element of `on`; otherwise
+        the constructor's ValueError."""
+        if point not in on:
+            raise ValueError("%r is not in the label set" % (point,))
+        return "element", len(on)
 
     def relabel(self, mapping):
         return Element(FiniteSet(mapping[t] for t in self._labels), mapping[self.point])
@@ -471,19 +536,36 @@ class PairStructure(Structure):
 class SpeciesSpec:
     """A species presented by a basis enumerator.
 
-    `enumerator(I)` yields the basis structures on the label set I.
-    `structures` is the one path that keeps them: it memoizes the
-    enumeration and returns it sorted, for the kernels and the axioms.
-    `dimension` and `orbit_count` only count: they read that memo when it
-    is filled, and otherwise make one enumerator pass (`stream`) that
-    stores no structure; a Hadamard species multiplies its factors'
-    dimensions, and counts its orbits from its factors' stored structures,
-    so neither builds a pair. Relabeling is the structures' own relabel, so
-    functoriality holds by construction.
+    `enumerator(I)` yields the canonical key of each basis structure on the
+    label set I: the tuple its monoid's intern table is keyed by (for a
+    mark the sorted labels, for an element its point). The kind of those
+    keys is recorded after construction (`structures._keyed`): `build(key,
+    I)` is the kind's constructor on a checked set, and `check(key, I)` is
+    the one check that constructor runs, which returns the key's orbit
+    invariant, its structure's `orbit_key()`. A species built directly from
+    structures keeps the defaults: a structure is its own key, checked when
+    it was built, with its `orbit_key()` as its invariant.
+
+    `structures` is the one path that builds structures and keeps them: it
+    memoizes the enumeration, built and sorted, for the kernels and the
+    axioms. `dimension` and `orbit_count` only count: `dimension` reads
+    that memo when it is filled, and otherwise both read one pass over the
+    checked keys (`_tally`), which builds no structure. A Hadamard species
+    multiplies its factors' dimensions, and counts its orbits from its
+    factors' stored structures, so neither builds a pair. Relabeling is
+    the structures' own relabel, so functoriality holds by construction.
     """
 
     # the two factors of a Hadamard species, whose pairs have no orbit key
     factors = ()
+
+    @staticmethod
+    def build(key, I: FiniteSet) -> Structure:
+        return key
+
+    @staticmethod
+    def check(key, I: FiniteSet):
+        return key.orbit_key()
 
     def __init__(self, name: str, enumerator, linearized: bool = True):
         # every species is a set species whose structures relabel
@@ -492,30 +574,28 @@ class SpeciesSpec:
         self.name = name
         self._enumerator = enumerator
         self._cache: dict = {}
-        self._counts: dict = {}  # structures per label set, from a pass
+        self._counts: dict = {}  # (dimension, orbit count) per label set
 
     def structures(self, I: FiniteSet) -> tuple:
+        """The basis on I, each key built through `build` (so checked), in
+        the order of Structure.__lt__, read off the stored keys; memoized
+        per label set."""
         got = self._cache.get(I.labels)
         if got is None:
-            # the order of Structure.__lt__, read off the stored keys
-            got = tuple(sorted(self._enumerator(I), key=attrgetter("_key")))
+            got = tuple(sorted(map(self.build, self._enumerator(I), itertools.repeat(I)),
+                               key=attrgetter("_key")))
             self._cache[I.labels] = got
         return got
 
-    def stream(self, I: FiniteSet):
-        """Each structure on I once, in no fixed order: the memo of
-        `structures` when it is filled, else one enumerator pass that keeps
-        none of them. A pass run to its end records how many it yielded,
-        which `dimension` then reads."""
-        got = self._cache.get(I.labels)
-        if got is not None:
-            yield from got
-            return
-        count = 0
-        for s in self._enumerator(I):
-            count += 1
-            yield s
-        self._counts[I.labels] = count
+    def _tally(self, I: FiniteSet) -> tuple:
+        """(dimension, orbit count) on I from one enumerator pass that
+        checks each key and keeps only the distinct invariants and how often
+        each was met; memoized per label set."""
+        got = self._counts.get(I.labels)
+        if got is None:
+            seen = Counter(map(self.check, self._enumerator(I), itertools.repeat(I)))
+            got = self._counts[I.labels] = (sum(seen.values()), len(seen))
+        return got
 
     def dimension(self, I) -> int:
         if isinstance(I, int):
@@ -526,10 +606,7 @@ class SpeciesSpec:
         if self.factors:
             a, b = self.factors
             return a.dimension(I) * b.dimension(I)
-        if I.labels not in self._counts:
-            for _ in self.stream(I):
-                pass
-        return self._counts[I.labels]
+        return self._tally(I)[0]
 
     def dims(self, nmax: int) -> list:
         return [self.dimension(n) for n in range(nmax + 1)]
@@ -541,15 +618,16 @@ class SpeciesSpec:
 def orbit_count(sp: SpeciesSpec, n: int) -> int:
     """Number of S_n-orbits on the basis structures over an n-element set.
 
-    One `stream` pass collects the structures' orbit keys, a complete
-    invariant; the pass also leaves the dimension behind. The pairs of a
-    Hadamard species have no key, so it is counted by Burnside: the sum
-    of fixed_points(sigma) times the class size n!/z_lambda over the
-    cycle types lambda of n, divided by n!. A remainder is refused.
+    One pass over the checked keys (`SpeciesSpec._tally`) collects their
+    orbit invariants, a complete invariant; the pass also leaves the
+    dimension behind, and builds no structure. The pairs of a Hadamard
+    species have no invariant, so it is counted by Burnside: the sum of
+    fixed_points(sigma) times the class size n!/z_lambda over the cycle
+    types lambda of n, divided by n!. A remainder is refused.
     """
     I = labelset(n)
     if not sp.factors:
-        return len({s.orbit_key() for s in sp.stream(I)})
+        return sp._tally(I)[1]
     group = factorial(n)
     total = sum(fixed_points(sp, I, _perm_of_type(I, lam)) * (group // _z_lambda(lam))
                 for lam in integer_partitions(n))

@@ -16,8 +16,10 @@ monoids built here, `()` for zero. Each monoid holds one `intern_table`,
 keyed by the canonical key of a structure (blocks, sequence, mapping or
 sorted labels tuple), that fetches the one instance it holds for that
 key, so each distinct output of the maps is built and validated once per
-monoid. The enumerator builds the basis apart from the table: a basis
-structure and the output with its key are equal, not one object.
+monoid. Every species enumerates the same canonical keys, and records the
+kind that builds and checks them (`_keyed`); its `structures` builds the
+basis apart from the table: a basis structure and the output with its key
+are equal, not one object.
 
 mu and Delta are defined on those keys: an output of a monoid's `mu` is
 the key on S u T, one of its `delta` the pair (key on S, key on T), and
@@ -176,6 +178,16 @@ class HopfMonoid:
         return "HopfMonoid(%s)" % self.name
 
 
+def _keyed(sp: SpeciesSpec, build, check) -> SpeciesSpec:
+    """sp, with the kind of the keys its enumerator yields recorded:
+    `build(key, I)` builds the structure of a key on the label set I, and
+    `check(key, I)` runs that build's check alone and returns the key's
+    orbit invariant."""
+    sp.build = build
+    sp.check = check
+    return sp
+
+
 def _declare(h: HopfMonoid, intern, cocommutative: bool = True) -> HopfMonoid:
     """h, with the lookup of the keys its mu and Delta return and whether
     it is cocommutative recorded."""
@@ -238,7 +250,8 @@ class HopfMorphism:
 # ---------------------------------------------------------------------------
 
 def make_E() -> HopfMonoid:
-    sp = SpeciesSpec("E", lambda I: [SingletonMark(I)])
+    sp = _keyed(SpeciesSpec("E", lambda I: (I.labels,)),
+                SingletonMark, SingletonMark.check)
 
     def mu(S, T, x, y):
         return ((S.union(T).labels, 1),)
@@ -252,13 +265,15 @@ def make_E() -> HopfMonoid:
 def make_X() -> HopfMonoid:
     """The species of singletons. Not connected (empty set carries nothing);
     it exists as the primitive part of E and fails check_connected."""
-    sp = SpeciesSpec("X", lambda I: [SingletonMark(I)] if len(I) == 1 else [])
+    sp = _keyed(SpeciesSpec("X", lambda I: (I.labels,) if len(I) == 1 else ()),
+                SingletonMark, SingletonMark.check)
     return HopfMonoid(sp, lambda S, T, x, y: (), lambda S, T, s: ())
 
 
 def make_L() -> HopfMonoid:
-    sp = SpeciesSpec(
-        "L", lambda I: [LinearOrder(p, I) for p in itertools.permutations(I.labels)])
+    # the orders are streamed: n! of them at n = 9 are never listed
+    sp = _keyed(SpeciesSpec("L", lambda I: itertools.permutations(I.labels)),
+                LinearOrder, LinearOrder.check)
 
     def mu(S, T, x, y):
         return ((x.seq + y.seq, 1),)
@@ -299,13 +314,9 @@ def block_partitions(labels: tuple, sizes=None):
                 yield ((head,) + others,) + tail
 
 
-def set_partitions(I: FiniteSet):
-    for blocks in block_partitions(I.labels):
-        yield SetPartition(blocks, I)
-
-
 def make_Pi() -> HopfMonoid:
-    sp = SpeciesSpec("Pi", set_partitions)
+    sp = _keyed(SpeciesSpec("Pi", lambda I: block_partitions(I.labels)),
+                SetPartition, SetPartition.check)
 
     def mu(S, T, x, y):
         return ((tuple(sorted(x.blocks + y.blocks)), 1),)
@@ -324,9 +335,9 @@ def make_PiPrime() -> SpeciesSpec:
     def enum(I):
         for blocks in block_partitions(I.labels):
             if len({len(b) for b in blocks}) == len(blocks):
-                yield SetPartition(blocks, I)
+                yield blocks
 
-    return SpeciesSpec("PiPrime", enum)
+    return _keyed(SpeciesSpec("PiPrime", enum), SetPartition, SetPartition.check)
 
 
 def closed_sizes(generators, max_size: int) -> frozenset:
@@ -364,11 +375,8 @@ def _make_PiS(allowed) -> tuple:
     def ok(blocks) -> bool:
         return all(len(b) in allowed for b in blocks)
 
-    def enum(I):
-        for blocks in block_partitions(I.labels, allowed):
-            yield SetPartition(blocks, I)
-
-    sp = SpeciesSpec(name, enum)
+    sp = _keyed(SpeciesSpec(name, lambda I: block_partitions(I.labels, allowed)),
+                SetPartition, SetPartition.check)
 
     def mu(S, T, x, y):
         merged = tuple(sorted(x.blocks + y.blocks))
@@ -392,13 +400,14 @@ def make_PiS(allowed) -> HopfMonoid:
 # ---------------------------------------------------------------------------
 
 def set_compositions(I: FiniteSet):
+    """Each set composition of I once, as its tuple of sorted blocks."""
     for blocks in block_partitions(I.labels):
-        for order in itertools.permutations(blocks):
-            yield SetComposition(order, I)
+        yield from itertools.permutations(blocks)
 
 
 def make_Sigma() -> HopfMonoid:
-    sp = SpeciesSpec("Sigma", set_compositions)
+    sp = _keyed(SpeciesSpec("Sigma", set_compositions),
+                SetComposition, SetComposition.check)
 
     def mu(S, T, x, y):
         return ((x.blocks + y.blocks, 1),)
@@ -480,8 +489,8 @@ def pal_split(F: PalComposition):
 
 
 def make_Pal() -> HopfMonoid:
-    sp = SpeciesSpec("Pal", lambda I: map(
-        PalComposition, pal_words(I.labels), itertools.repeat(I)))
+    sp = _keyed(SpeciesSpec("Pal", lambda I: pal_words(I.labels)),
+                PalComposition, PalComposition.check)
 
     def mu(S, T, x, y):
         # concatenate initial runs, merge central blocks, concatenate final
@@ -516,10 +525,13 @@ def make_Ek(k: int) -> HopfMonoid:
         raise ValueError("k must be a nonnegative integer")
 
     def enum(I):
-        return [FunctionToK(zip(I.labels, values), k, I)
-                for values in itertools.product(range(1, k + 1), repeat=len(I))]
+        # streamed, like L's orders: k^n mappings are never listed
+        return (tuple(zip(I.labels, values))
+                for values in itertools.product(range(1, k + 1), repeat=len(I)))
 
-    sp = SpeciesSpec("Ek:%d" % k, enum)
+    sp = _keyed(SpeciesSpec("Ek:%d" % k, enum),
+                lambda mapping, I: FunctionToK(mapping, k, I),
+                lambda mapping, I: FunctionToK.check(mapping, k, I))
 
     def mu(S, T, x, y):
         return ((tuple(sorted(x.mapping + y.mapping)), 1),)
@@ -536,7 +548,8 @@ def make_Ek(k: int) -> HopfMonoid:
 def make_el() -> SpeciesSpec:
     """The species of elements: the label set itself is the basis. Species
     only; its dimension sequence rules out any Hopf monoid structure."""
-    return SpeciesSpec("el", lambda I: [Element(I, t) for t in I])
+    return _keyed(SpeciesSpec("el", lambda I: I.labels),
+                  lambda point, I: Element(I, point), Element.check)
 
 
 def hadamard_hopf(a: HopfMonoid, b: HopfMonoid) -> HopfMonoid:

@@ -193,6 +193,29 @@ class TestSeriesDiv:
         assert code == 0
         assert "x^2" in out and "x^6" in out
 
+    @pytest.mark.parametrize("kind, code, text, coeffs, nonneg", [
+        ("ogf", 0, "quotient = 1 + x^2 + 2*x^4 + 3*x^6\nnonneg-prefix: pass\n",
+         ["1", "0", "1", "0", "2", "0", "3"],
+         {"details": {}, "first_violation": None, "test": "nonneg-prefix",
+          "verdict": "pass", "warnings": [], "witness": {}}),
+        ("egf", 1, "quotient = 1 + 1/2*x^2 - 1/3*x^3 + 5/24*x^4 - 7/40*x^5"
+         " + 3/20*x^6\nnonneg-prefix: fail at index 3 coefficient = -1/3\n",
+         ["1", "0", "1/2", "-1/3", "5/24", "-7/40", "3/20"],
+         {"details": {}, "first_violation": 3, "test": "nonneg-prefix",
+          "verdict": "fail", "warnings": [], "witness": {"coefficient": "-1/3"}}),
+    ])
+    def test_text_and_json_are_pinned(self, capsys, kind, code, text, coeffs,
+                                      nonneg):
+        # both forms, byte for byte, for a pass and for a fail verdict
+        argv = ("series-div", "--numer", "1,1,2,3,5,7,11",
+                "--denom", "1,1,1,2,2,3,4", "--kind", kind)
+        assert invoke(capsys, *argv) == (code, text, "")
+        report = {"details": [{"nonneg": nonneg,
+                               "quotient": {"coeffs": coeffs, "order": 6}}],
+                  "tool": "series-div", "verdict": nonneg["verdict"]}
+        assert invoke(capsys, "--format", "json", *argv) == (
+            code, json.dumps(report, sort_keys=True, indent=2) + "\n", "")
+
     def test_zero_constant_denominator_is_input_error(self, capsys):
         code, out, err = invoke(capsys, "series-div", "--numer", "1,1",
                                 "--denom", "0,1")

@@ -108,7 +108,7 @@ def eulerian_idempotent(h, I) -> dict:
     Species and Hopf Algebras, 2010). Delta_F peels S1, ..., S(k-1) off the
     front one coproduct at a time; mu_F multiplies the pieces left to right.
     For a cocommutative connected h it projects h[I] onto the primitives."""
-    comps = [tuple(FiniteSet(b) for b in F.blocks) for F in set_compositions(I)]
+    comps = [tuple(map(FiniteSet, F)) for F in set_compositions(I)]
     out = {}
     for x in h.species.structures(I):
         acc = QVector.zero(I)

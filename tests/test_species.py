@@ -194,10 +194,14 @@ class TestStructures:
             try:
                 general_build(cls, given_as(blocks, form), FIVE)
             except ValueError as exc:
-                with pytest.raises(ValueError) as err:
-                    cls(given_as(blocks, form), FIVE)
-                assert str(err.value) == str(exc)
+                # the constructor and its kind's key check alike
+                for build in (cls, cls.check):
+                    with pytest.raises(ValueError) as err:
+                        build(given_as(blocks, form), FIVE)
+                    assert str(err.value) == str(exc)
                 continue
+            assert cls.check(given_as(blocks, form), FIVE) == cls(
+                given_as(blocks, form)).orbit_key()
             given = given_as(blocks, form)
             s, t = cls(given, FIVE), cls(given_as(blocks, form))
             assert s.labels is FIVE and t.labels == FIVE
@@ -281,8 +285,9 @@ class TestDimensions:
         # the memo is sorted on the stored keys, the order of Structure.__lt__
         for n in range(5):
             I = labelset(n)
+            sp = get_species(ident)
             assert list(get_species(ident).structures(I)) == sorted(
-                get_species(ident).stream(I)), n
+                sp.build(key, I) for key in sp._enumerator(I)), n
 
     def test_partition_dims_bell(self, Pi):
         assert Pi.species.dims(6) == [1, 1, 2, 5, 15, 52, 203]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import check_commutative
 from hopfspecies.axioms import (check_all, check_cocommutative,
                                 check_connected, check_morphism)
-from hopfspecies import species
+from hopfspecies import cli, species
 from hopfspecies.exactalg import TruncatedSeries, egf, ogf
 from hopfspecies.kernels import primitive_dims
 from hopfspecies.species import (EMPTY, FiniteSet, FunctionToK, LinearOrder,
@@ -19,7 +19,8 @@ from hopfspecies.species import (EMPTY, FiniteSet, FunctionToK, LinearOrder,
                                  SetComposition, SetPartition, SingletonMark,
                                  SpeciesSpec, labelset, orbit_count)
 from hopfspecies.structures import (MONOIDS, MORPHISMS, SPECIES_ONLY,
-                                    _parse, block_partitions, closed_sizes,
+                                    _keyed, _parse, block_partitions,
+                                    closed_sizes,
                                     get_hopf, get_morphism, get_species,
                                     hadamard_hopf, intern_table, make_Ek,
                                     make_Pal, make_PiS, make_Sigma,
@@ -357,7 +358,9 @@ class TestCountingWithoutStoring:
             passes[len(I)] += 1
             return pal._enumerator(I)
 
+        # the copy enumerates Pal's keys, so it records Pal's kind of key
         sp = SpeciesSpec("Pal", enumerator)
+        sp.build, sp.check = pal.build, pal.check
         assert [orbit_count(sp, n) for n in range(6)] == [1, 1, 2, 2, 4, 4]
         assert sp.dims(5) == [1, 1, 3, 7, 43, 171]
         assert passes == {n: 1 for n in range(6)} and sp._cache == {}
@@ -365,6 +368,103 @@ class TestCountingWithoutStoring:
         assert len(sp.structures(labelset(5))) == 171
         assert (sp.dimension(5), orbit_count(sp, 5)) == (171, 4)
         assert passes[5] == 2
+
+
+# every shipped species whose structures have an orbit key
+KEYED = ["E", "X", "L", "Pi", "PiS:2", "Sigma", "Pal", "Ek:2", "PiPrime", "el"]
+
+# (species, size, a fresh key that its constructor refuses on that size)
+MUTANT_KEYS = [
+    ("Pal", 3, lambda: (("a",), ("b", "c"))),              # not palindromic
+    ("Sigma", 2, lambda: (("a",), ("z",))),                # a foreign label
+    ("Pi", 3, lambda: (("a", "b"), ("c", "b"))),           # a repeated label
+    ("L", 3, lambda: ("a", "b", "a")),                     # a repeated label
+    ("Sigma", 3, lambda: (("a",), ("b",))),                # a missing label
+    ("L", 3, lambda: ("c", "a")),                          # a missing label
+    ("PiPrime", 3, lambda: (["b", "a"], ["z"])),           # list blocks
+    ("Pal", 3, lambda: (b for b in (("a",), ("c",)))),     # a generator
+    ("L", 3, lambda: iter("ab")),                          # a generator
+    ("Ek:2", 2, lambda: (("a", 1), ("b", 3))),             # a value past k
+    ("el", 2, lambda: "z"),                                # a foreign point
+    ("E", 2, lambda: ("a",)),                              # a mark off I
+]
+
+
+class TestCountingOnKeys:
+    """dimension and orbit_count make one pass over the enumerated keys,
+    each checked by the check its kind's constructor runs, and build no
+    structure."""
+
+    @pytest.mark.parametrize("ident", KEYED)
+    def test_key_pass_counts_what_the_built_basis_holds(self, ident):
+        counted, built = get_species(ident), get_species(ident)
+        for n in range(7):
+            I = labelset(n)
+            structs = built.structures(I)
+            assert (counted.dimension(n), orbit_count(counted, n)) == (
+                len(structs), len({s.orbit_key() for s in structs})), n
+            # each key's invariant is the orbit key of its structure
+            keys = list(counted._enumerator(I))
+            assert [counted.check(k, I) for k in keys] == [
+                counted.build(k, I).orbit_key() for k in keys], n
+        assert counted._cache == {}
+
+    @pytest.mark.parametrize("ident, n, bad", MUTANT_KEYS)
+    def test_a_mutant_key_is_refused_with_the_constructors_message(
+            self, ident, n, bad):
+        I = labelset(n)
+        kind = get_species(ident)
+        with pytest.raises(ValueError) as err:
+            kind.build(bad(), I)
+        message = str(err.value)
+
+        def mutant():
+            # the shipped keys, then the bad one
+            sp = SpeciesSpec(ident, lambda J: itertools.chain(
+                kind._enumerator(J), [bad()]))
+            return _keyed(sp, kind.build, kind.check)
+
+        for count in (lambda sp: sp.dimension(n), lambda sp: orbit_count(sp, n),
+                      lambda sp: sp.structures(I)):
+            with pytest.raises(ValueError) as err:
+                count(mutant())
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("ident", KEYED)
+    def test_species_dims_builds_no_structure(self, ident, monkeypatch, capsys):
+        built = []
+        finish = species.Structure._finish
+
+        def counting(self, labels):
+            built.append(self)
+            finish(self, labels)
+
+        monkeypatch.setattr(species.Structure, "_finish", counting)
+        argv = ["species-dims", "--species", ident, "--max-n", "6", "--types"]
+        assert cli.run(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert built == []
+        # the same counts from built structures, which the counter does see
+        sp = get_species(ident)
+        assert [[int(v) for v in row.split()] for row in rows] == [
+            [n, len(sp.structures(labelset(n))),
+             len({s.orbit_key() for s in sp.structures(labelset(n))})]
+            for n in range(7)]
+        assert built
+
+    @pytest.mark.parametrize("ident", ["L", "Ek:3"])
+    def test_keys_are_streamed(self, ident):
+        # listing the 40,320 orders of L, or the 6,561 mappings of Ek:3,
+        # at n = 8 peaks at several MB traced
+        sp = get_species(ident)
+        tracemalloc.start()
+        try:
+            counts = sp.dimension(8), orbit_count(sp, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == ((40320, 1) if ident == "L" else (6561, 45))
+        assert peak < 2 ** 20
 
 
 class TestInterning:
