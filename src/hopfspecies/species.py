@@ -385,7 +385,8 @@ class SetComposition(Structure):
 
     def __init__(self, blocks, on: FiniteSet | None = None):
         self.blocks = b = _canon_blocks(blocks) if on is None else _blocks_on(blocks, on)
-        self.check(b, None)
+        if self.palindromic:
+            self.check(b, None)
         self._finish(FiniteSet(itertools.chain.from_iterable(b)) if on is None else on)
 
     @classmethod
