@@ -199,7 +199,7 @@ class SingletonMark(Structure):
     def check(labels, on: FiniteSet) -> tuple:
         """The orbit invariant of the mark on `labels`, which must be on's
         labels; otherwise the constructor's ValueError."""
-        if labels != on.labels and tuple(sorted(labels)) != on.labels:
+        if tuple(sorted(labels)) != on.labels:
             raise ValueError("mark on %r is not on %r" % (labels, on))
         return ("mark",)
 
