@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .species import (ALPHABET, EMPTY, SIZE_CAP, FiniteSet, Structure,
-                      labelset, summed, tensor_text, terms_text)
+                      labelset)
 from .structures import HopfMonoid, HopfMorphism
+from .vectors import summed, tensor_text, terms_text
 
 # The fresh labels of `_bijection_pool`'s shift: SIZE_CAP letters from "p"
 # on ("pqrstuvwx" at the cap of 9), so they never meet labelset(SIZE_CAP).

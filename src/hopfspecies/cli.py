@@ -5,9 +5,10 @@ aligned text report or JSON. Exit code 0 means every verdict passed, 1 means
 some verdict failed, 2 means a usage or input error. Output is deterministic:
 the library sorts everything and rationals print as exact fractions.
 
-Only the enumeration layers (`species`, `structures`) load with this module;
-each command imports the rest of what it runs, so a dimension table never
-compiles the axiom battery, the kernels or the sequence gates.
+Only the species layer (`species`) loads with this module; each command
+imports the rest of what it runs. A dimension table compiles no Hopf
+monoid, vector, axiom, kernel or sequence-gate code, and a kernel command
+none of the Lie bases or theorem checks.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import os
 import sys
 from functools import cache, partial
 
-from .species import (SIZE_CAP, FiniteSet, LinearOrder, labelset, orbit_count,
-                      terms_text)
-from .structures import get_hopf, get_morphism, get_species, make_L
+from .species import (SIZE_CAP, FiniteSet, LinearOrder, get_species, labelset,
+                      orbit_count)
 
 HARD_MAX_N = SIZE_CAP
 HARD_MAX_ORDER = 32
@@ -66,6 +66,20 @@ def _series_order(order: int | None, *lengths: int) -> int | None:
                          " pass --order N with N <= %d"
                          % (window, HARD_MAX_ORDER, HARD_MAX_ORDER))
     return None
+
+
+def get_hopf(ident: str):
+    """The Hopf monoid an identifier names; `structures` loads on the first
+    call."""
+    from .structures import get_hopf
+    return get_hopf(ident)
+
+
+def get_morphism(ident: str):
+    """The morphism an identifier names; `structures` loads on the first
+    call."""
+    from .structures import get_morphism
+    return get_morphism(ident)
 
 
 def _parse_ints(text: str) -> list:
@@ -237,6 +251,7 @@ def _basis_lines(head: str, spaces):
     at a time: each row is printed from its columns by `terms_text`, as
     `%r` of its QVector would print it, with each structure's text made
     once."""
+    from .vectors import terms_text
     yield head
     for n, space in enumerate(spaces, 1):
         yield "n = %d:" % n
@@ -283,7 +298,8 @@ def cmd_primitives(args) -> int:
 
 
 def cmd_lie_basis(args) -> int:
-    from . import kernels as kernels_mod
+    from . import lie
+    from .structures import make_L
     labels = _parse_labels(args.labels)
     _cap_n(len(labels))
     ell0 = LinearOrder(_parse_labels(args.ell0)) if args.ell0 else LinearOrder(sorted(labels))
@@ -294,9 +310,9 @@ def cmd_lie_basis(args) -> int:
     text = args.format == "text"
     lines = []
     details = []
-    for gamma in kernels_mod.cyclic_orders(I):
-        vec = kernels_mod.lie_basis_p(gamma, ell0, L)
-        expr = kernels_mod.bracket_expr(gamma, ell0)
+    for gamma in lie.cyclic_orders(I):
+        vec = lie.lie_basis_p(gamma, ell0, L)
+        expr = lie.bracket_expr(gamma, ell0)
         if text:
             lines.append("p_%r = %s = %r" % (gamma, expr, vec))
         details.append({"cycle": repr(gamma), "bracket": expr,
@@ -307,20 +323,21 @@ def cmd_lie_basis(args) -> int:
 
 
 def cmd_hker_basis(args) -> int:
-    from . import kernels as kernels_mod
+    from . import lie
+    from .structures import make_L
     ell0 = LinearOrder(_parse_labels(args.ell0))
     _cap_n(len(ell0.seq))
     if args.ell:
         orders = [LinearOrder(_parse_labels(args.ell))]
     else:
-        orders = list(kernels_mod.derangements(ell0))
+        orders = list(lie.derangements(ell0))
     L = make_L()
     text = args.format == "text"
     lines = []
     details = []
     for ell in orders:
-        vec = kernels_mod.hker_basis_derangement(ell, ell0, L)
-        expr = kernels_mod.p_ell_expr(ell, ell0)
+        vec = lie.hker_basis_derangement(ell, ell0, L)
+        expr = lie.p_ell_expr(ell, ell0)
         if text:
             lines.append("p_{%s} = %s = %r" % (ell.text(), expr, vec))
         details.append({"ell": ell.text(), "factors": expr,
@@ -343,15 +360,15 @@ def cmd_hker_dims(args) -> int:
 
 
 def cmd_lagrange(args) -> int:
-    from . import kernels as kernels_mod
+    from . import lagrange
     nmax = _cap_n(args.max_n)
     if bool(args.sub) == bool(args.quotient):
         raise UsageError("exactly one of --sub or --quotient is required")
     if args.quotient:
-        rep = kernels_mod.dual_factorization_check(get_morphism(args.quotient), nmax)
+        rep = lagrange.dual_factorization_check(get_morphism(args.quotient), nmax)
     else:
         f = get_morphism(args.sub)
-        rep = kernels_mod.lagrange_factorization_check(f, nmax)
+        rep = lagrange.lagrange_factorization_check(f, nmax)
         if rep.ok:
             q = rep.details["quotient_dims"]
             payload = {"tool": "lagrange", "verdict": "pass",
@@ -364,9 +381,9 @@ def cmd_lagrange(args) -> int:
 
 
 def cmd_pbw_check(args) -> int:
-    from . import kernels as kernels_mod
+    from . import lagrange
     nmax = _cap_n(args.max_n)
-    rep = kernels_mod.pbw_series_check(get_hopf(args.species), nmax)
+    rep = lagrange.pbw_series_check(get_hopf(args.species), nmax)
     return _emit_verdict("pbw-check", rep, args.format)
 
 

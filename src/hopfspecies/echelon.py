@@ -7,7 +7,7 @@ cross-multiplication; Fractions appear only where rref()/kernel() divide by
 a pivot entry other than 1. A reduced row with unit pivot stays integral.
 
 It imports nothing from the package, so the kernel commands load it
-without the series and cycle-index code of `exactalg`.
+without the series code of `exactalg`.
 """
 
 from __future__ import annotations

@@ -1,14 +1,11 @@
-"""Exact rational power series and cycle index polynomials.
+"""Exact rational power series.
 
 Coefficients are exact: int or fractions.Fraction, never floating point.
 Series coefficients are Fractions, since their arithmetic divides. A
 TruncatedSeries stores coefficients 0..N for a fixed truncation order N and
 binary operations truncate to the smaller order, which is the usual
 semantics for formal power series prefixes. The generating series of a
-species (`egf`, `ogf`, `tgf`, `cycle_index`) are computed here from its
-structures; `cycle_index` reads the one fixed-point count per conjugacy
-class, `species.fixed_points`, by which `orbit_count` counts the orbits of
-a Hadamard species.
+species (`egf`, `ogf`, `tgf`) are computed here from its counts.
 
 The sparse echelon engine lives in `echelon`; `Echelon` is re-exported
 here as the same object.
@@ -22,9 +19,8 @@ from math import comb, factorial
 # re-exported: perfbench's tracer reads Echelon here
 from .echelon import Echelon
 from .reports import FAIL, PASS, TestReport
-# integer_partitions is re-exported: the tests read it here
-from .species import (SpeciesSpec, _perm_of_type, _z_lambda, fixed_points,
-                      integer_partitions, labelset, orbit_count, qstr)
+from .species import SpeciesSpec, orbit_count
+from .vectors import qstr
 
 Q = Fraction
 
@@ -36,7 +32,7 @@ class ZeroConstantTerm(ArithmeticError):
 
 
 class BadConstantTerm(ArithmeticError):
-    """exp/log or cycle-index division got the wrong constant term."""
+    """exp/log, or a division that needs constant term 1, got another."""
 
 
 def _q(x) -> Fraction:
@@ -226,147 +222,6 @@ def egf_from_counts(a, order: int | None = None) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# Cycle index polynomials
-# ---------------------------------------------------------------------------
-
-def _wdeg(expts: tuple) -> int:
-    return sum((i + 1) * e for i, e in enumerate(expts))
-
-
-def _trim(expts) -> tuple:
-    expts = tuple(expts)
-    while expts and expts[-1] == 0:
-        expts = expts[:-1]
-    return expts
-
-
-class CycleIndexPoly:
-    """Polynomial in x_1, x_2, ... truncated by weighted degree.
-
-    Monomials are exponent tuples (e_1, e_2, ...) with trailing zeros
-    stripped; the weighted degree sum(i*e_i) of every stored monomial is at
-    most `order`. Terms print in graded lexicographic order.
-    """
-
-    __slots__ = ("order", "terms")
-
-    def __init__(self, terms: dict, order: int):
-        clean = {}
-        for expts, c in terms.items():
-            expts = _trim(expts)
-            c = _q(c)
-            if c == 0 or _wdeg(expts) > order:
-                continue
-            clean[expts] = clean.get(expts, Q(0)) + c
-        self.order = order
-        self.terms = {e: c for e, c in clean.items() if c != 0}
-
-    @classmethod
-    def one(cls, order: int) -> "CycleIndexPoly":
-        return cls({(): Q(1)}, order)
-
-    def coefficient(self, expts) -> Fraction:
-        return self.terms.get(_trim(expts), Q(0))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (_wdeg(kv[0]), kv[0]))
-
-    def __eq__(self, other):
-        return (isinstance(other, CycleIndexPoly)
-                and self.order == other.order and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.order, tuple(self.sorted_terms())))
-
-    def __add__(self, other) -> "CycleIndexPoly":
-        n = min(self.order, other.order)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Q(0)) + c
-        return CycleIndexPoly(out, n)
-
-    def __sub__(self, other) -> "CycleIndexPoly":
-        n = min(self.order, other.order)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Q(0)) - c
-        return CycleIndexPoly(out, n)
-
-    def __mul__(self, other) -> "CycleIndexPoly":
-        n = min(self.order, other.order)
-        out = {}
-        for e1, c1 in self.terms.items():
-            d1 = _wdeg(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + _wdeg(e2) > n:
-                    continue
-                k = max(len(e1), len(e2))
-                e = tuple((e1[i] if i < len(e1) else 0) + (e2[i] if i < len(e2) else 0)
-                          for i in range(k))
-                out[e] = out.get(e, Q(0)) + c1 * c2
-        return CycleIndexPoly(out, n)
-
-    def div(self, other: "CycleIndexPoly") -> "CycleIndexPoly":
-        """Quotient q with q*other == self up to weighted degree.
-
-        The divisor must have constant term exactly 1.
-        """
-        n = min(self.order, other.order)
-        if other.coefficient(()) != 1:
-            raise BadConstantTerm("cycle index division needs constant term 1")
-        rest = {e: c for e, c in other.terms.items() if e != ()}
-        # Solve degree by degree: q_d = a_d - (q * (other - 1))_d, where the
-        # subtracted product only involves q-terms of strictly smaller degree.
-        out: dict = {}
-        by_deg: dict = {}
-        for e, c in self.terms.items():
-            by_deg.setdefault(_wdeg(e), {})[e] = c
-        for d in range(n + 1):
-            acc = dict(by_deg.get(d, {}))
-            for e1, c1 in out.items():
-                d1 = _wdeg(e1)
-                for e2, c2 in rest.items():
-                    if d1 + _wdeg(e2) != d:
-                        continue
-                    k = max(len(e1), len(e2))
-                    e = tuple((e1[i] if i < len(e1) else 0)
-                              + (e2[i] if i < len(e2) else 0) for i in range(k))
-                    acc[e] = acc.get(e, Q(0)) - c1 * c2
-            for e, c in acc.items():
-                if c != 0:
-                    out[e] = out.get(e, Q(0)) + c
-        return CycleIndexPoly(out, n)
-
-    def specialize(self, mode: str) -> TruncatedSeries:
-        """'exp': x_1 -> x, x_i -> 0 for i >= 2.  'type': x_i -> x^i."""
-        n = self.order
-        out = [Q(0)] * (n + 1)
-        if mode == "exp":
-            for e, c in self.terms.items():
-                if any(e[i] for i in range(1, len(e))):
-                    continue
-                deg = e[0] if e else 0
-                out[deg] += c
-        elif mode == "type":
-            for e, c in self.terms.items():
-                out[_wdeg(e)] += c
-        else:
-            raise ValueError("mode must be 'exp' or 'type'")
-        return TruncatedSeries(out, n)
-
-    def __str__(self):
-        def mono(e):
-            if not e:
-                return "1"
-            return "*".join("x%d" % (i + 1) if k == 1 else "x%d^%d" % (i + 1, k)
-                            for i, k in enumerate(e) if k)
-        parts = ["%s*%s" % (qstr(c), mono(e)) for e, c in self.sorted_terms()]
-        return " + ".join(parts) if parts else "0"
-
-    __repr__ = __str__
-
-
-# ---------------------------------------------------------------------------
 # Generating series of a species
 # ---------------------------------------------------------------------------
 
@@ -380,18 +235,3 @@ def ogf(sp: SpeciesSpec, order: int) -> TruncatedSeries:
 
 def tgf(sp: SpeciesSpec, order: int) -> TruncatedSeries:
     return ogf_from_counts([orbit_count(sp, n) for n in range(order + 1)])
-
-
-def cycle_index(sp: SpeciesSpec, order: int) -> CycleIndexPoly:
-    """Z = sum_n (1/n!) sum_{sigma in S_n} fix(sigma) x^{cycletype(sigma)},
-    computed one conjugacy class at a time from `species.fixed_points`,
-    the count `orbit_count` sums for a Hadamard species."""
-    terms: dict = {}
-    for n in range(order + 1):
-        I = labelset(n)
-        for lam in integer_partitions(n):
-            fix = fixed_points(sp, I, _perm_of_type(I, lam))
-            if fix:
-                e = tuple(lam.count(i) for i in range(1, n + 1))
-                terms[e] = terms.get(e, Q(0)) + Q(fix, _z_lambda(lam))
-    return CycleIndexPoly(terms, order)

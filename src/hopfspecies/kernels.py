@@ -1,4 +1,4 @@
-"""Primitive elements, Lie and Hopf kernels, and their explicit bases.
+"""Primitive spaces and the Hopf and Lie kernels of morphisms.
 
 A primitive element is killed by every coproduct component with both sides
 nonempty. The Hopf kernel of a morphism pi is the kernel of
@@ -6,40 +6,21 @@ nonempty. The Hopf kernel of a morphism pi is the kernel of
 primitives. Everything is computed as an exact kernel or span of sparse
 integer rows over the canonical sorted structure basis.
 
-The two constructive bases: `lie_basis_p` builds the bracketing of a cyclic
-order against a reference linear order (the Lyndon-style basis of the free
-Lie space inside linear orders), and `hker_basis_derangement` multiplies
-those brackets along the cycle decomposition of a derangement.
+This module holds the kernel spaces alone, which `primitives` and
+`hker-dims` run. The constructive bases (cyclic orders, brackets and
+derangements) are in `lie`, and the theorem checks (the ideal k_+ h, the
+two factorizations, the PBW identity and the generation of the Hopf kernel
+by the Lie kernel) in `lagrange`, so a kernel command compiles neither.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-from math import comb
 
 from .echelon import Echelon
-from .reports import FAIL, PASS, TestReport
-from .species import (EMPTY, FiniteSet, LinearOrder, QTensor, QVector,
-                      check_coeff, labelset)
-from .structures import (HopfMonoid, HopfMorphism, block_partitions,
-                         iterated_product, make_L, product_vectors)
-
-
-class NotADerangement(ValueError):
-    """The order agrees with the reference order in some position."""
-
-
-class NotInjective(ValueError):
-    """A morphism required to be injective has a kernel."""
-
-
-class NotSurjective(ValueError):
-    """A morphism required to be surjective misses part of the target."""
-
-
-class NotCocommutative(ValueError):
-    """A construction valid only for cocommutative Hopf monoids."""
+from .species import EMPTY, FiniteSet, labelset
+from .structures import HopfMonoid, HopfMorphism
+from .vectors import QTensor, QVector, check_coeff
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +269,6 @@ def primitive_space(h: HopfMonoid, I: FiniteSet) -> SubspaceBasis:
     return _kernel_space(basis, I, coproduct_rows(h, I))
 
 
-def _require_full_rank(f: HopfMorphism, nmax: int, error) -> None:
-    """Raise `error`, NotInjective or NotSurjective, at the first size up to
-    nmax where the rank of f, its (I, empty) block, falls short of the
-    dimension of its source or of its target."""
-    injective = error is NotInjective
-    sp = (f.source if injective else f.target).species
-    for n in range(nmax + 1):
-        I = labelset(n)
-        ech = Echelon()
-        for row in _block(f.source, f.source.species.structures(I), I, EMPTY,
-                          f).values():
-            ech.add(row)
-        if ech.rank != sp.dimension(I):
-            raise error("%s is not %s at size %d" % (
-                f.name, "injective" if injective else "surjective", n))
-
-
 def hker_space(f: HopfMorphism, I: FiniteSet) -> SubspaceBasis:
     """Kernel of the stacked maps (pi x id) o Delta_{S,T} over all S != empty.
 
@@ -334,312 +298,3 @@ def hker_dims(f: HopfMorphism, nmax: int) -> list:
 def primitive_dims(h: HopfMonoid, nmax: int) -> list:
     """dim of the primitive space per size, the empty set included."""
     return [primitive_space(h, labelset(n)).dim for n in range(nmax + 1)]
-
-
-# ---------------------------------------------------------------------------
-# Cyclic orders and the p-basis of the free Lie space in linear orders
-# ---------------------------------------------------------------------------
-
-class CyclicOrder:
-    """A single cycle on a nonempty label set, printed from its least label."""
-
-    __slots__ = ("cycle", "_succ")
-
-    def __init__(self, seq):
-        seq = tuple(seq)
-        if not seq or len(set(seq)) != len(seq):
-            raise ValueError("a cyclic order is a nonempty tuple of distinct labels")
-        k = seq.index(min(seq))
-        self.cycle = seq[k:] + seq[:k]
-        self._succ = {self.cycle[i]: self.cycle[(i + 1) % len(self.cycle)]
-                      for i in range(len(self.cycle))}
-
-    @property
-    def labels(self) -> FiniteSet:
-        return FiniteSet(self.cycle)
-
-    def succ(self, t):
-        return self._succ[t]
-
-    def segment(self, start, stop) -> tuple:
-        """Labels from `start` (inclusive) to `stop` (exclusive) along succ."""
-        out = [start]
-        t = self._succ[start]
-        while t != stop:
-            out.append(t)
-            t = self._succ[t]
-        return tuple(out)
-
-    def restrict(self, keep) -> "CyclicOrder":
-        """The induced cyclic order: successors skip labels outside `keep`."""
-        keep = set(keep)
-        start = min(t for t in self.cycle if t in keep)
-        out = [start]
-        t = self._succ[start]
-        while t != start:
-            if t in keep:
-                out.append(t)
-            t = self._succ[t]
-        return CyclicOrder(out)
-
-    def __eq__(self, other):
-        return isinstance(other, CyclicOrder) and self.cycle == other.cycle
-
-    def __hash__(self):
-        return hash(self.cycle)
-
-    def __lt__(self, other):
-        return self.cycle < other.cycle
-
-    def __repr__(self):
-        return "(%s)" % ",".join(self.cycle)
-
-
-def cyclic_orders(I: FiniteSet):
-    """All (n-1)! cyclic orders on I, sorted by canonical tuple."""
-    toks = tuple(I)
-    if not toks:
-        return
-    first, rest = toks[0], toks[1:]
-    for perm in sorted(itertools.permutations(rest)):
-        yield CyclicOrder((first,) + perm)
-
-
-def lie_bracket(x: QVector, y: QVector, h: HopfMonoid, S: FiniteSet,
-                T: FiniteSet) -> QVector:
-    """The commutator mu_{S,T}(x . y) - mu_{T,S}(y . x)."""
-    return product_vectors(h, S, T, x, y) - product_vectors(h, T, S, y, x)
-
-
-def _p_split(gamma: CyclicOrder, ell0: LinearOrder):
-    """Split at the first two reference elements: S runs along the cycle
-    from the first (inclusive) to the second (exclusive)."""
-    i1, i2 = ell0.seq[0], ell0.seq[1]
-    S_labels = gamma.segment(i1, i2)
-    T_labels = tuple(t for t in gamma.labels if t not in S_labels)
-    return FiniteSet(S_labels), FiniteSet(T_labels)
-
-
-def lie_basis_p(gamma: CyclicOrder, ell0: LinearOrder,
-                L: HopfMonoid | None = None) -> QVector:
-    """The recursive bracketing of `gamma` with respect to `ell0`, an
-    element of the span of linear orders on the common label set."""
-    L = L or make_L()
-    if gamma.labels != ell0.labels:
-        raise ValueError("cyclic order and reference order disagree: %r vs %r"
-                         % (gamma, ell0))
-    if len(gamma.cycle) == 1:
-        return QVector.basis(LinearOrder(gamma.cycle))
-    S, T = _p_split(gamma, ell0)
-    x = lie_basis_p(gamma.restrict(S), ell0.restrict(S), L)
-    y = lie_basis_p(gamma.restrict(T), ell0.restrict(T), L)
-    return lie_bracket(x, y, L, S, T)
-
-
-def bracket_expr(gamma: CyclicOrder, ell0: LinearOrder) -> str:
-    """The nested-bracket notation of lie_basis_p, e.g. '[a,[b,c]]'."""
-    if len(gamma.cycle) == 1:
-        return gamma.cycle[0]
-    S, T = _p_split(gamma, ell0)
-    return "[%s,%s]" % (bracket_expr(gamma.restrict(S), ell0.restrict(S)),
-                        bracket_expr(gamma.restrict(T), ell0.restrict(T)))
-
-
-# ---------------------------------------------------------------------------
-# Derangements and the p-basis of the Hopf kernel of L -> E
-# ---------------------------------------------------------------------------
-
-def derangement_permutation(ell: LinearOrder, ell0: LinearOrder) -> dict:
-    """sigma = ell o ell0^{-1} as a mapping, with the fixed-point check."""
-    if ell.labels != ell0.labels:
-        raise ValueError("orders on different label sets")
-    sigma = {}
-    for a, b in zip(ell0.seq, ell.seq):
-        if a == b:
-            raise NotADerangement("position of %r is fixed" % (a,))
-        sigma[a] = b
-    return sigma
-
-
-def derangements(ell0: LinearOrder):
-    """All derangements of the reference order, in lexicographic order."""
-    for perm in itertools.permutations(ell0.seq):
-        if all(a != b for a, b in zip(ell0.seq, perm)):
-            yield LinearOrder(perm, ell0.labels)
-
-
-def _orbit_cycles(sigma: dict, ell0: LinearOrder) -> list:
-    """Cycles of sigma as CyclicOrders, ordered by least ell0-position."""
-    pos = {t: i for i, t in enumerate(ell0.seq)}
-    seen = set()
-    cycles = []
-    for t in ell0.seq:
-        if t in seen:
-            continue
-        orbit = [t]
-        seen.add(t)
-        u = sigma[t]
-        while u != t:
-            orbit.append(u)
-            seen.add(u)
-            u = sigma[u]
-        cycles.append((min(pos[v] for v in orbit), CyclicOrder(orbit)))
-    cycles.sort()
-    return [c for _, c in cycles]
-
-
-def hker_basis_derangement(ell: LinearOrder, ell0: LinearOrder,
-                           L: HopfMonoid | None = None) -> QVector:
-    """Factor ell o ell0^{-1} into cycles and multiply their bracketings
-    left-to-right in the order of least reference position."""
-    L = L or make_L()
-    sigma = derangement_permutation(ell, ell0)
-    cycles = _orbit_cycles(sigma, ell0)
-    parts = [g.labels for g in cycles]
-    vectors = [lie_basis_p(g, ell0.restrict(g.labels), L) for g in cycles]
-    return iterated_product(L, parts, vectors)
-
-
-def p_ell_expr(ell: LinearOrder, ell0: LinearOrder) -> str:
-    """Factored notation of hker_basis_derangement, e.g. '[s,[i,e]]*[m,t]'."""
-    sigma = derangement_permutation(ell, ell0)
-    cycles = _orbit_cycles(sigma, ell0)
-    return "*".join(bracket_expr(g, ell0.restrict(g.labels)) for g in cycles)
-
-
-# ---------------------------------------------------------------------------
-# The ideal k_+ h and the Lagrange factorization
-# ---------------------------------------------------------------------------
-
-def ideal_kplus_h(f: HopfMorphism, I: FiniteSet) -> SubspaceBasis:
-    """Span of mu_{S,T}(f(k[S]) . h[T]) over decompositions with S nonempty,
-    inside the component h[I] of the big Hopf monoid. Each generator's row
-    is summed from the pairs of f(x) and of mu_{S,T}(t . y), as the kernel
-    rows are, and goes straight into the echelon."""
-    h = f.target
-    out = SubspaceBasis(I, h.species.structures(I))
-    index = out.index
-    add = out._ech.add
-    product = h.product
-    for S, T in I.decompositions():
-        if not S.labels:
-            continue
-        ys = h.species.structures(T)
-        for x in f.source.species.structures(S):
-            fx = f.on_basis(x)
-            for y in ys:
-                row: dict = {}
-                for t, d in fx:
-                    for z, c in product(S, T, t, y):
-                        j = index[z]
-                        row[j] = row.get(j, 0) + c * d
-                add(row)
-    return out
-
-
-def _factorization(name: str, hdims: list, kdims: list, d: list,
-                   details: dict) -> TestReport:
-    """dim h[n] = sum_i C(n,i) dim k[i] d[n-i] at every size, with the first
-    size where it fails as the witness."""
-    for n, hdim in enumerate(hdims):
-        total = sum(comb(n, i) * kdims[i] * d[n - i] for i in range(n + 1))
-        if total != hdim:
-            return TestReport(name, FAIL, first_violation=n,
-                              witness={"dim h[n]": hdim, "convolution": total},
-                              details=details)
-    return TestReport(name, PASS, details=details)
-
-
-def lagrange_quotient_dims(f: HopfMorphism, nmax: int) -> list:
-    """Quotient dimensions q_n = dim h[n] - dim (k_+ h)[n] for an injective
-    morphism of Hopf monoids k -> h."""
-    _require_full_rank(f, nmax, NotInjective)
-    # the ideal's ambient basis is h[n], so dim h[n] is read off it
-    ideals = (ideal_kplus_h(f, labelset(n)) for n in range(nmax + 1))
-    return [len(ideal.coords) - ideal.dim for ideal in ideals]
-
-
-def lagrange_factorization_check(f: HopfMorphism, nmax: int) -> TestReport:
-    """For an injection k -> h: dim h[n] = sum_i C(n,i) dim k[i] q_{n-i}."""
-    q = lagrange_quotient_dims(f, nmax)
-    return _factorization("lagrange-factorization", f.target.species.dims(nmax),
-                          f.source.species.dims(nmax), q, {"quotient_dims": q})
-
-
-def dual_factorization_check(f: HopfMorphism, nmax: int) -> TestReport:
-    """For a surjection h ->> k: dim h[n] = sum_i C(n,i) dim k[i] dim Hker[n-i]."""
-    _require_full_rank(f, nmax, NotSurjective)
-    d = hker_dims(f, nmax)
-    return _factorization("dual-factorization", f.source.species.dims(nmax),
-                          f.target.species.dims(nmax), d, {"hker_dims": d})
-
-
-# ---------------------------------------------------------------------------
-# PBW series identity and generation of Hker by Lker
-# ---------------------------------------------------------------------------
-
-def _require_cocommutative(h: HopfMonoid, nmax: int):
-    # the axiom battery is loaded by the two checks that need it, not by
-    # every command that computes a kernel
-    from .axioms import check_cocommutative
-    rep = check_cocommutative(h, min(nmax, 4))
-    if not rep.ok:
-        raise NotCocommutative(rep.summary())
-
-
-def pbw_series_check(h: HopfMonoid, nmax: int) -> TestReport:
-    """exp of the primitive-dimension exponential series must equal the
-    exponential series of a cocommutative connected Hopf monoid."""
-    # the series layer is loaded here only, not by every kernel command
-    from .exactalg import egf_from_counts
-    _require_cocommutative(h, nmax)
-    pdims = primitive_dims(h, nmax)
-    lhs = egf_from_counts(pdims).exp()
-    rhs = egf_from_counts([h.species.dimension(n) for n in range(nmax + 1)])
-    if lhs == rhs:
-        return TestReport("pbw-series", PASS,
-                          details={"primitive_dims": pdims,
-                                   "egf": rhs.to_json()})
-    bad = min(n for n in range(nmax + 1) if lhs[n] != rhs[n])
-    return TestReport("pbw-series", FAIL, first_violation=bad,
-                      witness={"exp(primitives)": lhs[bad], "egf": rhs[bad]},
-                      details={"primitive_dims": pdims})
-
-
-def hker_generated_check(f: HopfMorphism, nmax: int) -> TestReport:
-    """The span of all products of Lie-kernel elements over set compositions
-    must equal the Hopf kernel, size by size.
-
-    Blocks are restricted to sizes where the Lie kernel is nonzero; other
-    block sizes contribute nothing to the span. The Lie-kernel spaces, asked
-    for again at every size, are kept in a dict that lives for this call.
-    """
-    _require_cocommutative(f.source, nmax)
-    _require_cocommutative(f.target, nmax)
-    _require_full_rank(f, nmax, NotSurjective)
-    lker: dict = {}
-
-    def lie(S: FiniteSet) -> SubspaceBasis:
-        if S.labels not in lker:
-            lker[S.labels] = lker_space(f, S)
-        return lker[S.labels]
-
-    dims_checked = []
-    for n in range(nmax + 1):
-        I = labelset(n)
-        hk = hker_space(f, I)
-        sizes = [s for s in range(1, n + 1) if lie(labelset(s)).dim > 0]
-        gen = SubspaceBasis(I, f.source.species.structures(I))
-        if n == 0:
-            gen.add(QVector.basis(f.source.one()))
-        else:
-            for blocks in block_partitions(I.labels, sizes):
-                for comp in itertools.permutations(map(FiniteSet._fast, blocks)):
-                    choices = [lie(S).vectors() for S in comp]
-                    for pick in itertools.product(*choices):
-                        gen.add(iterated_product(f.source, comp, pick))
-        if not gen.same_span(hk):
-            return TestReport("hker-generated", FAIL, first_violation=n,
-                              witness={"span_dim": gen.dim, "hker_dim": hk.dim})
-        dims_checked.append(hk.dim)
-    return TestReport("hker-generated", PASS, details={"hker_dims": dims_checked})

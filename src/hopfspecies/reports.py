@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quote
 
-from .species import qstr
+from .vectors import qstr
 
 PASS = "pass"
 FAIL = "fail"

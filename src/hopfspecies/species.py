@@ -1,4 +1,4 @@
-"""Set species over finite label sets.
+"""Set species over finite label sets, and the catalog of named species.
 
 A species is given by a basis enumerator (finite label set -> the
 canonical keys of its combinatorial structures) together with relabeling
@@ -6,13 +6,18 @@ along bijections. Each kind of structure has one check of a key on a label
 set, which its constructor runs and which a count runs alone. The
 structures themselves are immutable value objects with a total order, so
 every enumeration, vector and matrix in the package is canonically sorted.
+
+Each named species is defined once here, by its enumerator and its kind
+(the catalog at the end, read by `get_species`); `structures` builds each
+Hopf monoid on that same species. Counting a species loads nothing but
+this module: the vectors (`vectors`), and with them `fractions`, load with
+the commands that evaluate structure maps.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from math import factorial, prod
 from operator import attrgetter
 
@@ -540,9 +545,9 @@ class SpeciesSpec:
     `enumerator(I)` yields the canonical key of each basis structure on the
     label set I: the tuple its monoid's intern table is keyed by (for a
     mark the sorted labels, for an element its point). The kind of those
-    keys is recorded after construction (`structures._keyed`): `build(key,
-    I)` is the kind's constructor on a checked set, and `check(key, I)` is
-    the one check that constructor runs, which returns the key's orbit
+    keys is recorded after construction (`_keyed`): `build(key, I)` is
+    the kind's constructor on a checked set, and `check(key, I)` is the
+    one check that constructor runs, which returns the key's orbit
     invariant, its structure's `orbit_key()`. A species built directly from
     structures keeps the defaults: a structure is its own key, checked when
     it was built, with its `orbit_key()` as its invariant.
@@ -692,176 +697,313 @@ def hadamard(a: SpeciesSpec, b: SpeciesSpec) -> SpeciesSpec:
 
 
 # ---------------------------------------------------------------------------
-# Vectors and tensors over a fixed label set
+# Enumerators of keys
 # ---------------------------------------------------------------------------
 
-def qstr(x) -> str:
-    """Render an exact number as 'p' or 'p/q'. Never a decimal."""
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return "%d/%d" % (x.numerator, x.denominator)
-    return str(int(x)) if isinstance(x, (int, Fraction)) else str(x)
+def block_partitions(labels: tuple, sizes=None):
+    """Each set partition of the sorted label tuple `labels` once, as a tuple
+    of sorted blocks ordered by their least labels; with `sizes`, only the
+    partitions whose block sizes all lie in `sizes`.
 
-
-def terms_text(items, key_text) -> str:
-    """Print sorted (key, coeff) pairs as a signed sum, '0' when empty."""
-    parts = []
-    for key, c in items:
-        parts.append(("- " if c < 0 else ("+ " if parts else ""))
-                     + ("" if abs(c) == 1 else qstr(abs(c)) + "*") + key_text(key))
-    return " ".join(parts) if parts else "0"
-
-
-def tensor_text(key) -> str:
-    """A tuple of structures printed as a tensor, 'a|b (x) c'."""
-    return " (x) ".join(x.text() for x in key)
-
-
-def check_coeff(c):
-    """Refuse a coefficient that is not an exact int or Fraction."""
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError("exact coefficient expected, got %r" % (c,))
-
-
-def summed(pairs) -> dict:
-    """The nonzero sums of (key, coefficient) pairs by key; each coefficient
-    must be exact."""
-    acc = {}
-    for key, c in pairs:
-        check_coeff(c)
-        acc[key] = acc[key] + c if key in acc else c
-    return {key: c for key, c in acc.items() if c}
-
-
-class _Combination:
-    """A sparse exact combination: keys -> nonzero int or Fraction coefficients.
-
-    Coefficients are kept as given, so integer data stays integer; Fractions
-    appear only where a caller divides. `terms` may be a dict or an iterable
-    of (key, coeff) pairs with repeated keys, which are summed once here.
-    Subclasses fix the ambient (`_frame`), the key check and the key printer.
+    The block holding the least label is chosen first, so no partition is
+    generated twice. This is the one partition generator: partitions,
+    compositions and their filtered variants are all built from it.
     """
-
-    __slots__ = ("terms",)
-
-    def _collect(self, terms):
-        self.terms = summed(terms.items() if isinstance(terms, dict) else terms or ())
-        self._check_keys()
-
-    def _like(self, terms):
-        return type(self)(*self._frame(), terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def __add__(self, other):
-        return self._like(itertools.chain(self.terms.items(), other.terms.items()))
-
-    def __sub__(self, other):
-        return self._like(itertools.chain(
-            self.terms.items(), ((k, -c) for k, c in other.terms.items())))
-
-    def scale(self, c):
-        return self._like({k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and self._frame() == other._frame()
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash(self._frame() + (tuple(self.items()),))
-
-    def __repr__(self):
-        return terms_text(self.items(), self._key_text)
+    if not labels:
+        yield ()
+        return
+    head, rest = labels[0], labels[1:]
+    n = len(labels)
+    for size in range(1, n + 1) if sizes is None else sorted(sizes):
+        if size > n:
+            break
+        for others in itertools.combinations(rest, size - 1):
+            taken = set(others)
+            remaining = tuple(t for t in rest if t not in taken)
+            for tail in block_partitions(remaining, sizes):
+                yield ((head,) + others,) + tail
 
 
-class QVector(_Combination):
-    """A sparse exact-rational combination of structures on one label set."""
-
-    __slots__ = ("ambient",)
-
-    def __init__(self, ambient: FiniteSet, terms=None):
-        self.ambient = ambient
-        self._collect(terms)
-
-    def _frame(self):
-        return (self.ambient,)
-
-    def _check_keys(self):
-        for s in self.terms:
-            self.check_key(self.ambient, s)
-
-    @staticmethod
-    def check_key(ambient: FiniteSet, s: Structure) -> None:
-        # the labels tuples compare in C; FiniteSet.__eq__ would not
-        if s._labels.labels != ambient.labels:
-            raise ValueError("structure %r not on ambient %r" % (s, ambient))
-
-    @staticmethod
-    def _key_text(s):
-        return s.text()
-
-    @classmethod
-    def basis(cls, s: Structure, coeff=1) -> "QVector":
-        # s lies on its own label set, so only the coefficient needs a check
-        check_coeff(coeff)
-        out = object.__new__(cls)
-        out.ambient = s.labels
-        out.terms = {s: coeff} if coeff else {}
-        return out
-
-    @classmethod
-    def zero(cls, ambient: FiniteSet) -> "QVector":
-        return cls(ambient)
-
-    def coordinates(self, basis_index: dict) -> dict:
-        """Sparse coordinate row {index: coeff} for a fixed basis ordering."""
-        return {basis_index[s]: c for s, c in self.terms.items()}
-
-    def to_json(self) -> dict:
-        return {"ambient": list(self.ambient),
-                "terms": [{"structure": s.text(), "coeff": qstr(c)}
-                          for s, c in self.items()]}
+def closed_sizes(generators, max_size: int) -> frozenset:
+    """All sums of the generators up to max_size: the block-size support of
+    the additive submonoid they generate."""
+    gens = sorted(set(int(g) for g in generators))
+    if not gens or gens[0] <= 0:
+        raise ValueError("generators must be positive integers")
+    reach = {0}
+    for v in range(1, max_size + 1):
+        if any(v - g in reach for g in gens if v >= g):
+            reach.add(v)
+    return frozenset(v for v in reach if v > 0)
 
 
-class QTensor(_Combination):
-    """A sparse combination of pairs (structure on S, structure on T)."""
+def set_compositions(I: FiniteSet):
+    """Each set composition of I once, as its tuple of sorted blocks."""
+    for blocks in block_partitions(I.labels):
+        yield from itertools.permutations(blocks)
 
-    __slots__ = ("left", "right")
 
-    def __init__(self, left: FiniteSet, right: FiniteSet, terms=None):
-        self.left = left
-        self.right = right
-        self._collect(terms)
+# the memo bound of pal_words: its pairs for remainders of up to 4 labels
+# are 3,853 short tuples at n = 9, where every remainder listed in full
+# would hold megabytes
+_PAIRS_MEMO_MAX = 4
 
-    def _frame(self):
-        return (self.left, self.right)
 
-    def _check_keys(self):
-        for key in self.terms:
-            self.check_key(self.left, self.right, key)
+def pal_words(labels: tuple):
+    """Each palindromic set composition of the sorted label tuple `labels`
+    once, as a tuple of sorted blocks: outer pairs of equal-size blocks
+    around at most one central block. The centre is the middle block of an
+    odd word, so its size has the parity of len(labels).
 
-    @staticmethod
-    def check_key(left: FiniteSet, right: FiniteSet, key: tuple) -> None:
-        x, y = key
-        if x._labels.labels != left.labels or y._labels.labels != right.labels:
-            raise ValueError("tensor term (%r, %r) off ambient (%r, %r)"
-                             % (x, y, left, right))
+    A word is built at the top level from its first pair, the (head, tail)
+    words of the pairs inside it and the centre. The pairs of a remainder
+    of at most _PAIRS_MEMO_MAX labels are listed once per call and reused
+    for every centre and first pair around it, so such a word takes one
+    step. A longer remainder is cut lazily, one generator level (and one
+    more concatenation) per two labels above that bound, so memory stays
+    small at any size. Every word up to n = 7 takes one step; at n = 8
+    and 9 the words whose first pair leaves 5 or 6 labels (61,600 of
+    108,347 and 554,400 of 774,763) climb one lazy level."""
+    memo = {(): (((), ()),)}
+    n = len(labels)
+    for k in range(n % 2, n + 1, 2):
+        for center in itertools.combinations(labels, k):
+            rest = tuple(itertools.filterfalse(set(center).__contains__, labels))
+            middle = (center,) if center else ()
+            if not rest:
+                yield middle
+                continue
+            for left, right, remaining in _first_pairs(rest):
+                for head, tail in _outer_pairs(remaining, memo):
+                    yield (left, *head, *middle, *tail, right)
 
-    _key_text = staticmethod(tensor_text)
 
-    @classmethod
-    def basis(cls, x: Structure, y: Structure, coeff=1) -> "QTensor":
-        # (x, y) lies on its own label sets, so only the coefficient needs a check
-        check_coeff(coeff)
-        out = object.__new__(cls)
-        out.left = x.labels
-        out.right = y.labels
-        out.terms = {(x, y): coeff} if coeff else {}
-        return out
+def _first_pairs(labels: tuple):
+    """Each pair (B, B') of disjoint equal-size blocks of the sorted label
+    tuple, as (B, B', the labels in neither)."""
+    m = len(labels)
+    for size in range(1, m // 2 + 1):
+        for left in itertools.combinations(labels, size):
+            others = tuple(itertools.filterfalse(set(left).__contains__, labels))
+            for right in itertools.combinations(others, size):
+                yield left, right, tuple(
+                    itertools.filterfalse(set(right).__contains__, others))
 
-    @classmethod
-    def zero(cls, left: FiniteSet, right: FiniteSet) -> "QTensor":
-        return cls(left, right)
+
+def _outer_pairs(labels: tuple, memo: dict):
+    """Each way to cut the sorted label tuple into an ordered sequence of
+    pairs of equal-size blocks (B1, B1'), ..., (Bh, Bh'), as the pair of
+    words (B1, ..., Bh) and (Bh', ..., B1'); the empty tuple has one, with
+    h = 0. `memo` keeps the pairs of short remainders (see pal_words)."""
+    got = memo.get(labels)
+    if got is None:
+        got = (((left,) + head, tail + (right,))
+               for left, right, remaining in _first_pairs(labels)
+               for head, tail in _outer_pairs(remaining, memo))
+        if len(labels) <= _PAIRS_MEMO_MAX:
+            got = memo[labels] = tuple(got)
+    return got
+
+
+# ---------------------------------------------------------------------------
+# The catalog: each named species by its enumerator and its kind
+# ---------------------------------------------------------------------------
+
+def _keyed(sp: SpeciesSpec, build, check) -> SpeciesSpec:
+    """sp, with the kind of the keys its enumerator yields recorded:
+    `build(key, I)` builds the structure of a key on the label set I, and
+    `check(key, I)` runs that build's check alone and returns the key's
+    orbit invariant."""
+    sp.build = build
+    sp.check = check
+    return sp
+
+
+def species_E() -> SpeciesSpec:
+    """One mark on every label set."""
+    return _keyed(SpeciesSpec("E", lambda I: (I.labels,)),
+                  SingletonMark, SingletonMark.check)
+
+
+def species_X() -> SpeciesSpec:
+    """The singletons: one mark on each one-element set, none elsewhere."""
+    return _keyed(SpeciesSpec("X", lambda I: (I.labels,) if len(I) == 1 else ()),
+                  SingletonMark, SingletonMark.check)
+
+
+def species_L() -> SpeciesSpec:
+    """Linear orders, streamed: n! of them at n = 9 are never listed."""
+    return _keyed(SpeciesSpec("L", lambda I: itertools.permutations(I.labels)),
+                  LinearOrder, LinearOrder.check)
+
+
+def species_Pi() -> SpeciesSpec:
+    """Set partitions."""
+    return _keyed(SpeciesSpec("Pi", lambda I: block_partitions(I.labels)),
+                  SetPartition, SetPartition.check)
+
+
+def _sized_partitions(name: str, enumerator, admits, refusal) -> SpeciesSpec:
+    """The set partitions whose sorted blocks `admits`, keyed as Pi's. The
+    key check is SetPartition's, followed by `admits`; a key it refuses
+    raises ValueError(refusal(its blocks, sorted)), so the constructor and
+    the check name the same block."""
+
+    def check(blocks, I: FiniteSet):
+        blocks = _blocks_on(blocks, I)
+        if not admits(blocks):
+            raise ValueError(refusal(sorted(blocks)))
+        return SetPartition.check(blocks, None)
+
+    def build(blocks, I: FiniteSet) -> SetPartition:
+        s = SetPartition(blocks, I)
+        if not admits(s.blocks):
+            raise ValueError(refusal(s.blocks))
+        return s
+
+    return _keyed(SpeciesSpec(name, enumerator), build, check)
+
+
+def species_PiS(allowed) -> SpeciesSpec:
+    """Set partitions with every block size in `allowed`, named by those
+    sizes ('PiS:2,4,6,8'); a key with a block of another size is refused,
+    naming that block. `admits`, recorded on the species, is the one test
+    of which partitions it holds."""
+    allowed = frozenset(int(s) for s in allowed)
+    if not allowed or min(allowed) <= 0:
+        raise ValueError("allowed block sizes must be positive")
+    name = "PiS:" + ",".join(str(s) for s in sorted(allowed))
+
+    def admits(blocks) -> bool:
+        return all(len(b) in allowed for b in blocks)
+
+    def refusal(blocks) -> str:
+        b = next(b for b in blocks if len(b) not in allowed)
+        return "block %s has size %d, which %s does not allow" % (
+            "".join(b), len(b), name)
+
+    sp = _sized_partitions(name, lambda I: block_partitions(I.labels, allowed),
+                           admits, refusal)
+    sp.admits = admits
+    return sp
+
+
+def species_PiPrime() -> SpeciesSpec:
+    """Set partitions with pairwise distinct block sizes; a key with two
+    blocks of one size is refused, naming both."""
+
+    def admits(blocks) -> bool:
+        return len({len(b) for b in blocks}) == len(blocks)
+
+    def refusal(blocks) -> str:
+        first = {}
+        for b in blocks:
+            if len(b) in first:
+                return "blocks %s and %s have the same size %d, which PiPrime" \
+                       " does not allow" % ("".join(first[len(b)]), "".join(b), len(b))
+            first[len(b)] = b
+
+    return _sized_partitions("PiPrime",
+                             lambda I: filter(admits, block_partitions(I.labels)),
+                             admits, refusal)
+
+
+def species_Sigma() -> SpeciesSpec:
+    """Set compositions."""
+    return _keyed(SpeciesSpec("Sigma", set_compositions),
+                  SetComposition, SetComposition.check)
+
+
+def species_Pal() -> SpeciesSpec:
+    """Set compositions whose block-size word is a palindrome."""
+    return _keyed(SpeciesSpec("Pal", lambda I: pal_words(I.labels)),
+                  PalComposition, PalComposition.check)
+
+
+def species_Ek(k: int) -> SpeciesSpec:
+    """Functions from the label set to {1, ..., k}, streamed like L's
+    orders: k^n mappings are never listed."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("k must be a nonnegative integer")
+
+    def enum(I):
+        return (tuple(zip(I.labels, values))
+                for values in itertools.product(range(1, k + 1), repeat=len(I)))
+
+    return _keyed(SpeciesSpec("Ek:%d" % k, enum),
+                  lambda mapping, I: FunctionToK(mapping, k, I),
+                  lambda mapping, I: FunctionToK.check(mapping, k, I))
+
+
+def species_el() -> SpeciesSpec:
+    """The species of elements: the label set itself is the basis."""
+    return _keyed(SpeciesSpec("el", lambda I: I.labels),
+                  lambda point, I: Element(I, point), Element.check)
+
+
+# Constructors by head; a family's takes the args its identifier parses to.
+CATALOG = {"E": species_E, "X": species_X, "L": species_L, "Pi": species_Pi,
+           "Sigma": species_Sigma, "Pal": species_Pal, "Ek:k": species_Ek,
+           "PiS:g1,g2,...": species_PiS, "PiPrime": species_PiPrime,
+           "el": species_el}
+
+
+def _parse(ident: str):
+    """The one reading of an identifier, as (head, args). The families
+    'Hadamard(A,B)' (split at the comma outside parentheses), 'Ek:k' and
+    'PiS:g1,g2,...' (the block sizes the generators reach up to SIZE_CAP)
+    have their template as head, which no bare name can equal; any other
+    identifier is a bare name with no args."""
+    ident = ident.strip()
+    if ident.startswith("Hadamard(") and ident.endswith(")"):
+        inner, depth = ident[len("Hadamard("):-1], 0
+        for i, ch in enumerate(inner):
+            depth += (ch == "(") - (ch == ")")
+            if ch == "," and depth == 0:
+                return "Hadamard(A,B)", (inner[:i], inner[i + 1:])
+        raise ValueError("malformed Hadamard identifier: %r" % ident)
+    head, colon, arg = ident.partition(":")
+    if not colon or head not in ("Ek", "PiS"):
+        return ident, ()
+    if head == "Ek":
+        try:
+            k = int(arg)
+        except ValueError:
+            raise ValueError("bad identifier %r: k must be an integer" % ident) from None
+        if k < 0:
+            raise ValueError("bad identifier %r: k must be nonnegative" % ident)
+        return "Ek:k", (k,)
+    try:
+        gens = [int(v) for v in arg.split(",") if v]
+    except ValueError:
+        raise ValueError("bad identifier %r: generators must be integers"
+                         % ident) from None
+    if not gens or min(gens) <= 0:
+        raise ValueError("bad identifier %r: generators must be positive integers"
+                         % ident)
+    sizes = closed_sizes(gens, SIZE_CAP)
+    if not sizes:
+        raise ValueError("bad identifier %r: its generators reach no block"
+                         " size up to the cap %d" % (ident, SIZE_CAP))
+    return "PiS:g1,g2,...", (sizes,)
+
+
+def get_species(ident: str) -> SpeciesSpec:
+    """The species an identifier names; a Hadamard species is built on its
+    factors, and no Hopf monoid is built."""
+    head, args = _parse(ident)
+    if head == "Hadamard(A,B)":
+        return hadamard(*map(get_species, args))
+    if head not in CATALOG:
+        raise ValueError("unknown species identifier: %r" % head)
+    return CATALOG[head](*args)
+
+
+def __getattr__(name: str):
+    # QVector and QTensor live in `vectors`, which this module does not load;
+    # perfbench's tracer wraps them under this module's name, so they resolve
+    # here, loading `vectors` on the first lookup
+    if name in ("QVector", "QTensor"):
+        from . import vectors
+        return getattr(vectors, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

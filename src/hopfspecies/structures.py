@@ -16,10 +16,12 @@ monoids built here, `()` for zero. Each monoid holds one `intern_table`,
 keyed by the canonical key of a structure (blocks, sequence, mapping or
 sorted labels tuple), that fetches the one instance it holds for that
 key, so each distinct output of the maps is built and validated once per
-monoid. Every species enumerates the same canonical keys, and records the
-kind that builds and checks them (`_keyed`); its `structures` builds the
-basis apart from the table: a basis structure and the output with its key
-are equal, not one object.
+monoid. Each monoid is built on its species from the catalog in
+`species`, which enumerates the same canonical keys and records the kind
+that builds and checks them, so this module adds mu, Delta and the table
+and defines no species again. The species' `structures` builds the basis
+apart from the table: a basis structure and the output with its key are
+equal, not one object.
 
 mu and Delta are defined on those keys: an output of a monoid's `mu` is
 the key on S u T, one of its `delta` the pair (key on S, key on T), and
@@ -35,10 +37,14 @@ from __future__ import annotations
 
 import itertools
 
-from .species import (EMPTY, SIZE_CAP, Element, FiniteSet, FunctionToK,
-                      LinearOrder, PairStructure, PalComposition, QTensor,
-                      QVector, SetComposition, SetPartition, SingletonMark,
-                      SpeciesSpec, Structure, check_coeff, hadamard)
+# set_compositions is re-exported: perfbench's tracer wraps it here
+from .species import (CATALOG, EMPTY, SIZE_CAP, FiniteSet, FunctionToK,
+                      LinearOrder, PairStructure, PalComposition,
+                      SetComposition, SetPartition, SingletonMark, SpeciesSpec,
+                      Structure, _parse, hadamard, set_compositions, species_E,
+                      species_Ek, species_L, species_Pal, species_Pi,
+                      species_PiS, species_Sigma, species_X)
+from .vectors import QTensor, QVector, check_coeff
 
 
 class _InternTable(dict):
@@ -178,16 +184,6 @@ class HopfMonoid:
         return "HopfMonoid(%s)" % self.name
 
 
-def _keyed(sp: SpeciesSpec, build, check) -> SpeciesSpec:
-    """sp, with the kind of the keys its enumerator yields recorded:
-    `build(key, I)` builds the structure of a key on the label set I, and
-    `check(key, I)` runs that build's check alone and returns the key's
-    orbit invariant."""
-    sp.build = build
-    sp.check = check
-    return sp
-
-
 def _declare(h: HopfMonoid, intern, cocommutative: bool = True) -> HopfMonoid:
     """h, with the lookup of the keys its mu and Delta return and whether
     it is cocommutative recorded."""
@@ -250,31 +246,22 @@ class HopfMorphism:
 # ---------------------------------------------------------------------------
 
 def make_E() -> HopfMonoid:
-    sp = _keyed(SpeciesSpec("E", lambda I: (I.labels,)),
-                SingletonMark, SingletonMark.check)
-
     def mu(S, T, x, y):
         return ((S.union(T).labels, 1),)
 
     def delta(S, T, s):
         return (((S.labels, T.labels), 1),)
 
-    return _declare(HopfMonoid(sp, mu, delta), intern_table(SingletonMark))
+    return _declare(HopfMonoid(species_E(), mu, delta), intern_table(SingletonMark))
 
 
 def make_X() -> HopfMonoid:
     """The species of singletons. Not connected (empty set carries nothing);
     it exists as the primitive part of E and fails check_connected."""
-    sp = _keyed(SpeciesSpec("X", lambda I: (I.labels,) if len(I) == 1 else ()),
-                SingletonMark, SingletonMark.check)
-    return HopfMonoid(sp, lambda S, T, x, y: (), lambda S, T, s: ())
+    return HopfMonoid(species_X(), lambda S, T, x, y: (), lambda S, T, s: ())
 
 
 def make_L() -> HopfMonoid:
-    # the orders are streamed: n! of them at n = 9 are never listed
-    sp = _keyed(SpeciesSpec("L", lambda I: itertools.permutations(I.labels)),
-                LinearOrder, LinearOrder.check)
-
     def mu(S, T, x, y):
         return ((x.seq + y.seq, 1),)
 
@@ -283,41 +270,14 @@ def make_L() -> HopfMonoid:
         return (((tuple(filter(inside, s.seq)),
                   tuple(itertools.filterfalse(inside, s.seq))), 1),)
 
-    return _declare(HopfMonoid(sp, mu, delta), intern_table(LinearOrder))
+    return _declare(HopfMonoid(species_L(), mu, delta), intern_table(LinearOrder))
 
 
 # ---------------------------------------------------------------------------
 # Set partitions
 # ---------------------------------------------------------------------------
 
-def block_partitions(labels: tuple, sizes=None):
-    """Each set partition of the sorted label tuple `labels` once, as a tuple
-    of sorted blocks ordered by their least labels; with `sizes`, only the
-    partitions whose block sizes all lie in `sizes`.
-
-    The block holding the least label is chosen first, so no partition is
-    generated twice. This is the one partition generator: partitions,
-    compositions and their filtered variants are all built from it.
-    """
-    if not labels:
-        yield ()
-        return
-    head, rest = labels[0], labels[1:]
-    n = len(labels)
-    for size in range(1, n + 1) if sizes is None else sorted(sizes):
-        if size > n:
-            break
-        for others in itertools.combinations(rest, size - 1):
-            taken = set(others)
-            remaining = tuple(t for t in rest if t not in taken)
-            for tail in block_partitions(remaining, sizes):
-                yield ((head,) + others,) + tail
-
-
 def make_Pi() -> HopfMonoid:
-    sp = _keyed(SpeciesSpec("Pi", lambda I: block_partitions(I.labels)),
-                SetPartition, SetPartition.check)
-
     def mu(S, T, x, y):
         return ((tuple(sorted(x.blocks + y.blocks)), 1),)
 
@@ -325,37 +285,13 @@ def make_Pi() -> HopfMonoid:
         left, right = split_blocks(s.blocks, S)
         return (((tuple(sorted(left)), tuple(sorted(right))), 1),)
 
-    return _declare(HopfMonoid(sp, mu, delta), intern_table(SetPartition))
-
-
-def make_PiPrime() -> SpeciesSpec:
-    """Set partitions with pairwise distinct block sizes. A species only:
-    no Hopf structure is provided, and none exists on this basis."""
-
-    def enum(I):
-        for blocks in block_partitions(I.labels):
-            if len({len(b) for b in blocks}) == len(blocks):
-                yield blocks
-
-    return _keyed(SpeciesSpec("PiPrime", enum), SetPartition, SetPartition.check)
-
-
-def closed_sizes(generators, max_size: int) -> frozenset:
-    """All sums of the generators up to max_size: the block-size support of
-    the additive submonoid they generate."""
-    gens = sorted(set(int(g) for g in generators))
-    if not gens or gens[0] <= 0:
-        raise ValueError("generators must be positive integers")
-    reach = {0}
-    for v in range(1, max_size + 1):
-        if any(v - g in reach for g in gens if v >= g):
-            reach.add(v)
-    return frozenset(v for v in reach if v > 0)
+    return _declare(HopfMonoid(species_Pi(), mu, delta), intern_table(SetPartition))
 
 
 def _make_PiS(allowed) -> tuple:
     """Quotient of Pi onto partitions with all block sizes in `allowed`,
-    and `ok`, the one test of which partitions survive the projection.
+    and `ok`, its species' one test of which partitions survive the
+    projection.
 
     `allowed` must be closed under addition up to SIZE_CAP, i.e. be a
     numerical submonoid there; otherwise restriction-then-project is not
@@ -363,20 +299,13 @@ def _make_PiS(allowed) -> tuple:
     leaves the basis) and coproduct is restriction followed by projection.
     """
     allowed = frozenset(int(s) for s in allowed)
-    if not allowed or min(allowed) <= 0:
-        raise ValueError("allowed block sizes must be positive")
+    sp = species_PiS(allowed)
     for i in allowed:
         for j in allowed:
             if i + j <= SIZE_CAP and i + j not in allowed:
                 raise ValueError(
                     "sizes %r are not closed under addition (%d+%d)" % (sorted(allowed), i, j))
-    name = "PiS:" + ",".join(str(s) for s in sorted(allowed))
-
-    def ok(blocks) -> bool:
-        return all(len(b) in allowed for b in blocks)
-
-    sp = _keyed(SpeciesSpec(name, lambda I: block_partitions(I.labels, allowed)),
-                SetPartition, SetPartition.check)
+    ok = sp.admits
 
     def mu(S, T, x, y):
         merged = tuple(sorted(x.blocks + y.blocks))
@@ -399,85 +328,14 @@ def make_PiS(allowed) -> HopfMonoid:
 # Set compositions and palindromic set compositions
 # ---------------------------------------------------------------------------
 
-def set_compositions(I: FiniteSet):
-    """Each set composition of I once, as its tuple of sorted blocks."""
-    for blocks in block_partitions(I.labels):
-        yield from itertools.permutations(blocks)
-
-
 def make_Sigma() -> HopfMonoid:
-    sp = _keyed(SpeciesSpec("Sigma", set_compositions),
-                SetComposition, SetComposition.check)
-
     def mu(S, T, x, y):
         return ((x.blocks + y.blocks, 1),)
 
     def delta(S, T, s):
         return ((split_blocks(s.blocks, S), 1),)
 
-    return _declare(HopfMonoid(sp, mu, delta), intern_table(SetComposition))
-
-
-# the memo bound of pal_words: its pairs for remainders of up to 4 labels
-# are 3,853 short tuples at n = 9, where every remainder listed in full
-# would hold megabytes
-_PAIRS_MEMO_MAX = 4
-
-
-def pal_words(labels: tuple):
-    """Each palindromic set composition of the sorted label tuple `labels`
-    once, as a tuple of sorted blocks: outer pairs of equal-size blocks
-    around at most one central block. The centre is the middle block of an
-    odd word, so its size has the parity of len(labels).
-
-    A word is built at the top level from its first pair, the (head, tail)
-    words of the pairs inside it and the centre. The pairs of a remainder
-    of at most _PAIRS_MEMO_MAX labels are listed once per call and reused
-    for every centre and first pair around it, so such a word takes one
-    step. A longer remainder is cut lazily, one generator level (and one
-    more concatenation) per two labels above that bound, so memory stays
-    small at any size. Every word up to n = 7 takes one step; at n = 8
-    and 9 the words whose first pair leaves 5 or 6 labels (61,600 of
-    108,347 and 554,400 of 774,763) climb one lazy level."""
-    memo = {(): (((), ()),)}
-    n = len(labels)
-    for k in range(n % 2, n + 1, 2):
-        for center in itertools.combinations(labels, k):
-            rest = tuple(itertools.filterfalse(set(center).__contains__, labels))
-            middle = (center,) if center else ()
-            if not rest:
-                yield middle
-                continue
-            for left, right, remaining in _first_pairs(rest):
-                for head, tail in _outer_pairs(remaining, memo):
-                    yield (left, *head, *middle, *tail, right)
-
-
-def _first_pairs(labels: tuple):
-    """Each pair (B, B') of disjoint equal-size blocks of the sorted label
-    tuple, as (B, B', the labels in neither)."""
-    m = len(labels)
-    for size in range(1, m // 2 + 1):
-        for left in itertools.combinations(labels, size):
-            others = tuple(itertools.filterfalse(set(left).__contains__, labels))
-            for right in itertools.combinations(others, size):
-                yield left, right, tuple(
-                    itertools.filterfalse(set(right).__contains__, others))
-
-
-def _outer_pairs(labels: tuple, memo: dict):
-    """Each way to cut the sorted label tuple into an ordered sequence of
-    pairs of equal-size blocks (B1, B1'), ..., (Bh, Bh'), as the pair of
-    words (B1, ..., Bh) and (Bh', ..., B1'); the empty tuple has one, with
-    h = 0. `memo` keeps the pairs of short remainders (see pal_words)."""
-    got = memo.get(labels)
-    if got is None:
-        got = (((left,) + head, tail + (right,))
-               for left, right, remaining in _first_pairs(labels)
-               for head, tail in _outer_pairs(remaining, memo))
-        if len(labels) <= _PAIRS_MEMO_MAX:
-            got = memo[labels] = tuple(got)
-    return got
+    return _declare(HopfMonoid(species_Sigma(), mu, delta), intern_table(SetComposition))
 
 
 def pal_split(F: PalComposition):
@@ -489,9 +347,6 @@ def pal_split(F: PalComposition):
 
 
 def make_Pal() -> HopfMonoid:
-    sp = _keyed(SpeciesSpec("Pal", lambda I: pal_words(I.labels)),
-                PalComposition, PalComposition.check)
-
     def mu(S, T, x, y):
         # concatenate initial runs, merge central blocks, concatenate final
         # runs in the opposite order
@@ -511,27 +366,17 @@ def make_Pal() -> HopfMonoid:
                 return ()
         return (((left, right), 1),)
 
-    return _declare(HopfMonoid(sp, mu, delta), intern_table(PalComposition))
+    return _declare(HopfMonoid(species_Pal(), mu, delta), intern_table(PalComposition))
 
 
 # ---------------------------------------------------------------------------
-# Cauchy powers of E, and the species of elements
+# Cauchy powers of E
 # ---------------------------------------------------------------------------
 
 def make_Ek(k: int) -> HopfMonoid:
     """The k-th Cauchy power of E: basis the functions I -> {1..k};
     product glues graphs of functions with disjoint domains."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("k must be a nonnegative integer")
-
-    def enum(I):
-        # streamed, like L's orders: k^n mappings are never listed
-        return (tuple(zip(I.labels, values))
-                for values in itertools.product(range(1, k + 1), repeat=len(I)))
-
-    sp = _keyed(SpeciesSpec("Ek:%d" % k, enum),
-                lambda mapping, I: FunctionToK(mapping, k, I),
-                lambda mapping, I: FunctionToK.check(mapping, k, I))
+    sp = species_Ek(k)
 
     def mu(S, T, x, y):
         return ((tuple(sorted(x.mapping + y.mapping)), 1),)
@@ -543,13 +388,6 @@ def make_Ek(k: int) -> HopfMonoid:
 
     return _declare(HopfMonoid(sp, mu, delta),
                     intern_table(lambda mapping: FunctionToK(mapping, k)))
-
-
-def make_el() -> SpeciesSpec:
-    """The species of elements: the label set itself is the basis. Species
-    only; its dimension sequence rules out any Hopf monoid structure."""
-    return _keyed(SpeciesSpec("el", lambda I: I.labels),
-                  lambda point, I: Element(I, point), Element.check)
 
 
 def hadamard_hopf(a: HopfMonoid, b: HopfMonoid) -> HopfMonoid:
@@ -631,63 +469,15 @@ def morphism_Pi_to_PiS(allowed) -> HopfMorphism:
 # Identifier registry (CLI surface)
 # ---------------------------------------------------------------------------
 
-def _parse(ident: str):
-    """The one reading of an identifier, as (head, args). The families
-    'Hadamard(A,B)' (split at the comma outside parentheses), 'Ek:k' and
-    'PiS:g1,g2,...' (the block sizes the generators reach up to SIZE_CAP)
-    have their template as head, which no bare name can equal; any other
-    identifier is a bare name with no args."""
-    ident = ident.strip()
-    if ident.startswith("Hadamard(") and ident.endswith(")"):
-        inner, depth = ident[len("Hadamard("):-1], 0
-        for i, ch in enumerate(inner):
-            depth += (ch == "(") - (ch == ")")
-            if ch == "," and depth == 0:
-                return "Hadamard(A,B)", (inner[:i], inner[i + 1:])
-        raise ValueError("malformed Hadamard identifier: %r" % ident)
-    head, colon, arg = ident.partition(":")
-    if not colon or head not in ("Ek", "PiS"):
-        return ident, ()
-    if head == "Ek":
-        try:
-            k = int(arg)
-        except ValueError:
-            raise ValueError("bad identifier %r: k must be an integer" % ident) from None
-        if k < 0:
-            raise ValueError("bad identifier %r: k must be nonnegative" % ident)
-        return "Ek:k", (k,)
-    try:
-        gens = [int(v) for v in arg.split(",") if v]
-    except ValueError:
-        raise ValueError("bad identifier %r: generators must be integers"
-                         % ident) from None
-    if not gens or min(gens) <= 0:
-        raise ValueError("bad identifier %r: generators must be positive integers"
-                         % ident)
-    sizes = closed_sizes(gens, SIZE_CAP)
-    if not sizes:
-        raise ValueError("bad identifier %r: its generators reach no block"
-                         " size up to the cap %d" % (ident, SIZE_CAP))
-    return "PiS:g1,g2,...", (sizes,)
-
-
 # Constructors by head; a family's takes the args its identifier parses to.
 MONOIDS = {"E": make_E, "X": make_X, "L": make_L, "Pi": make_Pi,
            "Sigma": make_Sigma, "Pal": make_Pal, "Ek:k": make_Ek,
            "PiS:g1,g2,...": make_PiS,
            "Hadamard(A,B)": lambda a, b: hadamard_hopf(get_hopf(a), get_hopf(b))}
-SPECIES_ONLY = {"PiPrime": make_PiPrime, "el": make_el}
+# the species of the catalog that carry no Hopf monoid
+SPECIES_ONLY = {head: make for head, make in CATALOG.items() if head not in MONOIDS}
 MORPHISMS = {("L", "E"): morphism_L_to_E, ("E", "Pi"): morphism_E_to_Pi,
              ("L", "Sigma"): morphism_L_to_Sigma}
-
-
-def get_species(ident: str) -> SpeciesSpec:
-    head, args = _parse(ident)
-    if head == "Hadamard(A,B)":
-        return hadamard(*map(get_species, args))
-    if head in SPECIES_ONLY:
-        return SPECIES_ONLY[head]()
-    return get_hopf(ident).species
 
 
 def get_hopf(ident: str) -> HopfMonoid:

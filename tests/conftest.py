@@ -5,11 +5,14 @@ import pytest
 
 from hopfspecies.axioms import AxiomReport, _memo, _sets
 from hopfspecies.echelon import _integer_row, _row_gcd_normalize
-from hopfspecies.species import SetPartition
+from hopfspecies.exactalg import BadConstantTerm, TruncatedSeries, _q
+from hopfspecies.species import (SetPartition, SpeciesSpec, _perm_of_type,
+                                 _z_lambda, fixed_points, integer_partitions,
+                                 labelset, species_PiPrime, species_el)
 from hopfspecies.structures import (HopfMonoid, HopfMorphism, get_hopf,
-                                    hadamard_hopf, make_E, make_Ek, make_el,
-                                    make_L, make_Pal, make_Pi, make_PiPrime,
-                                    make_Sigma, make_X)
+                                    hadamard_hopf, make_E, make_Ek, make_L,
+                                    make_Pal, make_Pi, make_Sigma, make_X)
+from hopfspecies.vectors import qstr
 
 
 def reference_reduce(pivots, row):
@@ -98,6 +101,169 @@ def orbits_by_relabeling(sp, I) -> int:
     return count
 
 
+# ---------------------------------------------------------------------------
+# Cycle index polynomials: the oracle of exactalg.tgf
+#
+# Z(sp) is summed over the conjugacy classes of S_n from
+# species.fixed_points; its 'type' specialization is the type series that
+# tgf reads off orbit_count, and its 'exp' specialization the egf. No
+# command builds one.
+# ---------------------------------------------------------------------------
+
+def _wdeg(expts: tuple) -> int:
+    return sum((i + 1) * e for i, e in enumerate(expts))
+
+
+def _trim(expts) -> tuple:
+    expts = tuple(expts)
+    while expts and expts[-1] == 0:
+        expts = expts[:-1]
+    return expts
+
+
+class CycleIndexPoly:
+    """Polynomial in x_1, x_2, ... truncated by weighted degree.
+
+    Monomials are exponent tuples (e_1, e_2, ...) with trailing zeros
+    stripped; the weighted degree sum(i*e_i) of every stored monomial is at
+    most `order`. Terms print in graded lexicographic order.
+    """
+
+    __slots__ = ("order", "terms")
+
+    def __init__(self, terms: dict, order: int):
+        clean = {}
+        for expts, c in terms.items():
+            expts = _trim(expts)
+            c = _q(c)
+            if c == 0 or _wdeg(expts) > order:
+                continue
+            clean[expts] = clean.get(expts, Fraction(0)) + c
+        self.order = order
+        self.terms = {e: c for e, c in clean.items() if c != 0}
+
+    @classmethod
+    def one(cls, order: int) -> "CycleIndexPoly":
+        return cls({(): Fraction(1)}, order)
+
+    def coefficient(self, expts) -> Fraction:
+        return self.terms.get(_trim(expts), Fraction(0))
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: (_wdeg(kv[0]), kv[0]))
+
+    def __eq__(self, other):
+        return (isinstance(other, CycleIndexPoly)
+                and self.order == other.order and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.order, tuple(self.sorted_terms())))
+
+    def __add__(self, other) -> "CycleIndexPoly":
+        n = min(self.order, other.order)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return CycleIndexPoly(out, n)
+
+    def __sub__(self, other) -> "CycleIndexPoly":
+        n = min(self.order, other.order)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, Fraction(0)) - c
+        return CycleIndexPoly(out, n)
+
+    def __mul__(self, other) -> "CycleIndexPoly":
+        n = min(self.order, other.order)
+        out = {}
+        for e1, c1 in self.terms.items():
+            d1 = _wdeg(e1)
+            for e2, c2 in other.terms.items():
+                if d1 + _wdeg(e2) > n:
+                    continue
+                k = max(len(e1), len(e2))
+                e = tuple((e1[i] if i < len(e1) else 0) + (e2[i] if i < len(e2) else 0)
+                          for i in range(k))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+        return CycleIndexPoly(out, n)
+
+    def div(self, other: "CycleIndexPoly") -> "CycleIndexPoly":
+        """Quotient q with q*other == self up to weighted degree.
+
+        The divisor must have constant term exactly 1.
+        """
+        n = min(self.order, other.order)
+        if other.coefficient(()) != 1:
+            raise BadConstantTerm("cycle index division needs constant term 1")
+        rest = {e: c for e, c in other.terms.items() if e != ()}
+        # Solve degree by degree: q_d = a_d - (q * (other - 1))_d, where the
+        # subtracted product only involves q-terms of strictly smaller degree.
+        out: dict = {}
+        by_deg: dict = {}
+        for e, c in self.terms.items():
+            by_deg.setdefault(_wdeg(e), {})[e] = c
+        for d in range(n + 1):
+            acc = dict(by_deg.get(d, {}))
+            for e1, c1 in out.items():
+                d1 = _wdeg(e1)
+                for e2, c2 in rest.items():
+                    if d1 + _wdeg(e2) != d:
+                        continue
+                    k = max(len(e1), len(e2))
+                    e = tuple((e1[i] if i < len(e1) else 0)
+                              + (e2[i] if i < len(e2) else 0) for i in range(k))
+                    acc[e] = acc.get(e, Fraction(0)) - c1 * c2
+            for e, c in acc.items():
+                if c != 0:
+                    out[e] = out.get(e, Fraction(0)) + c
+        return CycleIndexPoly(out, n)
+
+    def specialize(self, mode: str) -> TruncatedSeries:
+        """'exp': x_1 -> x, x_i -> 0 for i >= 2.  'type': x_i -> x^i."""
+        n = self.order
+        out = [Fraction(0)] * (n + 1)
+        if mode == "exp":
+            for e, c in self.terms.items():
+                if any(e[i] for i in range(1, len(e))):
+                    continue
+                deg = e[0] if e else 0
+                out[deg] += c
+        elif mode == "type":
+            for e, c in self.terms.items():
+                out[_wdeg(e)] += c
+        else:
+            raise ValueError("mode must be 'exp' or 'type'")
+        return TruncatedSeries(out, n)
+
+    def __str__(self):
+        def mono(e):
+            if not e:
+                return "1"
+            return "*".join("x%d" % (i + 1) if k == 1 else "x%d^%d" % (i + 1, k)
+                            for i, k in enumerate(e) if k)
+        parts = ["%s*%s" % (qstr(c), mono(e)) for e, c in self.sorted_terms()]
+        return " + ".join(parts) if parts else "0"
+
+    __repr__ = __str__
+
+
+
+
+def cycle_index(sp: SpeciesSpec, order: int) -> CycleIndexPoly:
+    """Z = sum_n (1/n!) sum_{sigma in S_n} fix(sigma) x^{cycletype(sigma)},
+    computed one conjugacy class at a time from `species.fixed_points`,
+    the count `orbit_count` sums for a Hadamard species."""
+    terms: dict = {}
+    for n in range(order + 1):
+        I = labelset(n)
+        for lam in integer_partitions(n):
+            fix = fixed_points(sp, I, _perm_of_type(I, lam))
+            if fix:
+                e = tuple(lam.count(i) for i in range(1, n + 1))
+                terms[e] = terms.get(e, Fraction(0)) + Fraction(fix, _z_lambda(lam))
+    return CycleIndexPoly(terms, order)
+
+
 def check_commutative(h, nmax: int) -> AxiomReport:
     """mu_{S,T}(x . y) = mu_{T,S}(y . x) on every pair of basis structures,
     reported as the axiom battery reports its checks."""
@@ -176,7 +342,7 @@ def Pi():
 
 @pytest.fixture(scope="session")
 def PiPrime():
-    return make_PiPrime()
+    return species_PiPrime()
 
 
 @pytest.fixture(scope="session")
@@ -206,7 +372,7 @@ def E3():
 
 @pytest.fixture(scope="session")
 def el():
-    return make_el()
+    return species_el()
 
 
 @pytest.fixture(scope="session")

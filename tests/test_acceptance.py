@@ -10,23 +10,23 @@ from math import comb, factorial
 from conftest import mutate_coproduct, mutate_product
 from hopfspecies.axioms import check_all
 from hopfspecies.exactalg import TruncatedSeries, egf, egf_from_counts, tgf
-from hopfspecies.kernels import (CyclicOrder, SubspaceBasis, cyclic_orders,
-                                 derangements, dual_factorization_check,
-                                 hker_basis_derangement, hker_dims,
-                                 hker_generated_check, hker_space,
-                                 lagrange_quotient_dims, lie_basis_p,
-                                 lie_bracket, lker_space, p_ell_expr,
-                                 pbw_series_check, primitive_dims,
-                                 primitive_space)
+from hopfspecies.kernels import (SubspaceBasis, hker_dims, hker_space,
+                                 lker_space, primitive_dims, primitive_space)
+from hopfspecies.lagrange import (dual_factorization_check,
+                                  hker_generated_check, lagrange_quotient_dims,
+                                  pbw_series_check)
+from hopfspecies.lie import (CyclicOrder, cyclic_orders, derangements,
+                             hker_basis_derangement, lie_basis_p, lie_bracket,
+                             p_ell_expr)
 from hopfspecies.seqtests import (DimSequence, e_test, ek_limit_test, l_test,
                                   ord_exp_test, quotient_nonneg_test,
                                   supermult_test)
 from hopfspecies.species import (FiniteSet, FunctionToK, LinearOrder,
-                                 PalComposition, QTensor, QVector,
-                                 SetComposition, SetPartition, SingletonMark,
-                                 labelset, orbit_count)
+                                 PalComposition, SetComposition, SetPartition,
+                                 SingletonMark, labelset, orbit_count)
 from hopfspecies.structures import (morphism_E_to_Pi, morphism_L_to_E,
                                     morphism_L_to_Sigma, product_vectors)
+from hopfspecies.vectors import QTensor, QVector
 
 
 @contextmanager

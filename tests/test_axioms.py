@@ -15,13 +15,13 @@ from hopfspecies.axioms import (SHIFT_ALPHABET, _bijection_pool, check_all,
                                 check_compat, check_connected, check_monoid,
                                 check_morphism, check_naturality,
                                 is_linearized)
-from hopfspecies.species import (SIZE_CAP, FiniteSet, FunctionToK,
-                                 LinearOrder, PalComposition, QTensor,
-                                 QVector, SetComposition, SetPartition,
-                                 SingletonMark, labelset, summed)
+from hopfspecies.species import (SIZE_CAP, FiniteSet, FunctionToK, LinearOrder,
+                                 PalComposition, SetComposition, SetPartition,
+                                 SingletonMark, get_species, labelset)
 from hopfspecies.structures import (HopfMonoid, HopfMorphism, get_hopf,
-                                    get_morphism, get_species, make_Sigma,
+                                    get_morphism, make_Sigma,
                                     morphism_L_to_Sigma)
+from hopfspecies.vectors import QTensor, QVector, summed
 
 REPORTS = Path(__file__).resolve().parent / "data" / "axiom_reports.json"
 

@@ -14,8 +14,9 @@ from hopfspecies import cli, reports
 from hopfspecies.cli import run
 from hopfspecies.kernels import primitive_dims, primitive_space
 from hopfspecies.reports import jsonable
-from hopfspecies.species import QVector, labelset
+from hopfspecies.species import labelset
 from hopfspecies.structures import get_hopf
+from hopfspecies.vectors import QVector
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -414,12 +415,12 @@ class TestKernelCommands:
                        " dim h[n] = 2; convolution = 1\n")
 
     def test_other_assertion_errors_propagate(self, monkeypatch):
-        import hopfspecies.kernels as kernels
+        import hopfspecies.lagrange as lagrange
 
         def broken(f, nmax):
             raise AssertionError("not a verdict")
 
-        monkeypatch.setattr(kernels, "lagrange_quotient_dims", broken)
+        monkeypatch.setattr(lagrange, "lagrange_quotient_dims", broken)
         with pytest.raises(AssertionError, match="not a verdict"):
             run(["lagrange", "--sub", "E->Pi"])
 
@@ -769,9 +770,10 @@ class TestUsage:
 class TestLoadsOnlyTheLayersItRuns:
     """A fresh process compiles every module it imports from source when no
     bytecode cache is written, so a command imports only the layers it runs:
-    a dimension table never loads the series, reports, axiom battery,
-    kernels or sequence gates, and a kernel command never the gates or
-    the series layer `exactalg`, nor (in JSON or in `hker-dims`)
+    a dimension table never loads the Hopf monoids, vectors (and with them
+    `fractions`), series, reports, axiom battery, kernels or sequence gates,
+    and a kernel command never the gates, the series layer `exactalg`, the
+    Lie bases or the theorem checks, nor (in JSON or in `hker-dims`)
     `dataclasses` and the `inspect` it brings in."""
 
     # json is imported only after the modules are listed
@@ -785,14 +787,18 @@ class TestLoadsOnlyTheLayersItRuns:
     @pytest.mark.parametrize("argv, absent", [
         (("species-dims", "--species", "Pal", "--max-n", "4", "--types"),
          ["hopfspecies.exactalg", "hopfspecies.reports", "hopfspecies.axioms",
-          "hopfspecies.seqtests", "hopfspecies.kernels", "json"]),
+          "hopfspecies.seqtests", "hopfspecies.kernels", "json",
+          "hopfspecies.structures", "hopfspecies.vectors", "fractions"]),
         (("primitives", "--species", "Sigma", "--max-n", "3", "--show-basis"),
-         ["hopfspecies.seqtests", "hopfspecies.exactalg"]),
+         ["hopfspecies.seqtests", "hopfspecies.exactalg",
+          "hopfspecies.lie", "hopfspecies.lagrange"]),
         (("--format", "json", "primitives", "--species", "Sigma", "--max-n", "3",
           "--show-basis"),
-         ["hopfspecies.seqtests", "hopfspecies.exactalg", "dataclasses", "inspect"]),
+         ["hopfspecies.seqtests", "hopfspecies.exactalg", "dataclasses", "inspect",
+          "hopfspecies.lie", "hopfspecies.lagrange"]),
         (("hker-dims", "--morphism", "L->E", "--max-n", "3"),
-         ["hopfspecies.seqtests", "hopfspecies.exactalg", "dataclasses", "inspect"]),
+         ["hopfspecies.seqtests", "hopfspecies.exactalg", "dataclasses", "inspect",
+          "hopfspecies.lie", "hopfspecies.lagrange"]),
     ])
     def test_command_imports_only_its_layers(self, argv, absent):
         proc = subprocess.run([sys.executable, "-c", self.PROBE] + list(argv),

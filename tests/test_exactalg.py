@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (reference_add, reference_kernel, reference_reduce,
-                      reference_rref)
-from hopfspecies.exactalg import (BadConstantTerm, CycleIndexPoly, Echelon,
-                                  TruncatedSeries, ZeroConstantTerm,
-                                  binomial_transform, egf_from_counts,
-                                  nonneg_prefix, ogf_from_counts)
+from conftest import (CycleIndexPoly, reference_add, reference_kernel,
+                      reference_reduce, reference_rref)
+from hopfspecies.exactalg import (BadConstantTerm, Echelon, TruncatedSeries,
+                                  ZeroConstantTerm, binomial_transform,
+                                  egf_from_counts, nonneg_prefix,
+                                  ogf_from_counts)
 
 BELL = [1, 1, 2, 5, 15, 52]
 

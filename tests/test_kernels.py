@@ -13,31 +13,28 @@ from hopfspecies import cli
 from hopfspecies import kernels as kernels_mod
 from hopfspecies.axioms import check_all, check_cocommutative, check_morphism
 from hopfspecies.exactalg import Echelon, TruncatedSeries, egf_from_counts
-from hopfspecies.kernels import (CyclicOrder, NotADerangement,
-                                 NotCocommutative,
-                                 NotInjective, NotSurjective, SubspaceBasis,
-                                 _kernel_space, bracket_expr,
-                                 coproduct_rows, cyclic_orders,
-                                 derangement_permutation, derangements,
-                                 dual_factorization_check,
-                                 hker_basis_derangement, hker_dims,
-                                 hker_generated_check, hker_space,
-                                 ideal_kplus_h, lagrange_factorization_check,
-                                 lagrange_quotient_dims,
-                                 lie_basis_p, lie_bracket, lker_space,
-                                 p_ell_expr, pbw_series_check, primitive_dims,
-                                 primitive_space)
-from hopfspecies.species import (EMPTY, FiniteSet, LinearOrder, QTensor,
-                                 QVector, SetPartition, SingletonMark,
-                                 labelset)
-from hopfspecies.structures import (HopfMonoid, HopfMorphism, closed_sizes,
-                                    get_hopf, get_morphism,
-                                    hadamard_hopf,
-                                    iterated_product,
-                                    make_E, make_L, make_Sigma,
-                                    morphism_E_to_Pi, morphism_L_to_E,
-                                    morphism_L_to_Sigma, morphism_Pi_to_PiS,
-                                    product_vectors, set_compositions)
+from hopfspecies.kernels import (SubspaceBasis, _kernel_space, coproduct_rows,
+                                 hker_dims, hker_space, lker_space,
+                                 primitive_dims, primitive_space)
+from hopfspecies.lagrange import (NotCocommutative, NotInjective,
+                                  NotSurjective, dual_factorization_check,
+                                  hker_generated_check, ideal_kplus_h,
+                                  lagrange_factorization_check,
+                                  lagrange_quotient_dims, pbw_series_check)
+from hopfspecies.lie import (CyclicOrder, NotADerangement, bracket_expr,
+                             cyclic_orders, derangement_permutation,
+                             derangements, hker_basis_derangement, lie_basis_p,
+                             lie_bracket, p_ell_expr)
+from hopfspecies.species import (EMPTY, FiniteSet, LinearOrder, SetPartition,
+                                 SingletonMark, closed_sizes, labelset,
+                                 set_compositions)
+from hopfspecies.structures import (HopfMonoid, HopfMorphism, get_hopf,
+                                    get_morphism, hadamard_hopf,
+                                    iterated_product, make_E, make_L,
+                                    make_Sigma, morphism_E_to_Pi,
+                                    morphism_L_to_E, morphism_L_to_Sigma,
+                                    morphism_Pi_to_PiS, product_vectors)
+from hopfspecies.vectors import QTensor, QVector
 
 
 def coproduct_vector(h, S, T, v: QVector) -> QTensor:

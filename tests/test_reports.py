@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from hopfspecies import reports
 from hopfspecies.reports import TermList, _write, jsonable, quote
-from hopfspecies.species import FiniteSet, SetComposition, qstr
+from hopfspecies.species import FiniteSet, SetComposition
+from hopfspecies.vectors import qstr
 
 
 def oracle(value) -> str:

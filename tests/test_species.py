@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import orbits_by_relabeling
+from conftest import CycleIndexPoly, cycle_index, orbits_by_relabeling
 from hopfspecies import species
-from hopfspecies.exactalg import (CycleIndexPoly, cycle_index, egf,
-                                  integer_partitions, ogf, tgf)
+from hopfspecies.exactalg import egf, ogf, tgf
 from hopfspecies.species import (EMPTY, Element, FiniteSet, FunctionToK,
-                                 LinearOrder, PalComposition, QTensor, QVector,
+                                 LinearOrder, PairStructure, PalComposition,
                                  SetComposition, SetPartition, SingletonMark,
-                                 PairStructure, SpeciesSpec, hadamard,
-                                 labelset, orbit_count)
-from hopfspecies.structures import get_species
+                                 SpeciesSpec, get_species, hadamard,
+                                 integer_partitions, labelset, orbit_count)
+from hopfspecies.vectors import QTensor, QVector
 
 
 class TestFiniteSet:

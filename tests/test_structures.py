@@ -15,19 +15,17 @@ from hopfspecies import cli, species
 from hopfspecies.exactalg import TruncatedSeries, egf, ogf
 from hopfspecies.kernels import primitive_dims
 from hopfspecies.species import (EMPTY, FiniteSet, FunctionToK, LinearOrder,
-                                 PairStructure, PalComposition,
-                                 SetComposition, SetPartition, SingletonMark,
-                                 SpeciesSpec, labelset, orbit_count)
-from hopfspecies.structures import (MONOIDS, MORPHISMS, SPECIES_ONLY,
-                                    _keyed, _parse, block_partitions,
-                                    closed_sizes,
-                                    get_hopf, get_morphism, get_species,
-                                    hadamard_hopf, intern_table, make_Ek,
-                                    make_Pal, make_PiS, make_Sigma,
-                                    morphism_Ek_to_Ek1, morphism_E_to_Pi,
+                                 PairStructure, PalComposition, SetComposition,
+                                 SetPartition, SingletonMark, SpeciesSpec,
+                                 _keyed, _parse, block_partitions,
+                                 closed_sizes, get_species, labelset,
+                                 orbit_count, pal_words)
+from hopfspecies.structures import (MONOIDS, MORPHISMS, SPECIES_ONLY, get_hopf,
+                                    get_morphism, hadamard_hopf, intern_table,
+                                    make_Ek, make_Pal, make_PiS, make_Sigma,
+                                    morphism_E_to_Pi, morphism_Ek_to_Ek1,
                                     morphism_L_to_E, morphism_L_to_Sigma,
-                                    morphism_Pi_to_PiS, pal_words,
-                                    split_blocks)
+                                    morphism_Pi_to_PiS, split_blocks)
 
 
 class TestExponentialMonoid:
@@ -387,6 +385,10 @@ MUTANT_KEYS = [
     ("Ek:2", 2, lambda: (("a", 1), ("b", 3))),             # a value past k
     ("el", 2, lambda: "z"),                                # a foreign point
     ("E", 2, lambda: ("a",)),                              # a mark off I
+    ("PiS:2", 2, lambda: (("a",), ("b",))),                # a size PiS:2 lacks
+    ("PiS:3", 5, lambda: (("a", "b"), ("c", "d", "e"))),   # a size PiS:3 lacks
+    ("PiPrime", 4, lambda: (("a", "b"), ("c", "d"))),      # two blocks of one size
+    ("PiPrime", 3, lambda: (("c",), ("a",), ("b",))),      # the same, out of order
 ]
 
 
@@ -428,6 +430,24 @@ class TestCountingOnKeys:
                       lambda sp: sp.structures(I)):
             with pytest.raises(ValueError) as err:
                 count(mutant())
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("ident, n, blocks, message", [
+        ("PiS:2", 4, (("a", "b", "d"), ("c",)),
+         "block abd has size 3, which PiS:2,4,6,8 does not allow"),
+        ("PiS:3", 5, (("c", "d", "e"), ("a", "b")),
+         "block ab has size 2, which PiS:3,6,9 does not allow"),
+        ("PiPrime", 4, (("c", "d"), ("a", "b")),
+         "blocks ab and cd have the same size 2, which PiPrime does not allow"),
+    ])
+    def test_a_size_rule_names_the_offending_block(self, ident, n, blocks,
+                                                   message):
+        # a partition is a well-formed key of PiS: and PiPrime; only the
+        # species' own size rule refuses it, naming blocks in sorted order
+        kind = get_species(ident)
+        for refuse in (kind.build, kind.check):
+            with pytest.raises(ValueError) as err:
+                refuse(blocks, labelset(n))
             assert str(err.value) == message
 
     @pytest.mark.parametrize("ident", KEYED)
