@@ -18,8 +18,7 @@ import os
 import sys
 from functools import cache, partial
 
-from .species import (SIZE_CAP, FiniteSet, LinearOrder, get_species, labelset,
-                      orbit_count)
+from .species import SIZE_CAP, FiniteSet, LinearOrder, get_species, orbit_count
 
 HARD_MAX_N = SIZE_CAP
 HARD_MAX_ORDER = 32
@@ -280,10 +279,13 @@ def cmd_primitives(args) -> int:
     from . import kernels as kernels_mod
     nmax = _cap_n(args.max_n)
     h = get_hopf(args.species)
-    spaces = [kernels_mod.primitive_space(h, labelset(n))
-              for n in range(nmax + 1)]
-    dims = [space.dim for space in spaces]
-    spaces = spaces[1:] if args.show_basis else []
+    # every size is computed before anything is written; the bases are
+    # kept only when they are printed
+    dims, spaces = [], []
+    for n, space in enumerate(kernels_mod.primitive_spaces(h, nmax)):
+        dims.append(space.dim)
+        if args.show_basis and n:
+            spaces.append(space)
     if args.format == "text":
         # the basis lines are rendered as _emit prints them
         _emit(None, "text", _basis_lines(

@@ -6,6 +6,14 @@ nonempty. The Hopf kernel of a morphism pi is the kernel of
 primitives. Everything is computed as an exact kernel or span of sparse
 integer rows over the canonical sorted structure basis.
 
+A primitive space is the kernel of the rows of a generating set of the
+dual monoid's decomposables, not of every coproduct row: `_Chain` gives
+the argument (Delta coassociative and natural, and cocommutative for the
+rule that keeps only the S that hold the first label) and the choice of
+generators, made size by size on the canonical label sets. A monoid that
+breaks those axioms gets the kernel of its generator rows. The
+Hopf-kernel rows are every decomposition's.
+
 This module holds the kernel spaces alone, which `primitives` and
 `hker-dims` run. The constructive bases (cyclic orders, brackets and
 derangements) are in `lie`, and the theorem checks (the ideal k_+ h, the
@@ -18,7 +26,7 @@ from __future__ import annotations
 import functools
 
 from .echelon import Echelon
-from .species import EMPTY, FiniteSet, labelset
+from .species import EMPTY, FiniteSet, Structure, labelset
 from .structures import HopfMonoid, HopfMorphism
 from .vectors import QTensor, QVector, check_coeff
 
@@ -175,45 +183,22 @@ def _kernel_space(basis, ambient, rows: list) -> SubspaceBasis:
 # Primitive spaces and kernels of morphisms
 # ---------------------------------------------------------------------------
 
-def coproduct_rows(h: HopfMonoid, I: FiniteSet,
-                   f: HopfMorphism | None = None) -> list:
-    """Sparse rows of the stacked maps Delta_{S,T} over S, T nonempty, or of
-    (f x id) o Delta_{S,T} when a morphism f out of h is given; columns
-    index the sorted basis of h[I]. The rows are read off Delta's (key
-    pair, coefficient) pairs (see `_block`). No map result is memoized,
-    since each (S, s) is asked for once; one S is held across every
-    structure of a decomposition, so the block cuts memoized on it
-    (`split_blocks`) are shared by all of them.
-
-    Without f, a monoid declared cocommutative gives only the
-    decompositions (S, T) whose S comes before T in the subset order of
-    `I.decompositions()` (smaller, or as large and holding the first label
-    of I). Delta_{T,S} is the twist of Delta_{S,T}, so the block of (T, S)
-    repeats that of (S, T), row for row, and the earlier of the two is
-    kept: the distinct rows then come in the order they first came among
-    all decompositions, and elimination takes the same steps. The
-    Hopf-kernel rows (f x id) o Delta_{T,S} are other constraints, so with
-    f every decomposition is built. With f, T = empty is kept too: S = I
-    comes last in subset order, and Delta_{I,empty}(s) = s (x) 1, so that
-    last block is the matrix of f, one row per target structure. It asks
-    for the unit, so a source that is not connected is refused.
-
-    The rows come decomposition by decomposition, each block from
-    `_block`."""
-    basis = h.species.structures(I)
-    skip_mirrors = f is None and h.cocommutative
-    rows: list = []
-    for S, T in I.decompositions():
-        if not S.labels or not (T.labels or f):
-            continue
-        if skip_mirrors and (len(S), S.labels) > (len(T), T.labels):
-            continue
-        rows += _block(h, basis, S, T, f).values()
-    return rows
+def _relabeled(key, to: dict):
+    """A key of Delta's output moved along the label map `to`. A monoid
+    built directly returns structures, which relabel themselves; a shipped
+    monoid's key is a nested tuple whose strings are its labels and whose
+    other entries (the values of an Ek function) stay as they are."""
+    if type(key) is str:
+        return to[key]
+    if type(key) is tuple:
+        return tuple([_relabeled(k, to) for k in key])
+    if isinstance(key, Structure):
+        return key.relabel(to)
+    return key
 
 
 def _block(h: HopfMonoid, basis, S: FiniteSet, T: FiniteSet,
-           f: HopfMorphism | None = None) -> dict:
+           f: HopfMorphism | None = None, gens: frozenset | None = None) -> dict:
     """The sparse rows of Delta_{S,T}, or of (f x id) o Delta_{S,T}, whose
     columns index `basis`, the sorted basis of h[S u T]. Each row is keyed
     by its output pair, Delta's own (u, w) or (f(u), w), and the rows come
@@ -225,13 +210,23 @@ def _block(h: HopfMonoid, basis, S: FiniteSet, T: FiniteSet,
     interned and checked once, as `HopfMonoid.coproduct` checks it (equal
     keys intern to one structure), and with f, f is applied to it once.
     Each coefficient is checked where it is read. Delta_{I,empty}(s) =
-    s (x) 1 has no keys, so that block reads `h.coproduct`."""
+    s (x) 1 has no keys, so that block reads `h.coproduct`.
+
+    With `gens`, the generators G_k of the canonical size k = |S| (see
+    `_Chain`), only the rows whose u is in G(S) are kept: u's key moved to
+    labelset(k) in label order, interned, is in `gens`. Every key pair is
+    still interned and checked."""
     if T.labels:
         delta, intern = h._delta, h.intern
     else:
         delta, intern = h.coproduct, HopfMonoid.intern
     left, right = S.labels, T.labels
+    if gens is not None:
+        canon = labelset(len(left)).labels
+        to = None if left == canon else dict(zip(left, canon))
+        kept: dict = {}  # left key -> whether it names a generator
     block: dict = {}
+    dropped: dict = {}  # the one row every dropped key pair sums into
     targets: dict = {}  # key pair -> its row, or with f its (row, d) pairs
     for j, s in enumerate(basis):
         for key, c in delta(S, T, s):
@@ -243,7 +238,14 @@ def _block(h: HopfMonoid, basis, S: FiniteSet, T: FiniteSet,
                 out = u, w = intern(x), intern(y)
                 if u._labels.labels != left or w._labels.labels != right:
                     QTensor.check_key(S, T, out)
-                if f is None:
+                if gens is not None:
+                    keep = kept.get(x)
+                    if keep is None:
+                        keep = kept[x] = (u if to is None
+                                          else intern(_relabeled(x, to))) in gens
+                if gens is not None and not keep:
+                    got = dropped
+                elif f is None:
                     got = block.setdefault(out, {})
                 else:
                     got = tuple((block.setdefault((t, w), {}), d)
@@ -257,16 +259,179 @@ def _block(h: HopfMonoid, basis, S: FiniteSet, T: FiniteSet,
     return block
 
 
-def primitive_space(h: HopfMonoid, I: FiniteSet) -> SubspaceBasis:
-    """Joint kernel of all Delta_{S,T} with S, T nonempty; zero at the empty
-    set, everything at singletons. A monoid that is not connected is
-    refused at every size (ValueError from h.one()), since primitives need
-    the unit."""
+class _Chain:
+    """The generators of the dual monoid h*, size by size.
+
+    The rows of Delta_{S,T} are the products mu*(delta_u . delta_w) of h*,
+    the dual basis vectors multiplied by the dual of Delta. Their span over
+    every decomposition of I with S, T nonempty is R[I], the decomposables
+    of h*[I], and the primitive space P(h)[I] is the annihilator of R[I].
+    When Delta is coassociative, mu* is associative, and R[I] is already
+    spanned by the rows whose u lies in a set G(S) of generators: basis
+    structures of h[S] whose delta_u span a complement of R[S] (Radford
+    1979 reads the shuffle algebra off such a basis; Aguiar-Mahajan 2010
+    for h*). Write delta_u as a combination of generators plus a sum of
+    products mu*(a . b) over S = S1 u S2; by associativity the row of
+    (mu*(a . b), w) is a row (a, mu*(b . w)) whose left set S1 is smaller,
+    and induction on |S| ends at singletons, where R is zero and every
+    structure is a generator. When h is cocommutative too, mu* is
+    commutative, each product can be read with the factor that holds the
+    first label on the left, and only the S that hold the first label of
+    I are needed. Delta natural makes G(S) the relabeling of G_k =
+    G(labelset(k)), k = |S|, in label order. A monoid that breaks these
+    axioms gets the kernel of its generator rows, which need not be its
+    primitive space.
+
+    The delta_u of a set G span a complement of R[k] exactly when P[k]'s
+    basis has a nonsingular minor on the columns of G. G_k is the greedy
+    least-weight such set under the column order (weight, position): the
+    pivot columns of P[k]'s reduced rows fed to an echelon in that order,
+    which `_generators` finds without reading those rows. The weight of u
+    is the number of entries of the rows of Delta onto (labelset(k), the
+    last label of labelset(k + 1)) whose u is that structure: for a
+    linearized Delta, the structures of h[labelset(k + 1)] that restrict
+    to it. Light generators keep the rows short: the generator rows of
+    Sigma, L and Pal need no reduction step at all, and those of Pi store
+    less fill than every row did (2,966 pivot entries at n = 7 against
+    3,338). The free columns of the constraints' own echelon are a valid G
+    too, but they store 18,160 there, and Pi at n = 8 took 37 s against
+    1.9 s.
+
+    The chain is filled one canonical size at a time by `primitive_space`:
+    at size n it chooses G_{n-1} from the eliminated constraints of
+    size n - 1, which it then drops, and keeps those of size n."""
+
+    def __init__(self, h: HopfMonoid):
+        self.h = h
+        self.gens: dict = {}  # k -> G_k, basis structures of h[labelset(k)]
+        # (k, eliminated constraints, basis) of the largest canonical size
+        # k built, until G_k is chosen
+        self.top = None
+
+    def rows(self, I: FiniteSet, basis) -> list:
+        """The generator rows of the primitive constraints on I, whose
+        columns index `basis`, the sorted basis of h[I]. The chain must hold
+        G_1 ... G_{n-2}, and G_{n-1} or the size n - 1 it is chosen from,
+        n = |I|. G_{n-1} is chosen from the block of labelset(n) at (its
+        first n - 1 labels, its last label), which is one of I's own blocks
+        when I is canonical."""
+        h, labels, n = self.h, I.labels, len(I)
+        cut = None  # I's block at (its first n - 1 labels, its last label)
+        if n > 1 and n - 1 not in self.gens:
+            if self.top is None or self.top[0] != n - 1:
+                raise ValueError("the chain holds no size %d" % (n - 1))
+            _, system, coords = self.top
+            J = labelset(n)
+            own = labels == J.labels
+            head, tail = FiniteSet._fast(J.labels[:-1]), FiniteSet._fast(J.labels[-1:])
+            full = _block(h, basis if own else h.species.structures(J), head, tail)
+            gens = self.gens[n - 1] = _generators(system, coords, full)
+            self.top = None
+            if own:
+                cut = {key: row for key, row in full.items() if key[0] in gens}
+            del full  # the dropped rows go before the other blocks are built
+        rows: list = []
+        for S, T in I.decompositions():
+            if not (S.labels and T.labels):
+                continue
+            if h.cocommutative and S.labels[0] != labels[0]:
+                continue
+            if cut is not None and len(T) == 1 and T.labels[0] == labels[-1]:
+                rows += cut.values()
+                continue
+            rows += _block(h, basis, S, T, gens=self.gens[len(S)]).values()
+        return rows
+
+    def built(self, I: FiniteSet, space: SubspaceBasis) -> None:
+        """Keep the eliminated constraints of I for the next size when I is
+        canonical and the chain holds every generator below it."""
+        n = len(I)
+        if I.labels == labelset(n).labels and len(self.gens) == n - 1:
+            self.top = n, space._system, space.coords
+
+
+def _generators(system: Echelon, coords: tuple, full: dict) -> frozenset:
+    """G_k from the eliminated primitive constraints of size k (`system`,
+    columns reversed, over `coords`, the sorted basis of h[labelset(k)])
+    and the rows `full` of Delta onto (labelset(k), the last label of
+    labelset(k + 1)), keyed by their (u, w).
+
+    The columns where P[k]'s basis has a nonsingular minor are the bases
+    of the dual of the column matroid of the constraints: exactly the
+    complements of the column sets where the constraints have full rank.
+    So the greedy least-weight G_k (see `_Chain`) is the set of columns
+    left free when the stored constraint rows are eliminated again with
+    the columns numbered heaviest first, by (weight, position) descending,
+    and no kernel basis is read."""
+    weight: dict = {}
+    for (u, _), row in full.items():
+        weight[u] = weight.get(u, 0) + len(row)
+    m = len(coords)
+    order = sorted(range(m), key=lambda j: (weight.get(coords[j], 0), j))
+    number = [0] * m  # column j -> its place, heaviest first
+    for i, j in enumerate(order):
+        number[j] = m - 1 - i
+    ech = Echelon()
+    for row in system.pivots.values():
+        ech.add({number[m - 1 - c]: v for c, v in row.items()})
+    return frozenset(coords[j] for j in range(m) if number[j] not in ech.pivots)
+
+
+def _chain_below(h: HopfMonoid, n: int) -> _Chain:
+    """A chain through the canonical sizes 1 ... n - 1."""
+    chain = _Chain(h)
+    for k in range(1, n):
+        primitive_space(h, labelset(k), chain=chain)
+    return chain
+
+
+def primitive_space(h: HopfMonoid, I: FiniteSet, *,
+                    chain: _Chain | None = None) -> SubspaceBasis:
+    """Joint kernel of all Delta_{S,T} with S, T nonempty, read as the
+    kernel of the generator rows (see `_Chain`); zero at the empty set,
+    everything at singletons. `chain` holds the sizes below I; without it
+    they are computed first. A monoid that is not connected is refused at
+    every size (ValueError from h.one()), since primitives need the unit."""
     h.one()
     basis = h.species.structures(I)
     if len(I) == 0:
         return SubspaceBasis(I, basis)
-    return _kernel_space(basis, I, coproduct_rows(h, I))
+    if chain is None:
+        chain = _chain_below(h, len(I))
+    space = _kernel_space(basis, I, chain.rows(I, basis))
+    chain.built(I, space)
+    return space
+
+
+def primitive_spaces(h: HopfMonoid, nmax: int):
+    """The primitive spaces on labelset(n), n = 0 ... nmax, from one chain:
+    each size takes its generators from the sizes below it, and none is
+    computed twice. Each space is yielded as soon as it is computed."""
+    chain = _Chain(h)
+    for n in range(nmax + 1):
+        yield primitive_space(h, labelset(n), chain=chain)
+
+
+def hker_rows(f: HopfMorphism, I: FiniteSet) -> list:
+    """Sparse rows of the stacked maps (f x id) o Delta_{S,T} over S
+    nonempty; columns index the sorted basis of I's source component.
+    Every decomposition is built: (f x id) o Delta_{T,S} is another
+    constraint than (f x id) o Delta_{S,T}. T = empty is kept too: S = I
+    comes last in subset order, and Delta_{I,empty}(s) = s (x) 1, so that
+    last block is the matrix of f, one row per target structure. It asks
+    for the unit, so a source that is not connected is refused.
+
+    The rows come decomposition by decomposition, each block from
+    `_block`. No map result is memoized, since each (S, s) is asked for
+    once; one S is held across every structure of a decomposition, so the
+    block cuts memoized on it (`split_blocks`) are shared by all of them."""
+    h = f.source
+    basis = h.species.structures(I)
+    rows: list = []
+    for S, T in I.decompositions():
+        if S.labels:
+            rows += _block(h, basis, S, T, f).values()
+    return rows
 
 
 def hker_space(f: HopfMorphism, I: FiniteSet) -> SubspaceBasis:
@@ -274,20 +439,21 @@ def hker_space(f: HopfMorphism, I: FiniteSet) -> SubspaceBasis:
 
     The empty-S components never constrain (the positive part of the target
     kills them), so they are omitted; for nonempty I, T = empty contributes
-    the condition pi(x) = 0 itself, the last block of `coproduct_rows`.
+    the condition pi(x) = 0 itself, the last block of `hker_rows`.
     """
-    return _kernel_space(f.source.species.structures(I), I,
-                         coproduct_rows(f.source, I, f))
+    return _kernel_space(f.source.species.structures(I), I, hker_rows(f, I))
 
 
 def lker_space(f: HopfMorphism, I: FiniteSet) -> SubspaceBasis:
-    """Primitives of the source killed by f: intersect the primitive
-    constraints with the matrix of f, the (I, empty) block with f."""
-    basis = f.source.species.structures(I)
+    """Primitives of the source killed by f: the generator rows of the
+    primitive constraints (see `_Chain`) with the matrix of f, the
+    (I, empty) block with f, below them."""
+    h = f.source
+    basis = h.species.structures(I)
     if len(I) == 0:
         return SubspaceBasis(I, basis)
-    rows = coproduct_rows(f.source, I)
-    rows += _block(f.source, basis, I, EMPTY, f).values()
+    rows = _chain_below(h, len(I)).rows(I, basis)
+    rows += _block(h, basis, I, EMPTY, f).values()
     return _kernel_space(basis, I, rows)
 
 
@@ -297,4 +463,4 @@ def hker_dims(f: HopfMorphism, nmax: int) -> list:
 
 def primitive_dims(h: HopfMonoid, nmax: int) -> list:
     """dim of the primitive space per size, the empty set included."""
-    return [primitive_space(h, labelset(n)).dim for n in range(nmax + 1)]
+    return [space.dim for space in primitive_spaces(h, nmax)]

@@ -116,9 +116,10 @@ class HopfMonoid:
     is its `intern_table`. A monoid built directly returns structures, and
     keeps the class default, the identity. `cocommutative` is never
     inferred: it is set for a monoid whose Delta_{T,S} is the twist of
-    Delta_{S,T}, and the primitive rows then skip the mirrored
-    decompositions. A monoid built directly keeps the class default,
-    False, and every decomposition.
+    Delta_{S,T}, and the primitive rows then keep only the
+    decompositions whose S holds the first label (`kernels._Chain`). A
+    monoid built directly keeps the class default, False, and every
+    decomposition.
     """
 
     cocommutative = False

@@ -6,6 +6,7 @@ import pytest
 from hopfspecies.axioms import AxiomReport, _memo, _sets
 from hopfspecies.echelon import _integer_row, _row_gcd_normalize
 from hopfspecies.exactalg import BadConstantTerm, TruncatedSeries, _q
+from hopfspecies.kernels import _block, _kernel_space
 from hopfspecies.species import (SetPartition, SpeciesSpec, _perm_of_type,
                                  _z_lambda, fixed_points, integer_partitions,
                                  labelset, species_PiPrime, species_el)
@@ -276,6 +277,26 @@ def check_commutative(h, nmax: int) -> AxiomReport:
                     rep.compare("commutativity", n, ("S=%r T=%r x=%s y=%s", S, T, x, y),
                                 mu(S, T, x, y), mu(T, S, y, x))
     return rep
+
+
+def coproduct_rows(h, I) -> list:
+    """Every row of the primitive constraint system on I: the block of
+    Delta_{S,T} for every decomposition with S, T nonempty, in subset
+    order, each from the program's own block builder `kernels._block`. The
+    program eliminates only the generator rows (`kernels._Chain`); the
+    kernel of these rows is their oracle."""
+    basis = h.species.structures(I)
+    rows = []
+    for S, T in I.decompositions():
+        if S.labels and T.labels:
+            rows += _block(h, basis, S, T).values()
+    return rows
+
+
+def full_kernel(h, I):
+    """The primitive space on I as the kernel of every row of
+    `coproduct_rows`, with no generator chosen."""
+    return _kernel_space(h.species.structures(I), I, coproduct_rows(h, I))
 
 
 def mutate_product(h, victim_xy, replacement, name="mutant"):

@@ -567,17 +567,17 @@ class TestJsonIsWrittenAsItIsWalked:
         assert json_peak <= 1.05 * text_peak, (json_peak, text_peak)
 
     def test_a_failing_kernel_leaves_stdout_empty(self, capsys, monkeypatch):
-        # the command computes every size's space, once, before it writes;
-        # the last of them fails
+        # the command computes every size's space, once, along one chain,
+        # before it writes; the last of them fails
         import hopfspecies.kernels as kernels_mod
         space = kernels_mod.primitive_space
         asked = Counter()
 
-        def failing_last(h, I):
+        def failing_last(h, I, *, chain):
             asked[len(I)] += 1
             if len(I) == 4:
                 raise ValueError("kernel failed")
-            return space(h, I)
+            return space(h, I, chain=chain)
 
         monkeypatch.setattr(kernels_mod, "primitive_space", failing_last)
         code, out, err = invoke(capsys, "--format", "json", "primitives",

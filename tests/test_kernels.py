@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (mark_to_one_block, mutate_coproduct, mutate_product,
-                      reference_add, reference_kernel, reference_rref)
+from conftest import (coproduct_rows, full_kernel, mark_to_one_block,
+                      mutate_coproduct, mutate_product, reference_add,
+                      reference_kernel, reference_rref)
 from hopfspecies import cli
 from hopfspecies import kernels as kernels_mod
 from hopfspecies.axioms import check_all, check_cocommutative, check_morphism
 from hopfspecies.exactalg import Echelon, TruncatedSeries, egf_from_counts
-from hopfspecies.kernels import (SubspaceBasis, _kernel_space, coproduct_rows,
-                                 hker_dims, hker_space, lker_space,
-                                 primitive_dims, primitive_space)
+from hopfspecies.kernels import (SubspaceBasis, _kernel_space, hker_dims,
+                                 hker_rows, hker_space, lker_space,
+                                 primitive_dims, primitive_space,
+                                 primitive_spaces)
 from hopfspecies.lagrange import (NotCocommutative, NotInjective,
                                   NotSurjective, dual_factorization_check,
                                   hker_generated_check, ideal_kplus_h,
@@ -639,10 +641,10 @@ class TestIntegerRows:
 
     def test_coproduct_and_morphism_rows_hold_ints(self, Sigma, pi_to_e):
         I = labelset(4)
-        prim_rows = coproduct_rows(Sigma, I)
-        hker_rows = coproduct_rows(pi_to_e.source, I, pi_to_e)
+        prim_rows = kernels_mod._chain_below(Sigma, 4).rows(
+            I, Sigma.species.structures(I))
         matrix = list(f_block(pi_to_e, I).values())
-        for rows in (prim_rows, hker_rows, matrix):
+        for rows in (prim_rows, hker_rows(pi_to_e, I), matrix):
             assert rows and self.all_int(rows)
             ech = Echelon()
             for row in rows:
@@ -725,9 +727,10 @@ class TestBasisRows:
 
 class TestEliminationPin:
     def test_sigma_at_five(self, Sigma):
-        # the rows of primitive_space(Sigma, {a..e}) in _kernel_space's
-        # order; the heap-ordered engine stores exactly the pivots of the
-        # min(row) loop in conftest
+        # every row of the primitive constraints on {a..e} (the oracle's,
+        # before generators were chosen) in _kernel_space's order; the
+        # heap-ordered engine stores exactly the pivots of the min(row) loop
+        # in conftest
         I = labelset(5)
         n = len(Sigma.species.structures(I))
         distinct = {frozenset(row.items()): row for row in coproduct_rows(Sigma, I)}
@@ -741,18 +744,15 @@ class TestEliminationPin:
         assert ech.pivots == pivots
 
 
-def rows_from_public_maps(h, I, f=None, skip_mirrors=False) -> list:
-    """coproduct_rows rebuilt through the linear extensions
-    `coproduct_vector` and `f(...)`, which sum the pairs in a QTensor or
-    QVector rather than in the row dicts. With f, T = empty is built too.
-    With `skip_mirrors`, only the decompositions whose S comes before T in
-    subset order are built."""
+def rows_from_public_maps(h, I, f=None) -> list:
+    """The oracle's `coproduct_rows`, or with f `hker_rows`, rebuilt
+    through the linear extensions `coproduct_vector` and `f(...)`, which
+    sum the pairs in a QTensor or QVector rather than in the row dicts.
+    With f, T = empty is built too."""
     basis = h.species.structures(I)
     rows: dict = {}
     for S, T in I.decompositions():
         if not (len(S) and (len(T) or f)):
-            continue
-        if skip_mirrors and (len(S), S.labels) > (len(T), T.labels):
             continue
         for j, s in enumerate(basis):
             for (u, w), c in coproduct_vector(h, S, T, QVector.basis(s)).items():
@@ -800,15 +800,15 @@ class TestRowsFromPairs:
 
     @pytest.mark.parametrize("ident", SHIPPED + ["X"] + SHIPPED_MORPHISMS)
     def test_coproduct_rows_match_public_coproduct(self, ident):
-        # row for row and in order; every shipped monoid but X is declared
-        # cocommutative, so its primitive rows skip the mirrored
-        # decompositions, and a morphism's rows keep every decomposition
+        # row for row and in order: every block of the primitive
+        # constraints, from which the generator rows are cut, and a
+        # morphism's Hopf-kernel rows, which keep every decomposition
         f = get_morphism(ident) if "->" in ident else None
         h = f.source if f else get_hopf(ident)
         for n in range(5 if ident.startswith("Hadamard") else 6):
             I = labelset(n)
-            assert coproduct_rows(h, I, f) == rows_from_public_maps(
-                h, I, f, skip_mirrors=f is None and h.cocommutative), n
+            rows = hker_rows(f, I) if f else coproduct_rows(h, I)
+            assert rows == rows_from_public_maps(h, I, f), n
 
     @pytest.mark.parametrize("ident", SHIPPED)
     def test_key_on_the_wrong_side_is_refused_on_both_paths(self, ident):
@@ -831,6 +831,8 @@ class TestRowsFromPairs:
             bad.coproduct(S, T, s)
         with pytest.raises(ValueError, match=r"tensor term \(.*\) off ambient"):
             coproduct_rows(bad, I)
+        with pytest.raises(ValueError, match=r"tensor term \(.*\) off ambient"):
+            primitive_space(bad, I)
 
     def test_dimensions_read_no_kernel_basis(self, monkeypatch, capsys):
         # dim is columns - rank; the reduced basis is read off the
@@ -864,7 +866,7 @@ class TestRowsFromPairs:
             for j, s in enumerate(src):
                 for t, c in f(QVector.basis(s)).items():
                     by_target.setdefault(t, {})[j] = c
-            assert coproduct_rows(f.source, I, f) == public, n
+            assert hker_rows(f, I) == public, n
             assert f_block(f, I) == matrix_of(f, I) == by_target, n
 
     @pytest.mark.parametrize("ident", ["L->E", "E->Pi", "L->Sigma", "Pi->PiS:2"])
@@ -873,10 +875,10 @@ class TestRowsFromPairs:
         # so the rows end with those of f, in order (at the empty set there
         # is no S = I block, and the unit is never constrained)
         f = get_morphism(ident)
-        assert coproduct_rows(f.source, EMPTY, f) == []
+        assert hker_rows(f, EMPTY) == []
         for n in range(1, 5):
             I = labelset(n)
-            rows = coproduct_rows(f.source, I, f)
+            rows = hker_rows(f, I)
             matrix = list(matrix_of(f, I).values())
             assert rows[len(rows) - len(matrix):] == matrix, n
 
@@ -897,10 +899,10 @@ class TestRowsFromPairs:
                          lambda s: ((SingletonMark(s.labels), 1),) * 3)
         I = labelset(3)
         assert coproduct_rows(twice, I) == rows_from_public_maps(twice, I)
-        assert coproduct_rows(twice, I, f) == rows_from_public_maps(twice, I, f)
+        assert hker_rows(f, I) == rows_from_public_maps(twice, I, f)
         # Delta_{S,T} is doubled for S, T nonempty; Delta_{I,empty} = s (x) 1
         # is the monoid's own, so that block sums only f's three pairs
-        assert {v for row in coproduct_rows(twice, I, f) for v in row.values()} == {6, 3}
+        assert {v for row in hker_rows(f, I) for v in row.values()} == {6, 3}
         assert f_block(f, I) == {
             t: {j: c for j in range(6)}
             for t, c in f(QVector.basis(LinearOrder(("a", "b", "c")))).items()}
@@ -972,6 +974,9 @@ class TestRowsFromPairs:
             bad.coproduct(S, T, s)
         with pytest.raises(ValueError, match=message):
             coproduct_rows(bad, labelset(3))
+        # the chain meets the wrong pair first at {a, b}
+        with pytest.raises(ValueError, match=r"tensor term \(a\|b, b\) off ambient"):
+            primitive_space(bad, labelset(3))
 
         def mu(S, T, x, y):
             return ((a, 1),)
@@ -1002,6 +1007,8 @@ class TestRowsFromPairs:
             bad.coproduct(S, T, s)
         with pytest.raises(TypeError, match="exact coefficient expected, got 0.5"):
             coproduct_rows(bad, labelset(2))
+        with pytest.raises(TypeError, match="exact coefficient expected, got 0.5"):
+            primitive_space(bad, labelset(2))
 
     def test_inexact_coefficient_is_refused_by_product_and_morphism(self, L):
         a, b = LinearOrder("a"), LinearOrder("b")
@@ -1130,12 +1137,6 @@ class TestOneTablePerMonoid:
 DECLARED = ["E", "L", "Pi", "PiS:2", "Sigma", "Pal", "Ek:2", "Hadamard(L,Pi)"]
 
 
-def distinct_in_order(rows) -> list:
-    """The distinct rows, each as a frozenset of its items, in the order of
-    first appearance."""
-    return list(dict.fromkeys(frozenset(row.items()) for row in rows))
-
-
 def twisted_L(L):
     """L with an order-reversing coproduct: a Hopf monoid built directly,
     so undeclared, and not cocommutative from size 3 on."""
@@ -1145,10 +1146,29 @@ def twisted_L(L):
     return HopfMonoid(L.species, L.product, delta, name="twisted")
 
 
+def lefts_built(h, n: int) -> list:
+    """The left set S of each block the chain builds for the generator rows
+    on labelset(n), in the order it builds them."""
+    chain = kernels_mod._chain_below(h, n)
+    I = labelset(n)
+    block = kernels_mod._block
+    lefts = []
+
+    def recorded(h_, basis, S, T, *args, **kwargs):
+        lefts.append(S.labels)
+        return block(h_, basis, S, T, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernels_mod, "_block", recorded)
+        chain.rows(I, h.species.structures(I))
+    return lefts
+
+
 class TestCocommutativeDeclaration:
-    """The primitive rows skip the mirrored decompositions only for a monoid
-    its constructor declares cocommutative; the declaration must hold, and
-    the skipped rows must change no kernel."""
+    """The generator rows keep only the decompositions whose S holds the
+    first label, and only for a monoid its constructor declares
+    cocommutative; the declaration must hold, and the dropped rows must
+    change no kernel (`TestGeneratorRows`)."""
 
     @pytest.mark.parametrize("ident", DECLARED)
     def test_declared_monoids_are_cocommutative(self, ident):
@@ -1173,6 +1193,8 @@ class TestCocommutativeDeclaration:
             I = labelset(n)
             rows = rows_from_public_maps(twisted, I)
             assert coproduct_rows(twisted, I) == rows, n
+            assert sorted(lefts_built(twisted, n)) == sorted(
+                S.labels for S, T in I.decompositions() if S.labels and T.labels), n
             if n:
                 m = len(twisted.species.structures(I))
                 pivots = sorted(primitive_space(twisted, I)._ech.pivots.items())
@@ -1181,25 +1203,114 @@ class TestCocommutativeDeclaration:
                 dense = [[row.get(j, 0) for j in range(m)] for row in rows]
                 assert stored == reference_rref(reference_kernel(dense, m), m)[0], n
 
-    # Hadamard(L,Pi) has 6,240 structures at n = 5, where the two rrefs
-    # alone take 10 s, so it stops at n = 4
-    @pytest.mark.parametrize("ident, nmax", [(ident, 5) for ident in DECLARED[:-1]]
-                             + [(DECLARED[-1], 4)])
-    def test_mirrored_rows_span_the_full_rows(self, ident, nmax):
+    @pytest.mark.parametrize("ident", DECLARED)
+    def test_declared_monoids_cut_at_the_first_label(self, ident):
+        # the blocks of the S that hold the first label, each once; the
+        # one at (first n - 1 labels, last label) comes first, built whole
+        # for the weights of G_{n-1} and cut afterwards
         h = get_hopf(ident)
-        for n in range(1, nmax + 1):
+        for n in range(5):
             I = labelset(n)
-            mirrored = coproduct_rows(h, I)
-            full = rows_from_public_maps(h, I)
-            assert len(full) == 2 * len(mirrored), n
-            kept = {frozenset(row.items()) for row in mirrored}
-            assert all(frozenset(row.items()) in kept for row in full), n
-            # the distinct rows come in the order of their first appearance
-            # among all decompositions, so elimination takes the same steps
-            assert distinct_in_order(mirrored) == distinct_in_order(full), n
-            echelons = [Echelon(), Echelon()]
-            for ech, rows in zip(echelons, (mirrored, full)):
-                for row in rows:
-                    ech.add(row)
-            assert echelons[0].rank == echelons[1].rank, n
-            assert echelons[0].rref() == echelons[1].rref(), n
+            lefts = lefts_built(h, n)
+            if n > 1:
+                assert lefts[0] == I.labels[:-1], n
+            assert sorted(lefts) == sorted(
+                S.labels for S, T in I.decompositions()
+                if S.labels and T.labels and "a" in S), n
+
+
+ORACLE = ([(ident, 5) for ident in SHIPPED if not ident.startswith("Hadamard")]
+          + [("PiS:2,3", 5), ("Ek:3", 5), ("Hadamard(Pi,L)", 4),
+             ("Hadamard(L,Pi)", 4), ("Hadamard(Sigma,Pi)", 4)])
+
+
+def undeclared_copy(h):
+    """h built directly from its public maps: not declared cocommutative,
+    so the chain takes every decomposition, and its keys are structures,
+    which relabel themselves."""
+    return HopfMonoid(h.species, h.product, h.coproduct, name="copy")
+
+
+class TestGeneratorRows:
+    """The program eliminates only the generator rows (`kernels._Chain`);
+    their kernel must be the kernel of every row of the primitive
+    constraints, the oracle `conftest.full_kernel`, dim and reduced basis
+    alike."""
+
+    @staticmethod
+    def assert_oracle(h, I, space):
+        full = full_kernel(h, I)
+        assert space.dim == full.dim, I
+        assert space.rows() == full.rows(), I
+
+    @pytest.mark.parametrize("ident, nmax", ORACLE)
+    def test_chain_is_the_kernel_of_every_row(self, ident, nmax):
+        h = get_hopf(ident)
+        for n, space in enumerate(primitive_spaces(h, nmax)):
+            if n:
+                self.assert_oracle(h, labelset(n), space)
+
+    @pytest.mark.parametrize("ident", ["L", "Sigma", "Pi"])
+    def test_undeclared_copy(self, ident):
+        h = get_hopf(ident)
+        copy = undeclared_copy(h)
+        assert copy.cocommutative is False
+        for n, space in enumerate(primitive_spaces(copy, 5)):
+            if n:
+                self.assert_oracle(copy, labelset(n), space)
+                assert space.rows() == primitive_space(h, labelset(n)).rows()
+
+    @pytest.mark.parametrize("ident", ["L", "Sigma", "Pi", "Pal", "Ek:2",
+                                       "PiS:2", "Hadamard(L,Pi)"])
+    def test_a_label_set_off_the_canonical_ones(self, ident):
+        # G(S) is relabeled from the canonical sets in label order, and the
+        # weights of G_3 are read off {a, b, c, d}, since {b, d, f, h} is
+        # not a canonical set
+        I = FiniteSet("bdfh")
+        for h in (get_hopf(ident), undeclared_copy(get_hopf(ident))):
+            self.assert_oracle(h, I, primitive_space(h, I))
+
+    def test_lie_kernel_off_the_canonical_sets(self, pi_to_e):
+        I = FiniteSet("bdfh")
+        assert lker_space(pi_to_e, I).same_span(primitive_space(pi_to_e.source, I))
+
+
+class TestGeneratorChoice:
+    """G_k is the least-weight set of generators (`kernels._Chain`). A
+    worse choice still gives the right kernel, so only these counts of
+    the elimination tell it apart."""
+
+    @staticmethod
+    def fed(monkeypatch) -> list:
+        """(rows, entries) handed to each `_kernel_space`."""
+        record = []
+        space = kernels_mod._kernel_space
+
+        def recorded(basis, I, rows):
+            record.append((len(rows), sum(map(len, rows))))
+            return space(basis, I, rows)
+
+        monkeypatch.setattr(kernels_mod, "_kernel_space", recorded)
+        return record
+
+    @pytest.mark.parametrize("ident, n, rank, nnz", [("Sigma", 5, 391, 3797),
+                                                     ("L", 6, 600, 7440)])
+    def test_rows_go_in_with_no_reduction_step(self, monkeypatch, ident, n,
+                                               rank, nnz):
+        # as many rows as the rank, and every stored pivot row as it came:
+        # no row was reduced, and none to zero (the full system feeds 765
+        # distinct rows at Sigma n = 5)
+        record = self.fed(monkeypatch)
+        system = primitive_space(get_hopf(ident), labelset(n))._system
+        assert record[-1] == (rank, nnz)
+        assert system.rank == rank
+        assert sum(map(len, system.pivots.values())) == nnz
+
+    def test_pi_stores_less_fill_than_the_full_system(self, monkeypatch):
+        # every row stored 3,338 pivot entries at n = 7; the least-weight
+        # generators store 2,966, and the free columns of the constraints'
+        # own echelon 18,160
+        record = self.fed(monkeypatch)
+        system = primitive_space(get_hopf("Pi"), labelset(7))._system
+        assert record[-1][0] == system.rank == 877 - 1
+        assert sum(map(len, system.pivots.values())) <= 3338
